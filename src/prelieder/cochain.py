@@ -17,11 +17,8 @@ reappear only when a cochain is evaluated at out-of-order arguments.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import permutations
-
 from .exact_linalg import frac, vec_add, vec_scale, zero_vec
-from .spaces import enumerate_basis, normalize_wedge, perm_sign, wedge_tail_basis
+from .spaces import enumerate_basis, normalize_wedge, wedge_tail_basis
 
 
 class SplitDims:
@@ -134,46 +131,8 @@ class Cochain:
             return zero_vec(self.dims.total)
         return vec_scale(sign, val)
 
-    def evaluate(self, args):
-        """Full multilinear evaluation at arity-many total-space vectors."""
-        n = self.arity
-        assert len(args) == n
-        total = self.dims.total
-        args = [tuple(frac(x) for x in a) for a in args]
-        assert all(len(a) == total for a in args)
-        out = [Fraction(0)] * total
-        for (wedge, tail), val in self.coeffs.items():
-            # alternating coefficient of the first n-1 args on this wedge
-            alt = _wedge_coefficient(args[: n - 1], wedge)
-            if alt == 0:
-                continue
-            c = alt * args[n - 1][tail]
-            if c == 0:
-                continue
-            for i, x in enumerate(val):
-                out[i] += c * x
-        return tuple(out)
-
     def entries(self):
         return self.coeffs.items()
-
-
-def _wedge_coefficient(vectors, wedge):
-    """det of the square matrix vectors[c][wedge[r]] (alternating pairing)."""
-    k = len(wedge)
-    assert len(vectors) == k
-    if k == 0:
-        return Fraction(1)
-    # rows: wedge indices, cols: argument vectors; Leibniz is fine at these sizes
-    total = Fraction(0)
-    for perm in permutations(range(k)):
-        term = Fraction(perm_sign(perm))
-        for r in range(k):
-            term *= vectors[perm[r]][wedge[r]]
-            if term == 0:
-                break
-        total += term
-    return total
 
 
 class MixedShape:

@@ -37,7 +37,6 @@ from fractions import Fraction
 from itertools import chain
 
 from .cochain import (
-    Cochain,
     MixedMap,
     MixedShape,
     SplitDims,
@@ -53,7 +52,7 @@ from .prelie import (
     PreLieAlgebra,
     RegularPair,
     bracket_vec,
-    d_component,
+    derivation_cochain,
     structure_cochain,
 )
 from .spaces import normalize_wedge
@@ -154,7 +153,7 @@ def _assemble(dims: SplitDims, in_specs, out_blocks) -> Matrix:
     for shape, target, terms in out_blocks:
         out = MixedMap(dims, shape, target)
         for key in out.basis_keys():
-            block = [[0] * ncols for _ in range(out.target_dim)]
+            block = [{} for _ in range(out.target_dim)]
             for src, g_args, v_args, tail, c, cols in terms(key):
                 first, sdim = index[src]
                 if not first:  # zero space
@@ -166,14 +165,15 @@ def _assemble(dims: SplitDims, in_specs, out_blocks) -> Matrix:
                 j0 = first[(gt, vt, tail)]
                 c = c * sg * sv
                 for a in range(sdim):
+                    j = j0 + a
                     if cols is None:
-                        block[a][j0 + a] += c
+                        block[a][j] = block[a].get(j, 0) + c
                     else:
                         for r, y in enumerate(cols[a]):
                             if y:
-                                block[r][j0 + a] += c * y
+                                block[r][j] = block[r].get(j, 0) + c * y
             rows.extend(block)
-    return Matrix(len(rows), ncols, rows)
+    return Matrix.from_sparse(len(rows), ncols, rows)
 
 
 def _sum_terms(*gens):
@@ -376,12 +376,8 @@ def delta_bracket(p: DerPair, f_g, f_rho, f_mu) -> MixedMap:
     """Oracle path: (-1)^(n-2) [f, D]^MN, which lands in the theta shapes."""
     n = f_g.shape.arity
     f = lift(f_g) + lift(f_rho) + lift(f_mu)
-    br = mn_bracket(f, derivation_cochain_of(p)).scale(_sign(n - 2))
+    br = mn_bracket(f, derivation_cochain(p)).scale(_sign(n - 2))
     return theta_component(br)
-
-
-def derivation_cochain_of(p: DerPair) -> Cochain:
-    return lift(d_component(p.D, p.dims))
 
 
 def _omega_terms(D: Matrix, K: Matrix, src: int):

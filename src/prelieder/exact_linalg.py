@@ -1,13 +1,24 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: sparse rows behind a dense API.
 
 Everything here works with fractions.Fraction entries; no floats ever
 enter, so ranks and kernels are exact and the row echelon form is the
 unique reduced one (leading ones, zeros above and below each pivot).
+
+A Matrix is dense and row-major. Elimination (`rref`, and through it
+`rank`, `kernel_basis` and `solve`) copies the rows into sparse form,
+{column: entry} with zeros absent, and does no arithmetic on zero
+cells; differential matrices are mostly zeros. The zero cells of
+matrices built from sparse rows (`Matrix.from_sparse`: assembled
+differentials and every rref) are one shared Fraction(0), which the
+copy into sparse form skips by an identity test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+_ZERO = Fraction(0)
+_FRACTION = frozenset([Fraction])
 
 
 def frac(x) -> Fraction:
@@ -17,15 +28,25 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
+def _fraction_row(row) -> tuple:
+    """row as a tuple of Fractions; entries that already are pass unchanged."""
+    row = tuple(row)
+    if _FRACTION.issuperset(map(type, row)):  # the common case, checked in C
+        return row
+    return tuple(x if type(x) is Fraction else frac(x) for x in row)
+
+
 class Matrix:
     """Immutable dense rational matrix, row-major."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        assert rows >= 0 and cols >= 0
-        ent = tuple(tuple(frac(x) for x in row) for row in entries)
-        assert len(ent) == rows and all(len(r) == cols for r in ent)
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative matrix shape {rows}x{cols}")
+        ent = tuple(map(_fraction_row, entries))
+        if len(ent) != rows or any(len(r) != cols for r in ent):
+            raise ValueError(f"entries do not form a {rows}x{cols} matrix")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", ent)
@@ -39,6 +60,21 @@ class Matrix:
         n = len(rows_list)
         m = len(rows_list[0]) if n else 0
         return Matrix(n, m, rows_list)
+
+    @staticmethod
+    def from_sparse(rows: int, cols: int, sparse_rows) -> "Matrix":
+        """Matrix from rows given as {column: entry}; absent entries are zero.
+
+        Zero entries are dropped and every zero cell is the shared Fraction(0).
+        """
+        dense = []
+        for r in sparse_rows:
+            row = [_ZERO] * cols
+            for k, x in r.items():
+                if x:
+                    row[k] = x
+            dense.append(row)
+        return Matrix(rows, cols, dense)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
@@ -64,7 +100,10 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        assert self.rows == other.rows and self.cols == other.cols
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(
+                f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols} matrices"
+            )
         return Matrix(
             self.rows,
             self.cols,
@@ -87,7 +126,10 @@ class Matrix:
         )
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise ValueError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
         # accumulate over the nonzero entries of both factors only
         ot = [[(j, y) for j, y in enumerate(row) if y] for row in other.entries]
         out = []
@@ -102,7 +144,8 @@ class Matrix:
 
     def matvec(self, v) -> tuple:
         """Product with a column vector; zero entries of v are skipped."""
-        assert len(v) == self.cols
+        if len(v) != self.cols:
+            raise ValueError(f"vector of length {len(v)} for a matrix with {self.cols} columns")
         nz = [(j, x) for j, x in enumerate(map(frac, v)) if x]
         return tuple(sum((row[j] * x for j, x in nz), Fraction(0)) for row in self.entries)
 
@@ -128,33 +171,63 @@ def rref(m: Matrix):
 
     Returns (R, rank, pivots) where pivots is the tuple of pivot column
     indices. R is unique, with unit pivots and zeros above and below.
+
+    Gauss-Jordan on sparse rows: for each column in turn, the shortest
+    remaining row with an entry there becomes the pivot row (it spreads
+    the least fill-in) and the column is cleared from the other
+    remaining rows. Clearing above the pivots waits until every pivot
+    is known; then each pivot row, last first, is reduced once against
+    the rows after it, which are already reduced.
     """
-    a = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
-    pivots = []
-    r = 0
+    # the identity test passes over the shared zero without calling
+    # Fraction.__bool__, which costs more than the rest of the scan
+    todo = [
+        r
+        for r in ({j: x for j, x in enumerate(row) if x is not _ZERO and x} for row in m.entries)
+        if r
+    ]
+    # reduced[i] is the i-th pivot row without its unit entry at pivots[i]
+    pivots, reduced = [], []
     for c in range(cols):
-        if r == rows:
-            break
-        p = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if p is None:
+        hits = [r for r in todo if c in r]
+        if not hits:
             continue
-        a[r], a[p] = a[p], a[r]
-        piv = a[r]
-        inv = Fraction(1) / piv[c]
-        # row operations touch only the pivot row's nonzero columns
-        nz = [k for k in range(c, cols) if piv[k] != 0]
-        for k in nz:
+        piv = min(hits, key=len)
+        inv = 1 / piv.pop(c)
+        for k in piv:
             piv[k] *= inv
-        for i in range(rows):
-            f = a[i][c]
-            if i != r and f != 0:
-                row = a[i]
-                for k in nz:
-                    row[k] -= f * piv[k]
+        for row in hits:
+            if row is not piv:
+                _subtract(row, row.pop(c), piv)
+        todo = [r for r in todo if r and r is not piv]
         pivots.append(c)
-        r += 1
-    return Matrix(rows, cols, a), r, tuple(pivots)
+        reduced.append(piv)
+        if not todo:
+            break
+    where = {c: i for i, c in enumerate(pivots)}
+    for row in reversed(reduced):
+        for c in [c for c in row if c in where]:
+            _subtract(row, row.pop(c), reduced[where[c]])
+    for c, row in zip(pivots, reduced):
+        row[c] = Fraction(1)
+    rk = len(pivots)
+    R = Matrix.from_sparse(rows, cols, reduced + [{}] * (rows - rk))
+    return R, rk, tuple(pivots)
+
+
+def _subtract(row: dict, f: Fraction, piv: dict) -> None:
+    """row -= f * piv on sparse rows, dropping entries that cancel."""
+    for k, x in piv.items():
+        y = row.get(k)
+        if y is None:
+            row[k] = -f * x
+        else:
+            y -= f * x
+            if y:
+                row[k] = y
+            else:
+                del row[k]
 
 
 def rank(m: Matrix) -> int:
@@ -194,7 +267,8 @@ def solve(m: Matrix, b) -> tuple | None:
     kernel_basis(m).
     """
     b = [frac(x) for x in b]
-    assert len(b) == m.rows
+    if len(b) != m.rows:
+        raise ValueError(f"right-hand side of length {len(b)} for a matrix with {m.rows} rows")
     aug = Matrix(m.rows, m.cols + 1, [list(row) + [bv] for row, bv in zip(m.entries, b)])
     R, rk, pivots = rref(aug)
     if m.cols in pivots:
@@ -206,7 +280,8 @@ def solve(m: Matrix, b) -> tuple | None:
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:
-    assert a.rows == b.rows
+    if a.rows != b.rows:
+        raise ValueError(f"cannot stack a {a.rows}-row matrix beside a {b.rows}-row one")
     return Matrix(
         a.rows,
         a.cols + b.cols,
@@ -217,7 +292,8 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
 def columns_matrix(vectors, dim: int) -> Matrix:
     """Matrix whose columns are the given length-dim vectors."""
     vectors = [tuple(frac(x) for x in v) for v in vectors]
-    assert all(len(v) == dim for v in vectors)
+    if any(len(v) != dim for v in vectors):
+        raise ValueError(f"columns must all have length {dim}")
     return Matrix(dim, len(vectors), [[v[i] for v in vectors] for i in range(dim)])
 
 

@@ -286,13 +286,15 @@ def build_extension(
     xi = c.xi_mat()
     D = _block_derivation(base, r, lambda j: xi.col(j))
     total = RegularPair(alg, D)
-    assert is_regular_pair(total)
     iota = Matrix(
         dg + dv, dv, [[1 if i == dg + u else 0 for u in range(dv)] for i in range(dg + dv)]
     )
     proj = Matrix(dg, dg + dv, [[1 if j == i else 0 for j in range(dg + dv)] for i in range(dg)])
     ext = AbelianExtension(total, iota, proj)
-    assert validate_extension(ext)["ok"]
+    report = validate_extension(ext)
+    if not report["ok"]:
+        # a cocycle always gives a valid extension, so this is an internal fault
+        raise RuntimeError(f"built extension fails its checks: {report['failed']}")
     return ext
 
 
@@ -434,6 +436,8 @@ def classify(
     zeta = Matrix(n, n, zeta_rows)
     ext1 = build_extension(base, r, c1)
     ext2 = build_extension(base, r, c2)
-    assert rank(zeta) == n
-    assert is_morphism(zeta, zeta, ext1.total.to_derpair(), ext2.total.to_derpair())
+    if rank(zeta) != n:
+        raise RuntimeError("id + phi is not invertible")
+    if not is_morphism(zeta, zeta, ext1.total.to_derpair(), ext2.total.to_derpair()):
+        raise RuntimeError("id + phi is not a morphism between the two extensions")
     return zeta

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -6,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prelieder import Matrix, kernel_basis, rank, rref, solve
-from prelieder.exact_linalg import in_span, vec_add, vec_scale, vec_sub, zero_vec
+from prelieder.exact_linalg import (
+    columns_matrix,
+    hstack,
+    in_span,
+    vec_add,
+    vec_scale,
+    vec_sub,
+    zero_vec,
+)
 
 from oracles import sympy_matrix, sympy_nullity, sympy_rank
 
@@ -77,6 +89,81 @@ def test_rref_matches_sympy(m):
     assert sympy_matrix(r) == want
     assert tuple(pivots) == tuple(want_pivots)
     assert rk == len(pivots)
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=12, max_cols=14):
+    """At least 80% zeros; zero rows and columns come up often, and so do
+    0 x n and n x 0. Big enough for fill-in and for back-substitution
+    into earlier pivot rows."""
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    picked = draw(st.sets(st.sampled_from(cells), max_size=len(cells) // 5)) if cells else set()
+    ent = [[Fraction(0)] * cols for _ in range(rows)]
+    for i, j in picked:
+        ent[i][j] = draw(fractions.filter(bool))
+    return Matrix(rows, cols, ent)
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_matrices())
+def test_sparse_rref_matches_sympy(m):
+    before = [list(row) for row in m.entries]
+    r, rk, pivots = rref(m)
+    assert [list(row) for row in m.entries] == before
+    assert (r.rows, r.cols) == (m.rows, m.cols)
+    if m.rows and m.cols:
+        want, want_pivots = sympy_matrix(m).rref()
+        assert sympy_matrix(r) == want
+    else:
+        want_pivots = ()
+        assert r.is_zero()
+    assert tuple(pivots) == tuple(want_pivots)
+    assert rk == len(pivots)
+
+
+def test_shape_errors_are_value_errors():
+    with pytest.raises(ValueError):
+        Matrix(2, 2, [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Matrix(2, 2, [[1, 2]])
+    with pytest.raises(ValueError):
+        Matrix(-1, 0, [])
+    a = Matrix(2, 3, [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError):
+        a + Matrix.identity(2)
+    with pytest.raises(ValueError):
+        a * a
+    with pytest.raises(ValueError):
+        a.matvec([1, 2])
+    with pytest.raises(ValueError):
+        solve(a, [1, 2, 3])
+    with pytest.raises(ValueError):
+        hstack(a, Matrix.identity(3))
+    with pytest.raises(ValueError):
+        columns_matrix([(1, 2), (1, 2, 3)], 2)
+
+
+def test_shape_and_float_checks_survive_optimize():
+    # python -O strips assert statements; these checks must not be asserts
+    script = (
+        "from prelieder import Matrix\n"
+        "for bad in ([[1, 2], [3]], [[1, 2.0], [3, 4]]):\n"
+        "    try:\n"
+        "        Matrix(2, 2, bad)\n"
+        "    except (ValueError, TypeError) as e:\n"
+        "        print(type(e).__name__)\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ValueError", "TypeError"]
 
 
 def test_empty_shapes():

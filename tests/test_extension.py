@@ -286,6 +286,19 @@ def test_classify_refuses_non_cocycles():
             classify(b, r, cand, ExtensionCocycle.zero(dims))
 
 
+def test_classify_certificate_survives_a_failed_morphism_check(monkeypatch):
+    # the morphism certificate is a real check: when it fails, classify
+    # raises instead of returning an unverified matrix (even under -O)
+    b = golden_base()
+    r = regular_module(b)
+    cb = coboundary_cocycle(b, r, Matrix(2, 2, [[1, 2], [0, 1]]))
+    from prelieder import classify
+
+    monkeypatch.setattr("prelieder.extension.is_morphism", lambda *args: False)
+    with pytest.raises(RuntimeError):
+        classify(b, r, cb, ExtensionCocycle.zero(SplitDims(2, 2)))
+
+
 # ----------------------------------------------------------------------
 # structural validation tags
 
