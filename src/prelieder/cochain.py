@@ -17,7 +17,7 @@ reappear only when a cochain is evaluated at out-of-order arguments.
 
 from __future__ import annotations
 
-from .exact_linalg import frac, vec_add, vec_scale, zero_vec
+from .exact_linalg import Matrix, columns_matrix, frac, vec_add, vec_scale, zero_vec
 from .spaces import enumerate_basis, normalize_wedge, wedge_tail_basis
 
 
@@ -213,6 +213,20 @@ class MixedMap:
             v = _clean_value(val, tgt_dim)
             if any(x != 0 for x in v):
                 self.coeffs[(gt, vt, tail)] = v
+
+    @staticmethod
+    def from_matrix(dims: SplitDims, tail: str, target: str, m: Matrix) -> "MixedMap":
+        """The degree-1 map sending e_j of the tail space to column j of m."""
+        cols = {((), (), j): m.col(j) for j in range(m.cols)}
+        return MixedMap(dims, MixedShape(0, 0, tail), target, cols)
+
+    def to_matrix(self) -> Matrix:
+        """Inverse of from_matrix: column j is the value on e_j."""
+        assert self.shape.g_wedge == self.shape.v_wedge == 0
+        tail_dim = self.dims.dim_g if self.shape.tail == "g" else self.dims.dim_v
+        zero = zero_vec(self.target_dim)
+        cols = [self.coeffs.get(((), (), j), zero) for j in range(tail_dim)]
+        return columns_matrix(cols, self.target_dim)
 
     @property
     def target_dim(self) -> int:

@@ -29,12 +29,21 @@ differential matrices in a single pass (see _assemble).
 The component shapes with a negative wedge size are zero spaces, which
 makes the degree-1 special cases of every complex come out of the
 uniform formulas.
+
+The table COMPLEXES is the one place a complex is defined: per id it
+holds the dimensions read from the structure data, the block layout of
+C^n, the term generators of d and the cochain-level operator. Complex,
+space_dimension and differential_matrix read it, and Complex.coboundary
+and Complex.preimage take and return cochains as lists of blocks, so
+no other module handles coordinates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .cochain import (
     MixedMap,
@@ -45,7 +54,7 @@ from .cochain import (
     mixed_space_dim,
     theta_component,
 )
-from .exact_linalg import Matrix, kernel_from_rref, rank, rref, zero_vec
+from .exact_linalg import Matrix, kernel_from_rref, rank, rref, solve, zero_vec
 from .mn_bracket import mn_bracket
 from .prelie import (
     DerPair,
@@ -415,7 +424,8 @@ class DerPairCochain:
     """Element of the pair complex: (f_g, f_rho, f_mu, theta) at degree n.
 
     At n = 1 the f_mu and theta slots are the zero space (negative wedge
-    size) and the element is just (Hom(g,g), Hom(V,V)).
+    size) and the element is just (Hom(g,g), Hom(V,V)). The slots are
+    the blocks of the "pair" entry of COMPLEXES, in that order.
     """
 
     def __init__(self, dims: SplitDims, n: int, f_g, f_rho, f_mu, theta):
@@ -426,63 +436,35 @@ class DerPairCochain:
         self.f_rho = f_rho
         self.f_mu = f_mu
         self.theta = theta
-        assert f_g.shape == MixedShape(n - 1, 0, "g") and f_g.target == "g"
-        assert f_rho.shape == MixedShape(n - 1, 0, "v") and f_rho.target == "v"
-        assert f_mu.shape == MixedShape(n - 2, 1, "g") and f_mu.target == "v"
-        assert theta.shape == MixedShape(n - 2, 0, "g") and theta.target == "v"
+        assert [(m.shape, m.target) for m in self.blocks()] == COMPLEXES["pair"].specs(n)
 
     @staticmethod
     def zero(dims: SplitDims, n: int) -> "DerPairCochain":
-        return DerPairCochain(
-            dims,
-            n,
-            MixedMap(dims, MixedShape(n - 1, 0, "g"), "g"),
-            MixedMap(dims, MixedShape(n - 1, 0, "v"), "v"),
-            MixedMap(dims, MixedShape(n - 2, 1, "g"), "v"),
-            MixedMap(dims, MixedShape(n - 2, 0, "g"), "v"),
-        )
+        specs = COMPLEXES["pair"].specs(n)
+        return DerPairCochain(dims, n, *(MixedMap(dims, *spec) for spec in specs))
+
+    def blocks(self) -> list:
+        return [self.f_g, self.f_rho, self.f_mu, self.theta]
 
     def is_zero(self) -> bool:
-        return (
-            self.f_g.is_zero()
-            and self.f_rho.is_zero()
-            and self.f_mu.is_zero()
-            and self.theta.is_zero()
-        )
+        return all(m.is_zero() for m in self.blocks())
 
     def __eq__(self, other):
         return (
             isinstance(other, DerPairCochain)
-            and self.dims == other.dims
-            and self.n == other.n
-            and self.f_g == other.f_g
-            and self.f_rho == other.f_rho
-            and self.f_mu == other.f_mu
-            and self.theta == other.theta
+            and (self.dims, self.n) == (other.dims, other.n)
+            and self.blocks() == other.blocks()
         )
 
     def __add__(self, other):
-        return DerPairCochain(
-            self.dims,
-            self.n,
-            self.f_g + other.f_g,
-            self.f_rho + other.f_rho,
-            self.f_mu + other.f_mu,
-            self.theta + other.theta,
-        )
+        sums = (a + b for a, b in zip(self.blocks(), other.blocks()))
+        return DerPairCochain(self.dims, self.n, *sums)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        return DerPairCochain(
-            self.dims,
-            self.n,
-            self.f_g.scale(c),
-            self.f_rho.scale(c),
-            self.f_mu.scale(c),
-            self.theta.scale(c),
-        )
+        return DerPairCochain(self.dims, self.n, *(m.scale(c) for m in self.blocks()))
 
 
 def huaD(p: DerPair, c: DerPairCochain) -> DerPairCochain:
@@ -508,18 +490,15 @@ class TwoSlotCochain:
         self.target = target
         self.f = f
         self.theta = theta
-        assert f.shape == MixedShape(n - 1, 0, "g") and f.target == target
-        assert theta.shape == MixedShape(n - 2, 0, "g") and theta.target == target
+        assert [(m.shape, m.target) for m in self.blocks()] == _two_slot_specs(target, n)
 
     @staticmethod
     def zero(dims: SplitDims, n: int, target: str) -> "TwoSlotCochain":
-        return TwoSlotCochain(
-            dims,
-            n,
-            target,
-            MixedMap(dims, MixedShape(n - 1, 0, "g"), target),
-            MixedMap(dims, MixedShape(n - 2, 0, "g"), target),
-        )
+        f, theta = (MixedMap(dims, *spec) for spec in _two_slot_specs(target, n))
+        return TwoSlotCochain(dims, n, target, f, theta)
+
+    def blocks(self) -> list:
+        return [self.f, self.theta]
 
     def is_zero(self) -> bool:
         return self.f.is_zero() and self.theta.is_zero()
@@ -528,8 +507,7 @@ class TwoSlotCochain:
         return (
             isinstance(other, TwoSlotCochain)
             and (self.dims, self.n, self.target) == (other.dims, other.n, other.target)
-            and self.f == other.f
-            and self.theta == other.theta
+            and self.blocks() == other.blocks()
         )
 
     def __add__(self, other):
@@ -620,45 +598,127 @@ def p_project(c: DerPairCochain) -> TwoSlotCochain:
 
 
 # ---------------------------------------------------------------------------
-# coordinates, differential matrices, cohomology dimensions
+# the table of complexes: the one place a complex id is given a meaning
+
+
+class _ComplexKind(NamedTuple):
+    dims: Callable  # structure data -> SplitDims
+    specs: Callable  # n -> (shape, target) coordinate blocks of C^n
+    terms: Callable  # structure data -> one term generator per block of C^(n+1)
+    apply: Callable  # (data, n, blocks of x) -> blocks of d x, on cochains
+
+
+def _coeffs_specs(n: int):
+    return [(MixedShape(n - 1, 0, "g"), "v")]
+
+
+def _prelie_specs(n: int):
+    return [
+        (MixedShape(n - 1, 0, "g"), "g"),
+        (MixedShape(n - 1, 0, "v"), "v"),
+        (MixedShape(n - 2, 1, "g"), "v"),
+    ]
+
+
+def _two_slot_specs(target: str, n: int):
+    return [(MixedShape(n - 1, 0, "g"), target), (MixedShape(n - 2, 0, "g"), target)]
+
+
+def _coeffs_terms(p: DerPair):
+    cols = [[_columns(m) for m in mats] for mats in (p.rep.rho, p.rep.mu)]
+    return [_d_coeff_terms(_Algebra(p.algebra), *cols, 0)]
+
+
+def _prelie_terms(p: DerPair, theta: bool = False):
+    alg = _Algebra(p.algebra)
+    rho, mu = _Action(p.rep.rho, p.dims.dim_v), _Action(p.rep.mu, p.dims.dim_v)
+    terms = [
+        _d_coeff_terms(alg, alg.left, alg.right, 0),
+        _partial_rho_terms(alg, rho),
+        _partial_mu_terms(alg, rho, mu),
+    ]
+    if theta:
+        terms.append(_sum_terms(_d_coeff_terms(alg, rho.cols, mu.cols, 3), _delta_terms(p.D)))
+    return terms
+
+
+def _two_slot_terms(alg: _Algebra, lcols, rcols, D: Matrix, K: Matrix):
+    return [
+        _d_coeff_terms(alg, lcols, rcols, 0),
+        _sum_terms(_d_coeff_terms(alg, lcols, rcols, 1), _omega_terms(D, K, 0)),
+    ]
+
+
+def _regular_terms(rp: RegularPair):
+    alg = _Algebra(rp.algebra)
+    return _two_slot_terms(alg, alg.left, alg.right, rp.D, rp.D)
+
+
+def _rep_terms(data):
+    rp, rep5 = data
+    lcols, rcols = ([_columns(m) for m in mats] for mats in (rep5.rho_t, rep5.mu_t))
+    return _two_slot_terms(_Algebra(rp.algebra), lcols, rcols, rp.D, rep5.K)
+
+
+_pair_dims = attrgetter("dims")
+
+COMPLEXES = {
+    "coeffs": _ComplexKind(
+        _pair_dims,
+        _coeffs_specs,
+        _coeffs_terms,
+        lambda p, n, x: [d_prelie(p.algebra, p.rep, *x)],
+    ),
+    "prelie": _ComplexKind(
+        _pair_dims,
+        _prelie_specs,
+        _prelie_terms,
+        lambda p, n, x: list(partial(p.algebra, p.rep, *x)),
+    ),
+    "pair": _ComplexKind(
+        _pair_dims,
+        lambda n: _prelie_specs(n) + _coeffs_specs(n - 1),
+        lambda p: _prelie_terms(p, theta=True),
+        lambda p, n, x: huaD(p, DerPairCochain(p.dims, n, *x)).blocks(),
+    ),
+    "regular": _ComplexKind(
+        lambda rp: SplitDims(rp.algebra.dim, rp.algebra.dim),
+        lambda n: _two_slot_specs("g", n),
+        _regular_terms,
+        lambda rp, n, x: huaD_reg(rp, TwoSlotCochain(x[0].dims, n, "g", *x)).blocks(),
+    ),
+    "rep": _ComplexKind(
+        lambda data: SplitDims(data[0].algebra.dim, data[1].dim_v),
+        lambda n: _two_slot_specs("v", n),
+        _rep_terms,
+        lambda data, n, x: huaD_rep(*data, TwoSlotCochain(x[0].dims, n, "v", *x)).blocks(),
+    ),
+}
+
+
+def _kind(complex_id: str) -> _ComplexKind:
+    try:
+        return COMPLEXES[complex_id]
+    except KeyError:
+        raise ValueError(f"unknown complex {complex_id!r}") from None
 
 
 def _component_specs(complex_id: str, n: int):
     """(shape, target) list defining the coordinate blocks of C^n."""
-    if complex_id == "coeffs":
-        return [(MixedShape(n - 1, 0, "g"), "v")]
-    if complex_id == "prelie":
-        return [
-            (MixedShape(n - 1, 0, "g"), "g"),
-            (MixedShape(n - 1, 0, "v"), "v"),
-            (MixedShape(n - 2, 1, "g"), "v"),
-        ]
-    if complex_id == "pair":
-        return _component_specs("prelie", n) + [(MixedShape(n - 2, 0, "g"), "v")]
-    if complex_id == "regular":
-        return [(MixedShape(n - 1, 0, "g"), "g"), (MixedShape(n - 2, 0, "g"), "g")]
-    if complex_id == "rep":
-        return [(MixedShape(n - 1, 0, "g"), "v"), (MixedShape(n - 2, 0, "g"), "v")]
-    raise ValueError(f"unknown complex {complex_id!r}")
+    return _kind(complex_id).specs(n)
 
 
-def _dims_for(complex_id: str, data) -> SplitDims:
-    if complex_id in ("coeffs", "prelie", "pair"):
-        return data.dims
-    if complex_id == "regular":
-        return SplitDims(data.algebra.dim, data.algebra.dim)
-    if complex_id == "rep":
-        regpair, rep5 = data
-        return SplitDims(regpair.algebra.dim, rep5.dim_v)
-    raise ValueError(f"unknown complex {complex_id!r}")
+def _space_dim(dims: SplitDims, specs) -> int:
+    return sum(mixed_space_dim(dims, shape, target) for shape, target in specs)
 
 
 def space_dimension(complex_id: str, n: int, data) -> int:
-    dims = _dims_for(complex_id, data)
-    return sum(
-        mixed_space_dim(dims, shape, target)
-        for shape, target in _component_specs(complex_id, n)
-    )
+    kind = _kind(complex_id)
+    return _space_dim(kind.dims(data), kind.specs(n))
+
+
+def _apply_differential(complex_id: str, n: int, data, maps):
+    return _kind(complex_id).apply(data, n, maps)
 
 
 def _flatten(maps) -> list:
@@ -687,87 +747,30 @@ def _unflatten(dims: SplitDims, specs, vec):
     return maps
 
 
-def _apply_differential(complex_id: str, n: int, data, maps):
-    if complex_id == "coeffs":
-        (theta,) = maps
-        return [d_prelie(data.algebra, data.rep, theta)]
-    if complex_id == "prelie":
-        f_g, f_rho, f_mu = maps
-        return list(partial(data.algebra, data.rep, f_g, f_rho, f_mu))
-    if complex_id == "pair":
-        f_g, f_rho, f_mu, theta = maps
-        c = DerPairCochain(data.dims, n, f_g, f_rho, f_mu, theta)
-        out = huaD(data, c)
-        return [out.f_g, out.f_rho, out.f_mu, out.theta]
-    if complex_id == "regular":
-        f, theta = maps
-        dims = _dims_for(complex_id, data)
-        out = huaD_reg(data, TwoSlotCochain(dims, n, "g", f, theta))
-        return [out.f, out.theta]
-    if complex_id == "rep":
-        regpair, rep5 = data
-        f, theta = maps
-        dims = _dims_for(complex_id, data)
-        out = huaD_rep(regpair, rep5, TwoSlotCochain(dims, n, "v", f, theta))
-        return [out.f, out.theta]
-    raise ValueError(f"unknown complex {complex_id!r}")
-
-
-def _differential_terms(complex_id: str, data) -> list:
-    """One term generator per block of C^(n+1), valid for every degree n."""
-    if complex_id in ("coeffs", "prelie", "pair"):
-        alg = _Algebra(data.algebra)
-        rho = _Action(data.rep.rho, data.dims.dim_v)
-        mu = _Action(data.rep.mu, data.dims.dim_v)
-        if complex_id == "coeffs":
-            return [_d_coeff_terms(alg, rho.cols, mu.cols, 0)]
-        triple = [
-            _d_coeff_terms(alg, alg.left, alg.right, 0),
-            _partial_rho_terms(alg, rho),
-            _partial_mu_terms(alg, rho, mu),
-        ]
-        if complex_id == "prelie":
-            return triple
-        theta = _sum_terms(_d_coeff_terms(alg, rho.cols, mu.cols, 3), _delta_terms(data.D))
-        return triple + [theta]
-    if complex_id == "regular":
-        alg = _Algebra(data.algebra)
-        lcols, rcols, D, K = alg.left, alg.right, data.D, data.D
-    elif complex_id == "rep":
-        regpair, rep5 = data
-        alg = _Algebra(regpair.algebra)
-        lcols = [_columns(m) for m in rep5.rho_t]
-        rcols = [_columns(m) for m in rep5.mu_t]
-        D, K = regpair.D, rep5.K
-    else:
-        raise ValueError(f"unknown complex {complex_id!r}")
-    return [
-        _d_coeff_terms(alg, lcols, rcols, 0),
-        _sum_terms(_d_coeff_terms(alg, lcols, rcols, 1), _omega_terms(D, K, 0)),
-    ]
-
-
 class Complex:
     """One cochain complex (complex id, structure data), memoized by degree.
 
     It holds the block layout of each C^n and builds each d_n, and its
     row reduction, at most once; ranks, cocycle bases and coboundary
-    bases are read off those. C^n is the zero space for n < 1.
+    bases are read off those. C^n is the zero space for n < 1. Cochains
+    go in and out as lists of blocks in the layout order, so callers
+    never handle coordinates.
     """
 
     def __init__(self, complex_id: str, data):
         self.complex_id = complex_id
         self.data = data
-        self.dims = _dims_for(complex_id, data)
-        self._terms = _differential_terms(complex_id, data)
+        self._kind = kind = _kind(complex_id)
+        self.dims = kind.dims(data)
+        self._terms = kind.terms(data)
         self._d = {}
         self._reduced = {}
 
     def specs(self, n: int):
-        return _component_specs(self.complex_id, n)
+        return self._kind.specs(n)
 
     def dim(self, n: int) -> int:
-        return space_dimension(self.complex_id, n, self.data)
+        return _space_dim(self.dims, self.specs(n))
 
     def d(self, n: int) -> Matrix:
         """Matrix of d: C^n -> C^(n+1) in enumerate_basis coordinates."""
@@ -775,6 +778,15 @@ class Complex:
             out = [spec + (terms,) for spec, terms in zip(self.specs(n + 1), self._terms)]
             self._d[n] = _assemble(self.dims, self.specs(n), out)
         return self._d[n]
+
+    def coboundary(self, n: int, blocks) -> list:
+        """The blocks of d_n x, for x given by its blocks in C^n."""
+        return _unflatten(self.dims, self.specs(n + 1), self.d(n).matvec(_flatten(blocks)))
+
+    def preimage(self, n: int, blocks):
+        """Blocks of some x in C^(n-1) with d_(n-1) x = y, or None if y is not in B^n."""
+        x = solve(self.d(n - 1), _flatten(blocks))
+        return None if x is None else _unflatten(self.dims, self.specs(n - 1), x)
 
     def _rref(self, n: int):
         if n not in self._reduced:
@@ -810,7 +822,8 @@ def differential_matrix(complex_id: str, n: int, data) -> Matrix:
 
 def cohomology_dim(complex_id: str, n: int, data):
     """(z, b, h): cocycle, coboundary and cohomology dimensions at degree n."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"cohomology degree must be at least 1, got {n}")
     return Complex(complex_id, data).cohomology_dim(n)
 
 

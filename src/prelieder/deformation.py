@@ -32,21 +32,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cochain import MixedMap, MixedShape, SplitDims, lift
-from .cohomology import (
-    DerPairCochain,
-    _component_specs,
-    _flatten,
-    _unflatten,
-    differential_matrix,
-    huaD,
-)
-from .exact_linalg import Matrix, solve, vec_add, vec_scale, vec_sub, zero_vec
+from .cohomology import Complex, DerPairCochain, huaD
+from .exact_linalg import Matrix, vec_add, vec_scale, vec_sub, zero_vec
 from .linfty import LElement
 from .mn_bracket import mn_bracket
 from .prelie import (
     DerPair,
     PreLieAlgebra,
     Representation,
+    basis_vec,
     derivation_cochain,
     structure_cochain,
 )
@@ -94,17 +88,12 @@ class DeformationDatum:
                 v = tau_mats[j].col(u)
                 if any(x != 0 for x in v):
                     ta[((), (u,), j)] = v
-        dh = {}
-        for j in range(dg):
-            v = dhat.col(j)
-            if any(x != 0 for x in v):
-                dh[((), (), j)] = v
         return DeformationDatum(
             dims,
             MixedMap(dims, MixedShape(1, 0, "g"), "g", om),
             MixedMap(dims, MixedShape(1, 0, "v"), "v", sg),
             MixedMap(dims, MixedShape(0, 1, "g"), "v", ta),
-            MixedMap(dims, MixedShape(0, 0, "g"), "v", dh),
+            MixedMap.from_matrix(dims, "g", "v", dhat),
         )
 
     @staticmethod
@@ -140,9 +129,7 @@ class DeformationDatum:
         return Matrix(dv, dv, [[c[r] for c in cols] for r in range(dv)])
 
     def dhat_mat(self) -> Matrix:
-        dg, dv = self.dims.dim_g, self.dims.dim_v
-        cols = [self.dhat.eval_local((), (), j) for j in range(dg)]
-        return Matrix(dv, dg, [[c[r] for c in cols] for r in range(dv)])
+        return self.dhat.to_matrix()
 
     def cochain(self) -> DerPairCochain:
         return DerPairCochain(self.dims, 2, self.omega, self.sigma, self.tau, self.dhat)
@@ -255,10 +242,10 @@ def is_equivalence(base: DerPair, d1: DeformationDatum, d2: DeformationDatum, w:
         return out
 
     for i in range(dg):
-        ei = tuple(Fraction(1) if k == i else Fraction(0) for k in range(dg))
+        ei = basis_vec(dg, i)
         ni = N.col(i)
         for j in range(dg):
-            ej = tuple(Fraction(1) if k == j else Fraction(0) for k in range(dg))
+            ej = basis_vec(dg, j)
             nj = N.col(j)
             # 1: omega'(x,y) - omega(x,y) = N(x).y + x.N(y) - N(x.y)
             lhs = vec_sub(d1.omega_vec(i, j), d2.omega_vec(i, j))
@@ -323,31 +310,17 @@ def is_equivalence(base: DerPair, d1: DeformationDatum, d2: DeformationDatum, w:
     return {"ok": not tags, "failed": tags}
 
 
+def _degree_one(dims: SplitDims, N: Matrix, S: Matrix) -> list:
+    """(N, S) as the blocks of a pair 1-cochain; f_mu and theta are zero spaces."""
+    zero = DerPairCochain.zero(dims, 1)
+    n_map, s_map = MixedMap.from_matrix(dims, "g", "g", N), MixedMap.from_matrix(dims, "v", "v", S)
+    return [n_map, s_map, zero.f_mu, zero.theta]
+
+
 def coboundary_datum(base: DerPair, N: Matrix, S: Matrix) -> DeformationDatum:
     """The degree-1 coboundary of (N, S) viewed as a deformation datum."""
-    dims = base.dims
-    specs = _component_specs("pair", 1)
-    coords = _flatten(
-        [
-            _matrix_to_map(dims, MixedShape(0, 0, "g"), "g", N),
-            _matrix_to_map(dims, MixedShape(0, 0, "v"), "v", S),
-            MixedMap(dims, MixedShape(-1, 1, "g"), "v"),
-            MixedMap(dims, MixedShape(-1, 0, "g"), "v"),
-        ]
-    )
-    d1 = differential_matrix("pair", 1, base)
-    out = d1.matvec(coords)
-    omega, sigma, tau, dhat = _unflatten(dims, _component_specs("pair", 2), list(out))
-    return DeformationDatum(dims, omega, sigma, tau, dhat)
-
-
-def _matrix_to_map(dims: SplitDims, shape: MixedShape, target: str, m: Matrix) -> MixedMap:
-    coeffs = {}
-    for j in range(m.cols):
-        v = m.col(j)
-        if any(x != 0 for x in v):
-            coeffs[((), (), j)] = v
-    return MixedMap(dims, shape, target, coeffs)
+    blocks = Complex("pair", base).coboundary(1, _degree_one(base.dims, N, S))
+    return DeformationDatum(base.dims, *blocks)
 
 
 def same_cohomology_class(base: DerPair, d1: DeformationDatum, d2: DeformationDatum):
@@ -360,19 +333,13 @@ def same_cohomology_class(base: DerPair, d1: DeformationDatum, d2: DeformationDa
     for d in (d1, d2):
         if not huaD(base, d.cochain()).is_zero():
             raise ValueError("input datum is not a 2-cocycle of the pair")
-    diff = d1.cochain() - d2.cochain()
-    target = _flatten([diff.f_g, diff.f_rho, diff.f_mu, diff.theta])
-    d1mat = differential_matrix("pair", 1, base)
-    sol = solve(d1mat, target)
-    if sol is None:
+    target = (d1.cochain() - d2.cochain()).blocks()
+    cx = Complex("pair", base)
+    x = cx.preimage(2, target)
+    if x is None:
         return None
-    dims = base.dims
-    n_map, s_map, _, _ = _unflatten(dims, _component_specs("pair", 1), list(sol))
-    dg, dv = dims.dim_g, dims.dim_v
-    N = Matrix(dg, dg, [[n_map.eval_local((), (), j)[r] for j in range(dg)] for r in range(dg)])
-    S = Matrix(dv, dv, [[s_map.eval_local((), (), u)[r] for u in range(dv)] for r in range(dv)])
-    w = EquivalenceWitness(N, S)
-    assert coboundary_datum(base, N, S) == DeformationDatum(
-        dims, diff.f_g, diff.f_rho, diff.f_mu, diff.theta
-    )
-    return w
+    N, S = x[0].to_matrix(), x[1].to_matrix()
+    if cx.coboundary(1, _degree_one(base.dims, N, S)) != target:
+        # the solve is exact, so a witness that fails this is an internal fault
+        raise RuntimeError("the witness (N, S) does not bound d1 - d2")
+    return EquivalenceWitness(N, S)

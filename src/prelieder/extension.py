@@ -22,19 +22,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cochain import MixedMap, MixedShape, SplitDims
-from .cohomology import (
-    TwoSlotCochain,
-    _component_specs,
-    _flatten,
-    _unflatten,
-    differential_matrix,
-    huaD_rep,
-)
+from .cohomology import Complex, TwoSlotCochain, huaD_rep
 from .exact_linalg import Matrix, rank, solve, zero_vec
 from .prelie import (
     PreLieAlgebra,
     RegularPair,
     Representation,
+    basis_vec,
     is_morphism,
     is_regular_pair,
     representation_report,
@@ -158,15 +152,10 @@ class ExtensionCocycle:
                 v = tuple(Fraction(x) for x in theta_table[i][j])
                 if any(x != 0 for x in v):
                     th[((i,), (), j)] = v
-        xc = {}
-        for j in range(dims.dim_g):
-            v = xi.col(j)
-            if any(x != 0 for x in v):
-                xc[((), (), j)] = v
         return ExtensionCocycle(
             dims,
             MixedMap(dims, MixedShape(1, 0, "g"), "v", th),
-            MixedMap(dims, MixedShape(0, 0, "g"), "v", xc),
+            MixedMap.from_matrix(dims, "g", "v", xi),
         )
 
     @staticmethod
@@ -189,9 +178,7 @@ class ExtensionCocycle:
         return self.theta.eval_local((i,), (), j)
 
     def xi_mat(self) -> Matrix:
-        dg, dv = self.dims.dim_g, self.dims.dim_v
-        cols = [self.xi.eval_local((), (), j) for j in range(dg)]
-        return Matrix(dv, dg, [[c[r] for c in cols] for r in range(dv)])
+        return self.xi.to_matrix()
 
     def two_slot(self) -> TwoSlotCochain:
         return TwoSlotCochain(self.dims, 2, "v", self.theta, self.xi)
@@ -251,7 +238,7 @@ def validate_extension(ext: AbelianExtension) -> dict:
             if any(x != 0 for x in a.prod(cols[u], cols[v])):
                 abelian = False
     for w in range(n):
-        ew = tuple(Fraction(1) if k == w else Fraction(0) for k in range(n))
+        ew = basis_vec(n, w)
         for u in range(dv):
             left = a.prod(ew, cols[u])
             right = a.prod(cols[u], ew)
@@ -303,8 +290,7 @@ def canonical_section(ext: AbelianExtension) -> Matrix:
     n, dg = ext.total.algebra.dim, ext.dim_g
     cols = []
     for j in range(dg):
-        e = tuple(Fraction(1) if k == j else Fraction(0) for k in range(dg))
-        s = solve(ext.proj, e)
+        s = solve(ext.proj, basis_vec(dg, j))
         assert s is not None
         cols.append(s)
     return Matrix(n, dg, [[c[i] for c in cols] for i in range(n)])
@@ -383,19 +369,10 @@ def extract_cocycle(ext: AbelianExtension, s: Matrix):
 
 def coboundary_cocycle(base: RegularPair, r: DerPairRepresentation, phi: Matrix) -> ExtensionCocycle:
     """Degree-1 coboundary of phi: g -> V in the module complex."""
-    dims = SplitDims(base.algebra.dim, r.dim_v)
-    specs1 = _component_specs("rep", 1)
-    phi_map_coeffs = {}
-    for j in range(base.algebra.dim):
-        v = phi.col(j)
-        if any(x != 0 for x in v):
-            phi_map_coeffs[((), (), j)] = v
-    phi_map = MixedMap(dims, MixedShape(0, 0, "g"), "v", phi_map_coeffs)
-    coords = _flatten([phi_map, MixedMap(dims, MixedShape(-1, 0, "g"), "v")])
-    d1 = differential_matrix("rep", 1, (base, r))
-    out = d1.matvec(coords)
-    theta, xi = _unflatten(dims, _component_specs("rep", 2), list(out))
-    return ExtensionCocycle(dims, theta, xi)
+    cx = Complex("rep", (base, r))
+    phi_map = MixedMap.from_matrix(cx.dims, "g", "v", phi)
+    zero_theta = TwoSlotCochain.zero(cx.dims, 1, "v").theta  # the zero space at n = 1
+    return ExtensionCocycle(cx.dims, *cx.coboundary(1, [phi_map, zero_theta]))
 
 
 def classify(
@@ -413,17 +390,12 @@ def classify(
     for c in (c1, c2):
         if not is_extension_cocycle(base, r, c):
             raise ValueError("input is not a 2-cocycle of the module complex")
-    dims = SplitDims(base.algebra.dim, r.dim_v)
-    diff_theta = c1.theta - c2.theta
-    diff_xi = c1.xi - c2.xi
-    target = _flatten([diff_theta, diff_xi])
-    d1 = differential_matrix("rep", 1, (base, r))
-    sol = solve(d1, target)
-    if sol is None:
+    cx = Complex("rep", (base, r))
+    x = cx.preimage(2, (c1.two_slot() - c2.two_slot()).blocks())
+    if x is None:
         return None
-    phi_map, _ = _unflatten(dims, _component_specs("rep", 1), list(sol))
-    dg, dv = dims.dim_g, dims.dim_v
-    phi = Matrix(dv, dg, [[phi_map.eval_local((), (), j)[u] for j in range(dg)] for u in range(dv)])
+    phi = x[0].to_matrix()
+    dg, dv = cx.dims.dim_g, cx.dims.dim_v
     n = dg + dv
     zeta_rows = []
     for i in range(dg):

@@ -16,8 +16,9 @@ complex (fields `f` and `theta`; an extension cocycle is the degree-2,
 target-"v" case).
 
 Exit codes: 0 success / mathematically true, 1 mathematically false,
-2 malformed input or usage. Reports are deterministic; --json swaps the
-human text for a machine-readable object including equation tags.
+2 malformed input or usage, 3 internal error (one stderr line).
+Reports are deterministic; --json swaps the human text for a
+machine-readable object including equation tags.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from fractions import Fraction
 
 from .cochain import Cochain, MixedMap, MixedShape, SplitDims
 from .cohomology import (
+    COMPLEXES,
     TwoSlotCochain,
     cohomology_dim,
     les_check,
@@ -627,8 +629,8 @@ def _cmd_cohomology(args) -> int:
     if n < 1:
         raise CliError("--degree must be at least 1")
     cid = args.complex
-    if cid in ("coeffs", "prelie", "pair"):
-        pair = _as_pair(doc, args.pair)
+    if cid != "rep":
+        data = (_require_regular if cid == "regular" else _as_pair)(doc, args.pair)
         report = validate_document(doc)
         if not report["ok"]:
             _print(
@@ -637,19 +639,7 @@ def _cmd_cohomology(args) -> int:
                 ["input is not a valid pair: " + ", ".join(report["failed"])],
             )
             return 1
-        data = pair
-    elif cid == "regular":
-        regp = _require_regular(doc, args.pair)
-        report = validate_document(doc)
-        if not report["ok"]:
-            _print(
-                args,
-                {"command": "cohomology", "ok": False, "failed": report["failed"]},
-                ["input is not a valid pair: " + ", ".join(report["failed"])],
-            )
-            return 1
-        data = regp
-    else:  # rep
+    else:
         regp = _require_regular(doc, args.pair)
         if not args.rep:
             raise CliError("--complex rep needs --rep <module.json>")
@@ -926,7 +916,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--complex",
         required=True,
-        choices=["coeffs", "prelie", "pair", "regular", "rep"],
+        choices=list(COMPLEXES),
     )
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--rep", help="module document for --complex rep")
@@ -984,6 +974,10 @@ def cli_run(argv) -> int:
     except CliError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    except Exception as e:  # a fault in the library, not a false answer (exit 1)
+        message = " ".join(f"{type(e).__name__}: {e}".split())
+        sys.stderr.write(f"internal error: {message}\n")
+        return 3
 
 
 def main() -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cochain import Cochain, MixedMap, MixedShape, SplitDims, lift
-from .exact_linalg import Matrix, frac, vec_add, vec_scale, zero_vec
+from .exact_linalg import Matrix, frac, vec_add, vec_scale, vec_sub, zero_vec
 
 
 class PreLieAlgebra:
@@ -125,11 +125,11 @@ def is_prelie(a: PreLieAlgebra) -> bool:
         for j in range(a.dim):
             for k in range(a.dim):
                 ek = basis_vec(a.dim, k)
-                left = vec_sub2(
+                left = vec_sub(
                     a.prod(a.prod_basis(i, j), ek),
                     a.prod(basis_vec(a.dim, i), a.prod_basis(j, k)),
                 )
-                right = vec_sub2(
+                right = vec_sub(
                     a.prod(a.prod_basis(j, i), ek),
                     a.prod(basis_vec(a.dim, j), a.prod_basis(i, k)),
                 )
@@ -142,17 +142,13 @@ def basis_vec(dim: int, i: int):
     return tuple(Fraction(1) if t == i else Fraction(0) for t in range(dim))
 
 
-def vec_sub2(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def subadjacent_lie(a: PreLieAlgebra):
     """Bracket constants of [x,y] = x.y - y.x; requires a pre-Lie input."""
     if not is_prelie(a):
         raise ValueError("not a pre-Lie algebra")
     return tuple(
         tuple(
-            vec_sub2(a.prod_basis(i, j), a.prod_basis(j, i)) for j in range(a.dim)
+            vec_sub(a.prod_basis(i, j), a.prod_basis(j, i)) for j in range(a.dim)
         )
         for i in range(a.dim)
     )
@@ -160,7 +156,7 @@ def subadjacent_lie(a: PreLieAlgebra):
 
 def bracket_vec(a: PreLieAlgebra, i: int, j: int):
     """[e_i, e_j] = e_i.e_j - e_j.e_i without the validity gate."""
-    return vec_sub2(a.prod_basis(i, j), a.prod_basis(j, i))
+    return vec_sub(a.prod_basis(i, j), a.prod_basis(j, i))
 
 
 def representation_report(a: PreLieAlgebra, r: Representation) -> dict:

@@ -6,6 +6,7 @@ import pytest
 from prelieder import (
     DerPair,
     DerPairCochain,
+    DerPairRepresentation,
     Matrix,
     RegularPair,
     TwoSlotCochain,
@@ -22,6 +23,7 @@ from prelieder import (
 )
 from prelieder.cochain import MixedShape, SplitDims
 from prelieder.cohomology import (
+    Complex,
     _apply_differential,
     _component_specs,
     _flatten,
@@ -224,21 +226,62 @@ def test_p_project_retracts_i_embed(regular_corpus, rng):
 # matrix of the differential against direct application
 
 
-def test_differential_matrix_matches_application(pair_corpus, rng):
-    for p in pair_corpus[:8]:
-        for cid in ("coeffs", "prelie", "pair"):
-            for n in (1, 2):
-                dims = p.dims
-                specs = _component_specs(cid, n)
-                maps = [
-                    random_mixed(rng, dims, shape, target) for (shape, target) in specs
-                ]
-                vec = _flatten(maps)
-                m = differential_matrix(cid, n, p)
-                if m.cols == 0:
-                    continue
-                out_maps = _apply_differential(cid, n, p, maps)
-                assert m.matvec(vec) == tuple(_flatten(out_maps))
+def zero_action_module(rp: RegularPair) -> DerPairRepresentation:
+    """V = Q^2 with zero actions and K unrelated to D: a module over any rp."""
+    zero = [Matrix.zeros(2, 2)] * rp.algebra.dim
+    return DerPairRepresentation(2, Matrix(2, 2, [[2, 1], [0, -1]]), zero, zero)
+
+
+def test_differential_matrix_matches_application(pair_corpus, regular_corpus, rng):
+    cases = [(cid, p, p.dims, rng) for p in pair_corpus[:8] for cid in ("coeffs", "prelie", "pair")]
+    local = Random(12)  # keeps the shared rng's sequence as it was for later tests
+    for rp in regular_corpus[:6]:
+        dg = rp.algebra.dim
+        cases.append(("regular", rp, SplitDims(dg, dg), local))
+        for mod in (regular_module(rp), zero_action_module(rp)):
+            cases.append(("rep", (rp, mod), SplitDims(dg, mod.dim_v), local))
+    for cid, data, dims, r in cases:
+        for n in (1, 2):
+            specs = _component_specs(cid, n)
+            maps = [random_mixed(r, dims, shape, target) for (shape, target) in specs]
+            vec = _flatten(maps)
+            m = differential_matrix(cid, n, data)
+            if m.cols == 0:
+                continue
+            out_maps = _apply_differential(cid, n, data, maps)
+            assert m.matvec(vec) == tuple(_flatten(out_maps)), (cid, n)
+
+
+def test_coboundary_and_preimage_on_every_complex():
+    p = golden_pair()
+    rp = RegularPair(p.algebra, p.D)
+    rng = Random(31)
+    for cid, data in [
+        ("coeffs", p),
+        ("prelie", p),
+        ("pair", p),
+        ("regular", rp),
+        ("rep", (rp, regular_module(rp))),
+    ]:
+        cx = Complex(cid, data)
+        for n in (2, 3):
+            x = [random_mixed(rng, cx.dims, s, t) for s, t in cx.specs(n - 1)]
+            y = cx.coboundary(n - 1, x)
+            assert [(m.shape, m.target) for m in y] == cx.specs(n)
+            assert _flatten(y) == list(cx.d(n - 1).matvec(_flatten(x)))
+            pre = cx.preimage(n, y)
+            assert pre is not None, (cid, n)
+            assert [(m.shape, m.target) for m in pre] == cx.specs(n - 1)
+            assert cx.coboundary(n - 1, pre) == y
+        # the golden pair has H^2 != 0: some 2-cocycle is not a coboundary
+        z, b, h = cx.cohomology_dim(2)
+        assert h > 0, cid
+        outside = 0
+        for vec in cx.cocycle_basis(2):
+            cocycle = _unflatten(cx.dims, cx.specs(2), list(vec))
+            assert all(m.is_zero() for m in cx.coboundary(2, cocycle))
+            outside += cx.preimage(2, cocycle) is None
+        assert outside >= 1, cid
 
 
 def test_cohomology_ranks_match_sympy(pair_corpus):

@@ -284,6 +284,24 @@ def test_class_decision_matches_span_membership():
     assert same_cohomology_class(p, non_triv, zero) is None
 
 
+def test_same_class_certificate_survives_a_failed_coboundary_check(monkeypatch):
+    # the coboundary certificate is a real check: when the solved witness
+    # does not bound d1 - d2, same_cohomology_class raises (even under -O)
+    from prelieder.cohomology import Complex
+
+    p = RegularPair(shift_algebra(), Matrix(2, 2, [[0, 0], [0, 1]])).to_derpair()
+    d = coboundary_datum(p, Matrix(2, 2, [[1, 2], [0, 1]]), Matrix(2, 2, [[0, 1], [1, 0]]))
+    zero = DeformationDatum.zero(p.dims)
+    assert same_cohomology_class(p, d, zero) is not None
+
+    solve_for = Complex.preimage
+    monkeypatch.setattr(
+        Complex, "preimage", lambda cx, n, y: [m.scale(2) for m in solve_for(cx, n, y)]
+    )
+    with pytest.raises(RuntimeError):
+        same_cohomology_class(p, d, zero)
+
+
 def _as_cochain(dims, specs, vec):
     from prelieder import DerPairCochain
 

@@ -156,6 +156,14 @@ def test_shape_and_float_checks_survive_optimize():
         "        print(type(e).__name__)\n"
         "    else:\n"
         "        print('accepted')\n"
+        "from prelieder import PreLieAlgebra, RegularPair, cohomology_dim\n"
+        "shift = PreLieAlgebra(2, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]])\n"
+        "try:\n"
+        "    cohomology_dim('regular', 0, RegularPair(shift, Matrix.zeros(2, 2)))\n"
+        "except ValueError as e:\n"
+        "    print(type(e).__name__)\n"
+        "else:\n"
+        "    print('accepted')\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -163,7 +171,7 @@ def test_shape_and_float_checks_survive_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["ValueError", "TypeError"]
+    assert out.stdout.split() == ["ValueError", "TypeError", "ValueError"]
 
 
 def test_empty_shapes():

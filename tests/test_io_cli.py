@@ -341,3 +341,16 @@ def test_cli_reports_are_deterministic():
     second = run_cli(args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
+    # exit 1 means "mathematically false"; a failed internal certificate is not that
+    monkeypatch.setattr("prelieder.extension.is_morphism", lambda *args: False)
+    names = ("pair_shift.json", "module_regular.json", "cocycle_coboundary.json", "cocycle_zero.json")
+    argv = ["ext", "classify"] + [str(REPO / "corpus" / name) for name in names]
+    assert cli_run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: RuntimeError: ")
+    assert "Traceback" not in captured.err
