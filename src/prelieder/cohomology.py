@@ -758,8 +758,6 @@ class Complex:
     """
 
     def __init__(self, complex_id: str, data):
-        self.complex_id = complex_id
-        self.data = data
         self._kind = kind = _kind(complex_id)
         self.dims = kind.dims(data)
         self._terms = kind.terms(data)
@@ -784,7 +782,8 @@ class Complex:
         return _unflatten(self.dims, self.specs(n + 1), self.d(n).matvec(_flatten(blocks)))
 
     def preimage(self, n: int, blocks):
-        """Blocks of some x in C^(n-1) with d_(n-1) x = y, or None if y is not in B^n."""
+        """Blocks of some x in C^(n-1) with d_(n-1) x = y, for y given by its
+        blocks in C^n; None when y is not in B^n."""
         x = solve(self.d(n - 1), _flatten(blocks))
         return None if x is None else _unflatten(self.dims, self.specs(n - 1), x)
 
