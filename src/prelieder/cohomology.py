@@ -24,7 +24,12 @@ Each formula is written once, as a generator of terms: for one output
 basis key it lists which input value is read (block, arguments, tail)
 and the linear map applied to it. Evaluating the terms on cochains
 gives the operators below; scattering them into columns gives the
-differential matrices in a single pass (see _assemble).
+differentials in a single pass (see _assemble), as sparse rows
+{column: Fraction}. Sparse rows are the main form of a differential:
+ranks, and so cohomology_dim, come from the forward phase of the
+elimination kernel on them, and a dense Matrix is built only for the
+callers that ask for one (differential_matrix, coboundaries,
+preimages, cocycle and coboundary bases, the LES maps).
 
 The component shapes with a negative wedge size are zero spaces, which
 makes the degree-1 special cases of every complex come out of the
@@ -54,7 +59,7 @@ from .cochain import (
     mixed_space_dim,
     theta_component,
 )
-from .exact_linalg import Matrix, kernel_from_rref, rank, rref, solve, zero_vec
+from .exact_linalg import Matrix, kernel_from_rref, rank, rref, solve, sparse_rank, zero_vec
 from .mn_bracket import mn_bracket
 from .prelie import (
     DerPair,
@@ -75,12 +80,13 @@ def _drop(t, i):
     return t[:i] + t[i + 1 :]
 
 
-def _columns(m: Matrix) -> tuple:
-    return tuple(m.col(j) for j in range(m.cols))
-
-
 def _nonzero(vec) -> tuple:
     return tuple((k, c) for k, c in enumerate(vec) if c)
+
+
+def _columns(m: Matrix) -> tuple:
+    """The columns of m, each as its nonzero (row, entry) pairs."""
+    return tuple(_nonzero(m.col(j)) for j in range(m.cols))
 
 
 class _Algebra:
@@ -95,16 +101,15 @@ class _Algebra:
 
 
 class _Action:
-    """An action x -> act[x] of g on V, as columns.
+    """An action x -> act[x] of g on V, as sparse columns.
 
     cols[x][w] is act[x] e_w; at[u][x] is act[x] e_u (the map
-    x -> act(x) u); nz[x][u] lists the nonzero entries of act[x] e_u.
+    x -> act(x) u).
     """
 
     def __init__(self, mats, dim_v: int):
         self.cols = [_columns(m) for m in mats]
         self.at = [tuple(c[u] for c in self.cols) for u in range(dim_v)]
-        self.nz = [[_nonzero(c[u]) for u in range(dim_v)] for c in self.cols]
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +118,8 @@ class _Action:
 # A term is (src, g_args, v_args, tail, c, cols): read input block src at
 # (g_args; v_args; tail), with alternating signs, and add c times the
 # value to the output, after mapping it through cols when cols is not
-# None (cols[a] is the image of the a-th target basis vector).
+# None (cols[a] is the image of the a-th target basis vector, as its
+# nonzero (index, entry) pairs).
 
 
 def _apply(dims: SplitDims, shape: MixedShape, target: str, terms, maps) -> MixedMap:
@@ -132,22 +138,22 @@ def _apply(dims: SplitDims, shape: MixedShape, target: str, terms, maps) -> Mixe
                     acc[a] += c * x
                 else:
                     cx = c * x
-                    for r, y in enumerate(cols[a]):
-                        if y:
-                            acc[r] += cx * y
+                    for r, y in cols[a]:
+                        acc[r] += cx * y
         if any(acc):
             coeffs[key] = acc
     return MixedMap(dims, shape, target, coeffs)
 
 
-def _assemble(dims: SplitDims, in_specs, out_blocks) -> Matrix:
-    """Matrix of a term-defined linear map, built in one pass.
+def _assemble(dims: SplitDims, in_specs, out_blocks):
+    """Sparse rows of a term-defined linear map, built in one pass.
 
     in_specs lists the (shape, target) input blocks; out_blocks lists
     (shape, target, terms) per output block. Each term of each output
     key scatters its contribution into the columns of the input basis
     elements it reads, so the cost is rows times terms, not that times
-    the number of columns.
+    the number of columns. Returns (rows, ncols) with each row a
+    {column: Fraction} dict; entries that cancel are dropped.
     """
     index = []
     ncols = 0
@@ -158,6 +164,9 @@ def _assemble(dims: SplitDims, in_specs, out_blocks) -> Matrix:
             first[key] = ncols
             ncols += m.target_dim
         index.append((first, m.target_dim))
+    # (g_args, v_args) -> (sign, sorted g_args, sorted v_args); the same
+    # argument tuples recur across output keys and terms
+    normal = {}
     rows = []
     for shape, target, terms in out_blocks:
         out = MixedMap(dims, shape, target)
@@ -167,22 +176,49 @@ def _assemble(dims: SplitDims, in_specs, out_blocks) -> Matrix:
                 first, sdim = index[src]
                 if not first:  # zero space
                     continue
-                sg, gt = normalize_wedge(g_args)
-                sv, vt = normalize_wedge(v_args)
-                if sg == 0 or sv == 0:
+                args = (g_args, v_args)
+                norm = normal.get(args)
+                if norm is None:
+                    sg, gt = normalize_wedge(g_args)
+                    sv, vt = normalize_wedge(v_args)
+                    norm = normal[args] = (sg * sv, gt, vt)
+                sign, gt, vt = norm
+                if sign == 0:
                     continue
+                if sign < 0:
+                    c = -c
                 j0 = first[(gt, vt, tail)]
-                c = c * sg * sv
                 for a in range(sdim):
                     j = j0 + a
                     if cols is None:
-                        block[a][j] = block[a].get(j, 0) + c
+                        _scatter(block[a], j, c)
                     else:
-                        for r, y in enumerate(cols[a]):
-                            if y:
-                                block[r][j] = block[r].get(j, 0) + c * y
+                        for r, y in _times(c, cols[a]):
+                            _scatter(block[r], j, y)
             rows.extend(block)
-    return Matrix.from_sparse(len(rows), ncols, rows)
+    return rows, ncols
+
+
+def _times(c, col):
+    """c times a sparse column; a sign costs no Fraction product."""
+    if c == 1:
+        return col
+    if c == -1:
+        return [(r, -y) for r, y in col]
+    return [(r, c * y) for r, y in col]
+
+
+def _scatter(row: dict, j: int, x) -> None:
+    """row[j] += x on a sparse row, dropping the entry if it cancels."""
+    y = row.get(j)
+    if y is None:
+        row[j] = x
+    else:
+        y += x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
 
 
 def _sum_terms(*gens):
@@ -225,8 +261,8 @@ def d_coeff(a: PreLieAlgebra, act_l, act_r, f: MixedMap) -> MixedMap:
     act_l[i], act_r[i] are the action matrices of e_i on the target
     space T; f has shape (m-1, 0, 'g'). Output has shape (m, 0, 'g').
     """
-    assert f.shape.v_wedge == 0 or f.shape.degenerate
-    assert f.shape.tail == "g"
+    if not (f.shape.v_wedge == 0 or f.shape.degenerate) or f.shape.tail != "g":
+        raise ValueError(f"d_coeff takes Hom(wedge g tensor g, T), got shape {f.shape}")
     terms = _d_coeff_terms(
         _Algebra(a), [_columns(x) for x in act_l], [_columns(x) for x in act_r], 0
     )
@@ -265,7 +301,7 @@ def _partial_rho_terms(alg: _Algebra, rho: _Action):
             # rho(x_i) f_rho(.., u)
             yield 1, rest, (), u, s, rho.cols[xi]
             # - f_rho(.., rho(x_i) u)
-            for w, c in rho.nz[xi][u]:
+            for w, c in rho.cols[xi][u]:
                 yield 1, rest, (), w, -s * c, None
         for i in range(n):
             for j in range(i + 1, n):
@@ -287,7 +323,7 @@ def _partial_mu_terms(alg: _Algebra, rho: _Action, mu: _Action):
         # (-1)^(n-1) (mu(f_g(x_1..x_n)) u + mu(x_n) f_rho(.., u) - f_rho(.., mu(x_n) u))
         yield 0, xs, (), t, lead_sign, mu.at[u]
         yield 1, xs, (), u, lead_sign, mu.cols[t]
-        for w, c in mu.nz[t][u]:
+        for w, c in mu.cols[t][u]:
             yield 1, xs, (), w, -lead_sign * c, None
         for i in range(n - 1):
             s = _sign(i)
@@ -299,12 +335,12 @@ def _partial_mu_terms(alg: _Algebra, rho: _Action, mu: _Action):
             # + rho(x_i) f_mu(.., u, x_n)
             yield 2, rest, (u,), t, s, rho.cols[xi]
             # - f_mu(.., rho(x_i) u, x_n)
-            for w, c in rho.nz[xi][u]:
+            for w, c in rho.cols[xi][u]:
                 yield 2, rest, (w,), t, -s * c, None
             # + mu(x_n) f_mu(.., u, x_i)
             yield 2, rest, (u,), xi, s, mu.cols[t]
             # + f_mu(.., mu(x_i) u, x_n)  (note: plus, unlike the rho term)
-            for w, c in mu.nz[xi][u]:
+            for w, c in mu.cols[xi][u]:
                 yield 2, rest, (w,), t, s * c, None
         for i in range(n - 1):
             for j in range(i + 1, n - 1):
@@ -352,7 +388,6 @@ def partial_bracket(p: DerPair, f_g, f_rho, f_mu):
 def _delta_terms(D: Matrix):
     """delta reads the triple blocks f_g, f_rho, f_mu = 0, 1, 2."""
     dcols = _columns(D)
-    dnz = [_nonzero(col) for col in dcols]
 
     def terms(key):
         xs, _, t = key
@@ -361,9 +396,9 @@ def _delta_terms(D: Matrix):
         for i in range(n - 1):
             s = _sign(i)
             rest = _drop(xs, i)
-            for k, c in dnz[xs[i]]:
+            for k, c in dcols[xs[i]]:
                 yield 2, rest, (k,), t, s * c, None
-        for k, c in dnz[t]:
+        for k, c in dcols[t]:
             yield 1, xs, (), k, tail_sign * c, None
         yield 0, xs, (), t, -tail_sign, dcols
 
@@ -390,16 +425,15 @@ def delta_bracket(p: DerPair, f_g, f_rho, f_mu) -> MixedMap:
 
 
 def _omega_terms(D: Matrix, K: Matrix, src: int):
-    dnz = [_nonzero(D.col(x)) for x in range(D.cols)]
-    kcols = _columns(K)
+    dcols, kcols = _columns(D), _columns(K)
 
     def terms(key):
         xs, _, t = key
         s_n = _sign(len(xs) - 1)  # (-1)^(n-2) with n = len(xs) + 1
         for i in range(len(xs)):
-            for k, c in dnz[xs[i]]:
+            for k, c in dcols[xs[i]]:
                 yield src, xs[:i] + (k,) + xs[i + 1 :], (), t, s_n * c, None
-        for k, c in dnz[t]:
+        for k, c in dcols[t]:
             yield src, xs, (), k, s_n * c, None
         yield src, xs, (), t, -s_n, kcols
 
@@ -420,6 +454,15 @@ def omega(D: Matrix, K: Matrix, f: MixedMap) -> MixedMap:
 # cochain containers and the full differentials
 
 
+def _check_layout(name: str, n: int, blocks, specs) -> None:
+    """ValueError unless n >= 1 and the blocks have the layout specs(n)."""
+    if n < 1:
+        raise ValueError(f"{name} cochain degree must be at least 1, got {n}")
+    got = [(m.shape, m.target) for m in blocks]
+    if got != specs(n):
+        raise ValueError(f"{name} cochain blocks {got} do not have the degree-{n} layout {specs(n)}")
+
+
 class DerPairCochain:
     """Element of the pair complex: (f_g, f_rho, f_mu, theta) at degree n.
 
@@ -429,14 +472,13 @@ class DerPairCochain:
     """
 
     def __init__(self, dims: SplitDims, n: int, f_g, f_rho, f_mu, theta):
-        assert n >= 1
+        _check_layout("pair", n, [f_g, f_rho, f_mu, theta], COMPLEXES["pair"].specs)
         self.dims = dims
         self.n = n
         self.f_g = f_g
         self.f_rho = f_rho
         self.f_mu = f_mu
         self.theta = theta
-        assert [(m.shape, m.target) for m in self.blocks()] == COMPLEXES["pair"].specs(n)
 
     @staticmethod
     def zero(dims: SplitDims, n: int) -> "DerPairCochain":
@@ -484,13 +526,12 @@ class TwoSlotCochain:
     """
 
     def __init__(self, dims: SplitDims, n: int, target: str, f, theta):
-        assert n >= 1
+        _check_layout("two-slot", n, [f, theta], lambda n: _two_slot_specs(target, n))
         self.dims = dims
         self.n = n
         self.target = target
         self.f = f
         self.theta = theta
-        assert [(m.shape, m.target) for m in self.blocks()] == _two_slot_specs(target, n)
 
     @staticmethod
     def zero(dims: SplitDims, n: int, target: str) -> "TwoSlotCochain":
@@ -524,9 +565,14 @@ class TwoSlotCochain:
         )
 
 
+def _check_target(c: TwoSlotCochain, target: str) -> None:
+    if c.target != target:
+        raise ValueError(f"this complex takes {target}-valued cochains, got {c.target}-valued")
+
+
 def huaD_reg(p: RegularPair, c: TwoSlotCochain) -> TwoSlotCochain:
     """(d f, d theta + omega f) with regular coefficients."""
-    assert c.target == "g"
+    _check_target(c, "g")
     a = p.algebra
     return TwoSlotCochain(
         c.dims,
@@ -539,7 +585,7 @@ def huaD_reg(p: RegularPair, c: TwoSlotCochain) -> TwoSlotCochain:
 
 def huaD_rep(p: RegularPair, rep5, c: TwoSlotCochain) -> TwoSlotCochain:
     """(d f, d theta + omega f) with coefficients in (V, K, rho_t, mu_t)."""
-    assert c.target == "v"
+    _check_target(c, "v")
     a = p.algebra
     return TwoSlotCochain(
         c.dims,
@@ -554,15 +600,18 @@ def huaD_rep(p: RegularPair, rep5, c: TwoSlotCochain) -> TwoSlotCochain:
 # embedding of the regular complex into the pair complex
 
 
+def _check_square(dims: SplitDims) -> None:
+    if dims.dim_g != dims.dim_v:
+        raise ValueError(f"needs dim g == dim V, got {dims.dim_g} and {dims.dim_v}")
+
+
 def retarget(m: MixedMap, tail: str | None = None, target: str | None = None) -> MixedMap:
     """Reinterpret tail or target space; only valid when dims agree."""
     dims = m.dims
     new_tail = tail or m.shape.tail
     new_target = target or m.target
-    if new_tail != m.shape.tail:
-        assert dims.dim_g == dims.dim_v
-    if new_target != m.target:
-        assert dims.dim_g == dims.dim_v
+    if (new_tail, new_target) != (m.shape.tail, m.target):
+        _check_square(dims)
     shape = MixedShape(m.shape.g_wedge, m.shape.v_wedge, new_tail)
     return MixedMap(dims, shape, new_target, dict(m.coeffs))
 
@@ -573,7 +622,8 @@ def i_embed(c: TwoSlotCochain) -> DerPairCochain:
     The f_mu slot places the V argument in the last wedge position of f;
     the alternating sign from re-sorting is produced by eval_local.
     """
-    assert c.target == "g" and c.dims.dim_g == c.dims.dim_v
+    _check_target(c, "g")
+    _check_square(c.dims)
     dims, n = c.dims, c.n
     f = c.f
     f_rho = MixedMap(dims, MixedShape(n - 1, 0, "v"), "v", dict(f.coeffs))
@@ -591,7 +641,7 @@ def i_embed(c: TwoSlotCochain) -> DerPairCochain:
 
 def p_project(c: DerPairCochain) -> TwoSlotCochain:
     """p(f_g, f_rho, f_mu, theta) = (f_g, theta) with g-valued theta."""
-    assert c.dims.dim_g == c.dims.dim_v
+    _check_square(c.dims)
     return TwoSlotCochain(
         c.dims, c.n, "g", c.f_g, retarget(c.theta, target="g")
     )
@@ -750,17 +800,20 @@ def _unflatten(dims: SplitDims, specs, vec):
 class Complex:
     """One cochain complex (complex id, structure data), memoized by degree.
 
-    It holds the block layout of each C^n and builds each d_n, and its
-    row reduction, at most once; ranks, cocycle bases and coboundary
-    bases are read off those. C^n is the zero space for n < 1. Cochains
-    go in and out as lists of blocks in the layout order, so callers
-    never handle coordinates.
+    It holds the block layout of each C^n and assembles each d_n at most
+    once, as sparse rows. Ranks are read off the forward phase of an
+    elimination of a copy of those rows; the dense Matrix of d_n, and
+    its row reduction, are built only when asked for (coboundaries,
+    preimages, cocycle and coboundary bases). C^n is the zero space for
+    n < 1. Cochains go in and out as lists of blocks in the layout
+    order, so callers never handle coordinates.
     """
 
     def __init__(self, complex_id: str, data):
         self._kind = kind = _kind(complex_id)
         self.dims = kind.dims(data)
         self._terms = kind.terms(data)
+        self._sparse = {}
         self._d = {}
         self._reduced = {}
 
@@ -770,11 +823,18 @@ class Complex:
     def dim(self, n: int) -> int:
         return _space_dim(self.dims, self.specs(n))
 
+    def _rows(self, n: int):
+        """(rows, ncols) of d: C^n -> C^(n+1), rows as {column: Fraction}."""
+        if n not in self._sparse:
+            out = [spec + (terms,) for spec, terms in zip(self.specs(n + 1), self._terms)]
+            self._sparse[n] = _assemble(self.dims, self.specs(n), out)
+        return self._sparse[n]
+
     def d(self, n: int) -> Matrix:
         """Matrix of d: C^n -> C^(n+1) in enumerate_basis coordinates."""
         if n not in self._d:
-            out = [spec + (terms,) for spec, terms in zip(self.specs(n + 1), self._terms)]
-            self._d[n] = _assemble(self.dims, self.specs(n), out)
+            rows, ncols = self._rows(n)
+            self._d[n] = Matrix.from_sparse(len(rows), ncols, rows)
         return self._d[n]
 
     def coboundary(self, n: int, blocks) -> list:
@@ -793,7 +853,11 @@ class Complex:
         return self._reduced[n]
 
     def rank(self, n: int) -> int:
-        return self._rref(n)[1] if n >= 1 else 0
+        if n < 1:
+            return 0
+        if n in self._reduced:
+            return self._reduced[n][1]
+        return sparse_rank(*self._rows(n))
 
     def cocycle_basis(self, n: int) -> list:
         if n < 1:
@@ -884,7 +948,8 @@ def les_check(p: DerPair, n_max: int) -> dict:
         all_exact = all_exact and exact
 
     for n in range(1, n_max + 1):
-        delta_n = _assemble(p.dims, prelie.specs(n), [coeffs.specs(n)[0] + (delta_terms,)])
+        rows, ncols = _assemble(p.dims, prelie.specs(n), [coeffs.specs(n)[0] + (delta_terms,)])
+        delta_n = Matrix.from_sparse(len(rows), ncols, rows)
         z_coeffs_prev = coeffs.cocycle_basis(n - 1)
         z_pair = pair.cocycle_basis(n)
         z_prelie = prelie.cocycle_basis(n)

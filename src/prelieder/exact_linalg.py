@@ -1,16 +1,22 @@
-"""Exact linear algebra over the rationals: sparse rows behind a dense API.
+"""Exact linear algebra over the rationals: sparse rows, dense on request.
 
 Everything here works with fractions.Fraction entries; no floats ever
 enter, so ranks and kernels are exact and the row echelon form is the
 unique reduced one (leading ones, zeros above and below each pivot).
 
-A Matrix is dense and row-major. Elimination (`rref`, and through it
-`rank`, `kernel_basis` and `solve`) copies the rows into sparse form,
-{column: entry} with zeros absent, and does no arithmetic on zero
-cells; differential matrices are mostly zeros. The zero cells of
-matrices built from sparse rows (`Matrix.from_sparse`: assembled
-differentials and every rref) are one shared Fraction(0), which the
-copy into sparse form skips by an identity test.
+The working form of a matrix is a list of sparse rows, {column: entry}
+with zeros absent; differential matrices are mostly zeros. There is
+one elimination kernel on such rows, in two phases: _forward picks the
+pivots and clears below them, _back clears above them. Ranks need only
+the forward phase: `rank` of a Matrix and `sparse_rank` of sparse rows
+run it alone, while `rref` (and through it `kernel_basis` and `solve`)
+runs both.
+
+A Matrix is dense, immutable and row-major, and is built only where a
+caller asks for one. The zero cells of matrices built from sparse rows
+(`Matrix.from_sparse`: dense differentials and every rref) are one
+shared Fraction(0), which the copy back into sparse rows skips by an
+identity test.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 _FRACTION = frozenset([Fraction])
 
 
@@ -171,30 +178,43 @@ def rref(m: Matrix):
 
     Returns (R, rank, pivots) where pivots is the tuple of pivot column
     indices. R is unique, with unit pivots and zeros above and below.
-
-    Gauss-Jordan on sparse rows: for each column in turn, the shortest
-    remaining row with an entry there becomes the pivot row (it spreads
-    the least fill-in) and the column is cleared from the other
-    remaining rows. Clearing above the pivots waits until every pivot
-    is known; then each pivot row, last first, is reduced once against
-    the rows after it, which are already reduced.
+    Both phases of the kernel run: _forward, then _back.
     """
-    rows, cols = m.rows, m.cols
+    pivots, reduced = _forward(_sparse_rows(m), m.cols)
+    _back(pivots, reduced)
+    rk = len(pivots)
+    R = Matrix.from_sparse(m.rows, m.cols, reduced + [{}] * (m.rows - rk))
+    return R, rk, tuple(pivots)
+
+
+def _sparse_rows(m: Matrix) -> list:
+    """The nonzero rows of m as {column: entry}, zeros absent."""
     # the identity test passes over the shared zero without calling
     # Fraction.__bool__, which costs more than the rest of the scan
-    todo = [
+    return [
         r
         for r in ({j: x for j, x in enumerate(row) if x is not _ZERO and x} for row in m.entries)
         if r
     ]
-    # reduced[i] is the i-th pivot row without its unit entry at pivots[i]
+
+
+def _forward(todo: list, cols: int):
+    """Forward phase of Gauss-Jordan on sparse rows, which it consumes.
+
+    For each column in turn, the shortest remaining row with an entry
+    there becomes the pivot row (it spreads the least fill-in), is
+    scaled to a unit pivot and the column is cleared from the other
+    remaining rows. Rows must hold no zero entries. Returns (pivots,
+    reduced): reduced[i] is the i-th pivot row without its unit entry
+    at pivots[i], still holding entries in later pivot columns.
+    """
     pivots, reduced = [], []
     for c in range(cols):
         hits = [r for r in todo if c in r]
         if not hits:
             continue
         piv = min(hits, key=len)
-        inv = 1 / piv.pop(c)
+        inv = _ONE / piv.pop(c)
         for k in piv:
             piv[k] *= inv
         for row in hits:
@@ -205,15 +225,21 @@ def rref(m: Matrix):
         reduced.append(piv)
         if not todo:
             break
+    return pivots, reduced
+
+
+def _back(pivots: list, reduced: list) -> None:
+    """Back phase: clear each pivot column above its pivot, in place.
+
+    Each pivot row, last first, is reduced once against the rows after
+    it, which are already reduced; then the unit pivots are put back.
+    """
     where = {c: i for i, c in enumerate(pivots)}
     for row in reversed(reduced):
         for c in [c for c in row if c in where]:
             _subtract(row, row.pop(c), reduced[where[c]])
     for c, row in zip(pivots, reduced):
-        row[c] = Fraction(1)
-    rk = len(pivots)
-    R = Matrix.from_sparse(rows, cols, reduced + [{}] * (rows - rk))
-    return R, rk, tuple(pivots)
+        row[c] = _ONE
 
 
 def _subtract(row: dict, f: Fraction, piv: dict) -> None:
@@ -231,7 +257,17 @@ def _subtract(row: dict, f: Fraction, piv: dict) -> None:
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[1]
+    """Rank of m, from the forward phase alone."""
+    return len(_forward(_sparse_rows(m), m.cols)[0])
+
+
+def sparse_rank(rows, cols: int) -> int:
+    """Rank of the matrix with the given {column: entry} rows and cols columns.
+
+    The rows are copied, not consumed; zero entries may be present.
+    """
+    todo = [r for r in ({k: x for k, x in row.items() if x} for row in rows) if r]
+    return len(_forward(todo, cols)[0])
 
 
 def kernel_basis(m: Matrix) -> list:

@@ -72,7 +72,8 @@ def koszul_sign(perm, degrees) -> int:
     Accepts a raw image tuple or an unshuffles() (perm, sign) pair.
     """
     sigma = _perm_tuple(perm)
-    assert len(sigma) == len(degrees)
+    if len(sigma) != len(degrees):
+        raise ValueError(f"{len(sigma)} symbols permuted but {len(degrees)} degrees given")
     s = 1
     n = len(sigma)
     for i in range(n):
@@ -122,7 +123,8 @@ def enumerate_basis(space_shape, dims) -> list:
     """
     (g_wedge, v_wedge), tail_tag = space_shape
     dim_g, dim_v = dims
-    assert tail_tag in ("g", "v")
+    if tail_tag not in ("g", "v"):
+        raise ValueError(f"tail tag must be 'g' or 'v', got {tail_tag!r}")
     if g_wedge < 0 or v_wedge < 0:
         return []
     tail_dim = dim_g if tail_tag == "g" else dim_v

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+import prelieder.cohomology
 from prelieder import (
     DerPair,
     DerPairCochain,
@@ -284,16 +285,42 @@ def test_coboundary_and_preimage_on_every_complex():
         assert outside >= 1, cid
 
 
-def test_cohomology_ranks_match_sympy(pair_corpus):
-    for p in pair_corpus[:6]:
-        for cid in ("prelie", "pair"):
-            for n in (1, 2):
-                m = differential_matrix(cid, n, p)
-                z, b, h = cohomology_dim(cid, n, p)
-                assert z == space_dimension(cid, n, p) - sympy_rank(m)
-                if n == 1:
-                    assert b == 0
-                assert h == z - b
+def test_cohomology_ranks_match_sympy(pair_corpus, regular_corpus):
+    cases = [(cid, p) for p in pair_corpus[:6] for cid in ("coeffs", "prelie", "pair")]
+    for rp in regular_corpus[:6] + regular_corpus[7:8]:  # [7]: upper-triangular 2x2
+        cases += [("regular", rp), ("rep", (rp, regular_module(rp)))]
+    for cid, data in cases:
+        cx = Complex(cid, data)
+        ranks = {0: 0}
+        for n in (1, 2, 3):
+            m = differential_matrix(cid, n, data)
+            ranks[n] = sympy_rank(m)
+            assert cx.rank(n) == ranks[n], (cid, n)
+            z, b, h = cohomology_dim(cid, n, data)
+            assert z == space_dimension(cid, n, data) - ranks[n]
+            assert b == ranks[n - 1]
+            assert h == z - b
+
+
+def test_cohomology_dim_builds_no_dense_matrix(pair_corpus, regular_corpus, monkeypatch):
+    # ranks come from the sparse rows alone: no rref and no dense d_n
+    p = next(p for p in pair_corpus if (p.dims.dim_g, p.dims.dim_v) == (3, 2))
+    rp = regular_corpus[7]
+    cases = [(cid, p) for cid in ("coeffs", "prelie", "pair")]
+    cases += [("regular", rp), ("rep", (rp, regular_module(rp)))]
+    degrees = (1, 2, 3, 4)
+    before = {(cid, n): cohomology_dim(cid, n, data) for cid, data in cases for n in degrees}
+
+    def refuse(*args):
+        raise RuntimeError("dense path taken")
+
+    monkeypatch.setattr(prelieder.cohomology, "rref", refuse)
+    monkeypatch.setattr(Matrix, "from_sparse", staticmethod(refuse))
+    for cid, data in cases:
+        for n in degrees:
+            assert cohomology_dim(cid, n, data) == before[(cid, n)], (cid, n)
+    with pytest.raises(RuntimeError):
+        differential_matrix("pair", 2, p)
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +340,7 @@ def test_two_slot_shape_guards():
     rng = Random(50)
     c = random_two_slot(rng, p.dims, 2, "v")
     rp = RegularPair(p.algebra, Matrix(2, 2, [[0, 0], [0, 1]]))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         huaD_reg(rp, c)  # regular complex wants target g
     mod = regular_module(rp)
     out = huaD_rep(rp, mod, c)

@@ -14,6 +14,7 @@ from prelieder.exact_linalg import (
     columns_matrix,
     hstack,
     in_span,
+    sparse_rank,
     vec_add,
     vec_scale,
     vec_sub,
@@ -123,6 +124,36 @@ def test_sparse_rref_matches_sympy(m):
     assert rk == len(pivots)
 
 
+@settings(max_examples=120, deadline=None)
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_rank_is_the_forward_phase_of_rref(m, rnd):
+    rk = rank(m)
+    assert rk == rref(m)[1] == sympy_rank(m)
+    # the same rows in sparse form, with some zero cells kept as explicit zeros
+    rows = [{j: x for j, x in enumerate(row) if x or rnd.random() < 0.3} for row in m.entries]
+    copy = [dict(r) for r in rows]
+    assert sparse_rank(rows, m.cols) == rk
+    assert rows == copy
+
+
+def test_sparse_rank_takes_explicit_zeros_and_cancelling_rows():
+    z, half = Fraction(0), Fraction(1, 2)
+    # explicit zeros in the pivot column: neither row may become its pivot
+    assert sparse_rank([{0: z, 2: Fraction(1)}, {0: z, 1: Fraction(3)}, {0: z}, {}], 3) == 2
+    # row 1 is twice row 0 and row 3 is row 1 plus row 2: rank 2
+    rows = [
+        {0: half, 1: Fraction(1)},
+        {0: Fraction(1), 1: Fraction(2)},
+        {1: Fraction(3), 2: Fraction(-1)},
+        {0: Fraction(1), 1: Fraction(5), 2: Fraction(-1), 3: z},
+    ]
+    assert sparse_rank(rows, 4) == 2
+    assert sparse_rank(rows[:2], 4) == 1
+    # integer entries stay exact
+    assert sparse_rank([{0: 3, 1: 1}, {0: 1, 1: 3}], 2) == 2
+    assert sparse_rank([], 5) == 0
+
+
 def test_shape_errors_are_value_errors():
     with pytest.raises(ValueError):
         Matrix(2, 2, [[1, 2], [3]])
@@ -164,6 +195,15 @@ def test_shape_and_float_checks_survive_optimize():
         "    print(type(e).__name__)\n"
         "else:\n"
         "    print('accepted')\n"
+        "from prelieder import TwoSlotCochain, huaD_reg\n"
+        "from prelieder.cochain import SplitDims\n"
+        "v_valued = TwoSlotCochain.zero(SplitDims(2, 2), 2, 'v')\n"
+        "try:\n"
+        "    huaD_reg(RegularPair(shift, Matrix.zeros(2, 2)), v_valued)\n"
+        "except ValueError as e:\n"
+        "    print(type(e).__name__)\n"
+        "else:\n"
+        "    print('accepted')\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -171,7 +211,7 @@ def test_shape_and_float_checks_survive_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["ValueError", "TypeError", "ValueError"]
+    assert out.stdout.split() == ["ValueError", "TypeError", "ValueError", "ValueError"]
 
 
 def test_empty_shapes():
