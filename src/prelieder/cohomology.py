@@ -455,12 +455,12 @@ def omega(D: Matrix, K: Matrix, f: MixedMap) -> MixedMap:
 
 
 def _check_layout(name: str, n: int, blocks, specs) -> None:
-    """ValueError unless n >= 1 and the blocks have the layout specs(n)."""
+    """ValueError unless n >= 1 and the blocks have the degree-n layout specs."""
     if n < 1:
         raise ValueError(f"{name} cochain degree must be at least 1, got {n}")
     got = [(m.shape, m.target) for m in blocks]
-    if got != specs(n):
-        raise ValueError(f"{name} cochain blocks {got} do not have the degree-{n} layout {specs(n)}")
+    if got != specs:
+        raise ValueError(f"{name} cochain blocks {got} do not have the degree-{n} layout {specs}")
 
 
 class DerPairCochain:
@@ -472,7 +472,7 @@ class DerPairCochain:
     """
 
     def __init__(self, dims: SplitDims, n: int, f_g, f_rho, f_mu, theta):
-        _check_layout("pair", n, [f_g, f_rho, f_mu, theta], COMPLEXES["pair"].specs)
+        _check_layout("pair", n, [f_g, f_rho, f_mu, theta], COMPLEXES["pair"].specs(n))
         self.dims = dims
         self.n = n
         self.f_g = f_g
@@ -526,7 +526,7 @@ class TwoSlotCochain:
     """
 
     def __init__(self, dims: SplitDims, n: int, target: str, f, theta):
-        _check_layout("two-slot", n, [f, theta], lambda n: _two_slot_specs(target, n))
+        _check_layout("two-slot", n, [f, theta], _two_slot_specs(target, n))
         self.dims = dims
         self.n = n
         self.target = target

@@ -345,3 +345,15 @@ def test_two_slot_shape_guards():
     mod = regular_module(rp)
     out = huaD_rep(rp, mod, c)
     assert out.n == 3 and out.target == "v"
+    with pytest.raises(ValueError):
+        huaD_rep(rp, mod, random_two_slot(rng, p.dims, 2, "g"))  # module complex wants target v
+    with pytest.raises(ValueError):
+        i_embed(c)  # only g-valued cochains embed
+    with pytest.raises(ValueError):
+        TwoSlotCochain(p.dims, 3, "v", c.f, c.theta)  # degree-2 blocks at degree 3
+    with pytest.raises(ValueError):
+        TwoSlotCochain.zero(p.dims, 0, "g")
+    with pytest.raises(ValueError):
+        DerPairCochain.zero(p.dims, 0)
+    with pytest.raises(ValueError):
+        p_project(DerPairCochain.zero(SplitDims(2, 1), 2))  # needs dim g == dim V

@@ -149,8 +149,8 @@ def test_sparse_rank_takes_explicit_zeros_and_cancelling_rows():
     ]
     assert sparse_rank(rows, 4) == 2
     assert sparse_rank(rows[:2], 4) == 1
-    # integer entries stay exact
-    assert sparse_rank([{0: 3, 1: 1}, {0: 1, 1: 3}], 2) == 2
+    # int entries: row 1 is row 0 over 3, which a float pivot inverse 1 / 3 misses
+    assert sparse_rank([{0: 3, 1: 5}, {0: 1, 1: Fraction(5, 3)}], 2) == 1
     assert sparse_rank([], 5) == 0
 
 

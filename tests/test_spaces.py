@@ -1,6 +1,8 @@
 from itertools import permutations
 from math import comb, factorial
 
+import pytest
+
 from prelieder.spaces import (
     enumerate_basis,
     koszul_sign,
@@ -71,6 +73,13 @@ def test_koszul_sign_examples():
     assert koszul_sign((2, 0, 1), [1, 1, 1]) == 1
     assert koszul_sign((1, 2, 0), [1, 1, 1]) == 1
     assert koszul_sign((0, 2, 1), [1, 1, 1]) == -1
+
+
+def test_malformed_arguments_raise_value_error():
+    with pytest.raises(ValueError):
+        koszul_sign((1, 0), [1])
+    with pytest.raises(ValueError):
+        enumerate_basis(((0, 0), "w"), (2, 1))
 
 
 def test_koszul_accepts_unshuffle_pairs():
