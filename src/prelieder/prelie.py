@@ -12,6 +12,7 @@ query so deformation candidates can be represented before they hold.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 from .cochain import Cochain, MixedMap, MixedShape, SplitDims, lift
@@ -25,13 +26,15 @@ class PreLieAlgebra:
     """
 
     def __init__(self, dim: int, table):
-        assert dim >= 0
+        if dim < 0:
+            raise ValueError(f"algebra dimension must be >= 0, got {dim}")
         tab = tuple(
             tuple(tuple(frac(x) for x in vec) for vec in row) for row in table
         )
-        assert len(tab) == dim
-        for row in tab:
-            assert len(row) == dim and all(len(v) == dim for v in row)
+        if len(tab) != dim or any(
+            len(row) != dim or any(len(v) != dim for v in row) for row in tab
+        ):
+            raise ValueError(f"structure table must be {dim} x {dim} x {dim}")
         self.dim = dim
         self.table = tab
 
@@ -81,11 +84,13 @@ class Representation:
         self.dim_v = dim_v
         self.rho = tuple(rho)
         self.mu = tuple(mu)
-        assert all(
+        if not all(
             isinstance(m, Matrix) and m.rows == dim_v and m.cols == dim_v
             for m in self.rho + self.mu
-        )
-        assert len(self.rho) == len(self.mu)
+        ):
+            raise ValueError(f"rho and mu must be {dim_v} x {dim_v} matrices")
+        if len(self.rho) != len(self.mu):
+            raise ValueError("rho and mu must have one matrix per basis vector of g")
 
     @property
     def dim_g(self) -> int:
@@ -96,8 +101,10 @@ class DerPair:
     """Pre-Lie algebra + representation + derivation candidate D: g -> V."""
 
     def __init__(self, algebra: PreLieAlgebra, rep: Representation, D: Matrix):
-        assert rep.dim_g == algebra.dim
-        assert D.rows == rep.dim_v and D.cols == algebra.dim
+        if rep.dim_g != algebra.dim:
+            raise ValueError("representation and algebra differ in dim g")
+        if D.rows != rep.dim_v or D.cols != algebra.dim:
+            raise ValueError(f"D must be {rep.dim_v} x {algebra.dim}")
         self.algebra = algebra
         self.rep = rep
         self.D = D
@@ -111,7 +118,8 @@ class RegularPair:
     """Pre-Lie algebra with a derivation into itself (V = g, rep = (L,R))."""
 
     def __init__(self, algebra: PreLieAlgebra, D: Matrix):
-        assert D.rows == algebra.dim and D.cols == algebra.dim
+        if D.rows != algebra.dim or D.cols != algebra.dim:
+            raise ValueError(f"D must be {algebra.dim} x {algebra.dim}")
         self.algebra = algebra
         self.D = D
 
@@ -120,22 +128,34 @@ class RegularPair:
 
 
 def is_prelie(a: PreLieAlgebra) -> bool:
-    """Left symmetry of the associator on all basis triples."""
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                ek = basis_vec(a.dim, k)
-                left = vec_sub(
-                    a.prod(a.prod_basis(i, j), ek),
-                    a.prod(basis_vec(a.dim, i), a.prod_basis(j, k)),
-                )
-                right = vec_sub(
-                    a.prod(a.prod_basis(j, i), ek),
-                    a.prod(basis_vec(a.dim, j), a.prod_basis(i, k)),
-                )
-                if left != right:
-                    return False
-    return True
+    """Left symmetry of the associator on all basis triples.
+
+    Reads only the nonzero structure constants. Both sides agree
+    trivially when i = j and swap when i > j, so only i < j is checked.
+    """
+    n = a.dim
+    nz = [
+        [[(m, c) for m, c in enumerate(a.prod_basis(i, j)) if c] for j in range(n)]
+        for i in range(n)
+    ]
+
+    def associator(i, j, k):
+        # (e_i.e_j).e_k - e_i.(e_j.e_k), without its zero components
+        out = defaultdict(int)
+        for m, c in nz[i][j]:
+            for r, d in nz[m][k]:
+                out[r] += c * d
+        for m, c in nz[j][k]:
+            for r, d in nz[i][m]:
+                out[r] -= c * d
+        return {r: v for r, v in out.items() if v}
+
+    return all(
+        associator(i, j, k) == associator(j, i, k)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(n)
+    )
 
 
 def basis_vec(dim: int, i: int):
@@ -161,7 +181,8 @@ def bracket_vec(a: PreLieAlgebra, i: int, j: int):
 
 def representation_report(a: PreLieAlgebra, r: Representation) -> dict:
     """Both representation axioms on all basis pairs, tagged per axiom."""
-    assert r.dim_g == a.dim
+    if r.dim_g != a.dim:
+        raise ValueError("representation and algebra differ in dim g")
     ok1 = True
     ok2 = True
     for i in range(a.dim):
@@ -233,8 +254,10 @@ def is_regular_pair(p: RegularPair) -> bool:
 def is_morphism(f_g: Matrix, f_v: Matrix, src: DerPair, dst: DerPair) -> bool:
     """Pre-Lie morphism on g plus the three intertwining identities."""
     a1, a2 = src.algebra, dst.algebra
-    assert f_g.rows == a2.dim and f_g.cols == a1.dim
-    assert f_v.rows == dst.rep.dim_v and f_v.cols == src.rep.dim_v
+    if f_g.rows != a2.dim or f_g.cols != a1.dim:
+        raise ValueError(f"f_g must be {a2.dim} x {a1.dim}")
+    if f_v.rows != dst.rep.dim_v or f_v.cols != src.rep.dim_v:
+        raise ValueError(f"f_V must be {dst.rep.dim_v} x {src.rep.dim_v}")
     for i in range(a1.dim):
         for j in range(a1.dim):
             # f_g(x.y) = f_g(x).f_g(y)

@@ -3,7 +3,8 @@
 Nothing here imports the modules it is used to verify beyond plain data
 types: ranks come from sympy, the low-arity bracket formulas are the
 classical closed forms written out by hand, and the associator identity
-characterizes the bracket through its defining property.
+characterizes the bracket through its defining property. The general
+composition and left symmetry are walked densely over the whole basis.
 """
 
 from fractions import Fraction
@@ -12,6 +13,7 @@ import sympy
 
 from prelieder.cochain import Cochain
 from prelieder.exact_linalg import Matrix, vec_add, vec_scale, zero_vec
+from prelieder.spaces import unshuffles, wedge_tail_basis
 
 
 def sympy_matrix(m: Matrix) -> sympy.Matrix:
@@ -106,3 +108,60 @@ def associator_defect(f: Cochain, x, y, z):
     as_xyz = vec_add(eval_cochain(f, [fxy, z]), vec_scale(-1, eval_cochain(f, [x, fyz])))
     as_yxz = vec_add(eval_cochain(f, [fyx, z]), vec_scale(-1, eval_cochain(f, [y, fxz])))
     return tuple(a - b for a, b in zip(as_xyz, as_yxz))
+
+
+def circ_reference(P: Cochain, Q: Cochain) -> Cochain:
+    """P . Q from the double unshuffle sum, evaluated on every output key."""
+    assert P.dims == Q.dims
+    total = P.dims.total
+    p, q = P.arity - 1, Q.arity - 1
+    n = p + q + 1
+    sign2 = -1 if (p * q) % 2 else 1
+    first = unshuffles((q, 1, p - 1))
+    second = unshuffles((p, q))
+    out = {}
+    for wedge, tail in wedge_tail_basis(total, n):
+        acc = zero_vec(total)
+        for sigma, sgn in first:
+            q_args = [wedge[sigma[j]] for j in range(q)]
+            mid = wedge[sigma[q]]
+            rest = [wedge[sigma[q + 1 + j]] for j in range(p - 1)]
+            qv = Q.eval_basis(q_args, mid)
+            for k, c in enumerate(qv):
+                if c == 0:
+                    continue
+                pv = P.eval_basis([k] + rest, tail)
+                acc = vec_add(acc, vec_scale(sgn * c, pv))
+        for sigma, sgn in second:
+            p_args = [wedge[sigma[j]] for j in range(p)]
+            q_args = [wedge[sigma[p + j]] for j in range(q)]
+            qv = Q.eval_basis(q_args, tail)
+            for k, c in enumerate(qv):
+                if c == 0:
+                    continue
+                pv = P.eval_basis(p_args, k)
+                acc = vec_add(acc, vec_scale(sign2 * sgn * c, pv))
+        if any(x != 0 for x in acc):
+            out[(wedge, tail)] = acc
+    return Cochain(P.dims, n, out)
+
+
+def left_symmetric_reference(dim: int, table) -> bool:
+    """as(x,y,z) = as(y,x,z) on all basis triples, from the raw table.
+
+    table[i][j][m] is the coefficient of e_m in e_i . e_j; every product
+    is expanded densely over all intermediate basis vectors.
+    """
+
+    def associator(i, j, k):
+        return [
+            sum(table[i][j][m] * table[m][k][r] - table[j][k][m] * table[i][m][r] for m in range(dim))
+            for r in range(dim)
+        ]
+
+    return all(
+        associator(i, j, k) == associator(j, i, k)
+        for i in range(dim)
+        for j in range(dim)
+        for k in range(dim)
+    )

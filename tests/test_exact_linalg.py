@@ -204,6 +204,18 @@ def test_shape_and_float_checks_survive_optimize():
         "    print(type(e).__name__)\n"
         "else:\n"
         "    print('accepted')\n"
+        "from prelieder import mn_bracket\n"
+        "from prelieder.cochain import Cochain\n"
+        "for bad in (\n"
+        "    lambda: PreLieAlgebra(2, [[[0, 0], [0]], [[0, 0], [0, 0]]]),\n"
+        "    lambda: mn_bracket(Cochain(SplitDims(2, 1), 2), Cochain(SplitDims(1, 2), 2)),\n"
+        "):\n"
+        "    try:\n"
+        "        bad()\n"
+        "    except ValueError as e:\n"
+        "        print(type(e).__name__)\n"
+        "    else:\n"
+        "        print('accepted')\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -211,7 +223,7 @@ def test_shape_and_float_checks_survive_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["ValueError", "TypeError", "ValueError", "ValueError"]
+    assert out.stdout.split() == ["ValueError", "TypeError", "ValueError", "ValueError", "ValueError", "ValueError"]
 
 
 def test_empty_shapes():

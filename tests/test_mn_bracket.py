@@ -8,9 +8,29 @@ from prelieder.mn_bracket import circ
 from prelieder.prelie import structure_cochain
 
 from conftest import ALGEBRAS, random_cochain, random_mixed, random_vec
-from oracles import associator_defect, bracket_11_oracle, bracket_21_oracle, unit
+from oracles import (
+    associator_defect,
+    bracket_11_oracle,
+    bracket_21_oracle,
+    circ_reference,
+    unit,
+)
 
 DIMS = SplitDims(2, 1)
+
+
+def test_circ_matches_dense_reference():
+    # p = 0 and q = 0 both occur; density 0 gives the zero cochain
+    rng = Random(30)
+    densities = (0, 0.1, 0.5, 0.9)
+    for dims in (SplitDims(2, 1), SplitDims(1, 2), SplitDims(2, 2), SplitDims(3, 1)):
+        for ap, aq in product((1, 2, 3), repeat=2):
+            for dp, dq in product(densities, repeat=2):
+                P = random_cochain(rng, dims, ap, density=dp)
+                Q = random_cochain(rng, dims, aq, density=dq)
+                got, want = circ(P, Q), circ_reference(P, Q)
+                assert got == want, (dims, ap, aq, dp, dq)
+                assert list(got.coeffs) == list(want.coeffs)
 
 
 def test_arity_one_bracket_is_commutator():

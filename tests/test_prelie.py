@@ -28,12 +28,17 @@ from conftest import (
     ALGEBRAS,
     abelian_algebra,
     derivation_space,
+    direct_sum,
     dual_numbers,
+    idempotent_line,
     random_matrix,
+    rational,
     shift_algebra,
     triangular_algebra,
+    unipotent,
     zero_representation,
 )
+from oracles import left_symmetric_reference
 
 
 def test_corpus_algebras_are_prelie():
@@ -45,6 +50,61 @@ def test_non_prelie_detected():
     # e1.e1 = e2, e2.e1 = e1 fails left symmetry
     a = PreLieAlgebra(2, [[[0, 1], [0, 0]], [[1, 0], [0, 0]]])
     assert not is_prelie(a)
+
+
+def transported_table(a, t, t_inv):
+    """Structure constants of a in the basis f_i = sum_m t[m][i] e_m."""
+    n = a.dim
+    return [
+        [
+            [
+                sum(
+                    t_inv.entries[r][m] * t.entries[x][i] * t.entries[y][j] * a.prod_basis(x, y)[m]
+                    for x in range(n)
+                    for y in range(n)
+                    for m in range(n)
+                )
+                for r in range(n)
+            ]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def test_is_prelie_matches_dense_reference():
+    rng = Random(42)
+    seen = set()
+    bases = [abelian_algebra(0), *ALGEBRAS]
+    bases += [direct_sum(triangular_algebra(), idempotent_line(1)), direct_sum(shift_algebra(), dual_numbers())]
+    tables = []
+    for a in bases:
+        for _ in range(4):
+            # dense pre-Lie tables, then one entry perturbed
+            t, t_inv = unipotent(rng, a.dim)
+            tab = transported_table(a, t, t_inv)
+            tables.append([[list(v) for v in row] for row in tab])
+            if a.dim:
+                i, j, k = (rng.randrange(a.dim) for _ in range(3))
+                tab[i][j][k] += rng.choice((1, -1, Fraction(1, 2)))
+                tables.append(tab)
+    for n in range(5):
+        for density in (0.1, 0.3, 0.8):
+            for _ in range(6):
+                # explicit Fraction(0) entries sit among int zeros
+                tables.append([
+                    [
+                        [rational(rng) if rng.random() < density else rng.choice((0, Fraction(0))) for _ in range(n)]
+                        for _ in range(n)
+                    ]
+                    for _ in range(n)
+                ])
+    for tab in tables:
+        n = len(tab)
+        want = left_symmetric_reference(n, tab)
+        assert is_prelie(PreLieAlgebra(n, tab)) == want, tab
+        seen.add((n, want))
+    assert {(n, v) for n in range(2, 5) for v in (True, False)} <= seen
 
 
 def test_subadjacent_lie_satisfies_jacobi():
@@ -173,5 +233,5 @@ def test_prod_and_mult_matrices_agree():
 
 def test_representation_rejects_shape_mismatch():
     a = shift_algebra()
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Representation(2, [Matrix.zeros(1, 1)] * 2, [Matrix.zeros(2, 2)] * 2)
