@@ -25,11 +25,11 @@ basis key it lists which input value is read (block, arguments, tail)
 and the linear map applied to it. Evaluating the terms on cochains
 gives the operators below; scattering them into columns gives the
 differentials in a single pass (see _assemble), as sparse rows
-{column: Fraction}. Sparse rows are the main form of a differential:
-ranks, and so cohomology_dim, come from the forward phase of the
-elimination kernel on them, and a dense Matrix is built only for the
-callers that ask for one (differential_matrix, coboundaries,
-preimages, cocycle and coboundary bases, the LES maps).
+{column: Fraction}. Sparse rows are the one form of a differential
+that is kept: ranks, and so cohomology_dim, come from the forward phase
+of the elimination kernel on them; cocycle bases and preimages from its
+reduced rows; coboundaries and the LES maps from sparse products. A
+dense Matrix of d_n is built only when asked for (differential_matrix).
 
 The component shapes with a negative wedge size are zero spaces, which
 makes the degree-1 special cases of every complex come out of the
@@ -59,7 +59,7 @@ from .cochain import (
     mixed_space_dim,
     theta_component,
 )
-from .exact_linalg import Matrix, kernel_from_rref, rank, rref, solve, sparse_rank, zero_vec
+from .exact_linalg import Matrix, sparse_kernel, sparse_matvec, sparse_rank, sparse_solve, zero_vec
 from .mn_bracket import mn_bracket
 from .prelie import (
     DerPair,
@@ -801,21 +801,20 @@ class Complex:
     """One cochain complex (complex id, structure data), memoized by degree.
 
     It holds the block layout of each C^n and assembles each d_n at most
-    once, as sparse rows. Ranks are read off the forward phase of an
-    elimination of a copy of those rows; the dense Matrix of d_n, and
-    its row reduction, are built only when asked for (coboundaries,
-    preimages, cocycle and coboundary bases). C^n is the zero space for
+    once, as sparse rows, the one form of d_n it keeps. Ranks are read
+    off the forward phase of an elimination of a copy of those rows,
+    cocycle bases and preimages off the reduced rows of both phases,
+    and coboundaries are sparse products. C^n is the zero space for
     n < 1. Cochains go in and out as lists of blocks in the layout
     order, so callers never handle coordinates.
     """
 
     def __init__(self, complex_id: str, data):
+        self._id = complex_id
         self._kind = kind = _kind(complex_id)
         self.dims = kind.dims(data)
         self._terms = kind.terms(data)
         self._sparse = {}
-        self._d = {}
-        self._reduced = {}
 
     def specs(self, n: int):
         return self._kind.specs(n)
@@ -830,47 +829,39 @@ class Complex:
             self._sparse[n] = _assemble(self.dims, self.specs(n), out)
         return self._sparse[n]
 
+    def _coords(self, n: int, blocks) -> list:
+        """Coordinates of the cochain with the given blocks, checked to lie in C^n."""
+        _check_layout(self._id, n, blocks, self.specs(n))
+        if any(m.dims != self.dims for m in blocks):
+            raise ValueError(f"{self._id} cochain blocks are not over {self.dims}")
+        return _flatten(blocks)
+
     def d(self, n: int) -> Matrix:
-        """Matrix of d: C^n -> C^(n+1) in enumerate_basis coordinates."""
-        if n not in self._d:
-            rows, ncols = self._rows(n)
-            self._d[n] = Matrix.from_sparse(len(rows), ncols, rows)
-        return self._d[n]
+        """Matrix of d: C^n -> C^(n+1) in enumerate_basis coordinates, built
+        on each call."""
+        rows, ncols = self._rows(n)
+        return Matrix.from_sparse(len(rows), ncols, rows)
 
     def coboundary(self, n: int, blocks) -> list:
         """The blocks of d_n x, for x given by its blocks in C^n."""
-        return _unflatten(self.dims, self.specs(n + 1), self.d(n).matvec(_flatten(blocks)))
+        y = sparse_matvec(self._rows(n)[0], self._coords(n, blocks))
+        return _unflatten(self.dims, self.specs(n + 1), y)
 
     def preimage(self, n: int, blocks):
         """Blocks of some x in C^(n-1) with d_(n-1) x = y, for y given by its
         blocks in C^n; None when y is not in B^n."""
-        x = solve(self.d(n - 1), _flatten(blocks))
+        x = sparse_solve(*self._rows(n - 1), self._coords(n, blocks))
         return None if x is None else _unflatten(self.dims, self.specs(n - 1), x)
-
-    def _rref(self, n: int):
-        if n not in self._reduced:
-            self._reduced[n] = rref(self.d(n))
-        return self._reduced[n]
 
     def rank(self, n: int) -> int:
         if n < 1:
             return 0
-        if n in self._reduced:
-            return self._reduced[n][1]
         return sparse_rank(*self._rows(n))
 
     def cocycle_basis(self, n: int) -> list:
         if n < 1:
             return []
-        R, _, pivots = self._rref(n)
-        return kernel_from_rref(R, pivots)
-
-    def coboundary_basis(self, n: int) -> list:
-        """Independent columns of d_(n-1), a basis of B^n."""
-        if n < 2:
-            return []
-        d = self.d(n - 1)
-        return [d.col(j) for j in self._rref(n - 1)[2]]
+        return sparse_kernel(*self._rows(n))
 
     def cohomology_dim(self, n: int):
         z = self.dim(n) - self.rank(n)
@@ -897,11 +888,16 @@ def cohomology_dim(complex_id: str, n: int, data):
 def _induced_rank(cx: Complex, n: int, images) -> int:
     """Rank of the map a set of n-cocycles spans in H^n(cx).
 
-    That is dim(span(images) + B^n) - dim B^n, one elimination.
+    That is dim(span(images) + B^n) - dim B^n, one elimination of the
+    columns of d_(n-1) together with the images.
     """
-    b = cx.coboundary_basis(n)
-    rows = b + [v for v in images if any(v)]
-    return rank(Matrix(len(rows), cx.dim(n), rows)) - len(b)
+    rows, ncols = cx._rows(n - 1)
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns[j][i] = x
+    columns.extend(dict(enumerate(v)) for v in images)
+    return sparse_rank(columns, cx.dim(n)) - cx.rank(n - 1)
 
 
 def les_check(p: DerPair, n_max: int) -> dict:
@@ -913,7 +909,8 @@ def les_check(p: DerPair, n_max: int) -> dict:
 
     The inclusion theta -> (0, 0, 0, theta) fills the last block of the
     pair complex and the projection (f, theta) -> f keeps the leading
-    prelie blocks, so both act on coordinates as index slices.
+    prelie blocks, so both act on coordinates as index slices; delta
+    acts through its sparse rows.
     """
     pair, prelie, coeffs = Complex("pair", p), Complex("prelie", p), Complex("coeffs", p)
     delta_terms = _delta_terms(p.D)
@@ -947,10 +944,10 @@ def les_check(p: DerPair, n_max: int) -> dict:
         )
         all_exact = all_exact and exact
 
+    z_coeffs = coeffs.cocycle_basis(0)
     for n in range(1, n_max + 1):
-        rows, ncols = _assemble(p.dims, prelie.specs(n), [coeffs.specs(n)[0] + (delta_terms,)])
-        delta_n = Matrix.from_sparse(len(rows), ncols, rows)
-        z_coeffs_prev = coeffs.cocycle_basis(n - 1)
+        delta_n = _assemble(p.dims, prelie.specs(n), [coeffs.specs(n)[0] + (delta_terms,)])[0]
+        z_coeffs_prev = z_coeffs
         z_pair = pair.cocycle_basis(n)
         z_prelie = prelie.cocycle_basis(n)
         z_coeffs = coeffs.cocycle_basis(n)
@@ -962,13 +959,14 @@ def les_check(p: DerPair, n_max: int) -> dict:
         node(n, "pair", pair, rank_in, rank_out, vanishes(prelie, n, composite))
 
         # node H^n(prelie): incoming p, outgoing delta to H^n(coeffs)
-        rank_out_d = _induced_rank(coeffs, n, [delta_n.matvec(v) for v in z_prelie])
-        composite = [delta_n.matvec(proj(n, v)) for v in z_pair]
+        delta_z_prelie = [sparse_matvec(delta_n, v) for v in z_prelie]
+        rank_out_d = _induced_rank(coeffs, n, delta_z_prelie)
+        composite = [sparse_matvec(delta_n, proj(n, v)) for v in z_pair]
         node(n, "prelie", prelie, rank_out, rank_out_d, vanishes(coeffs, n, composite))
 
         # node H^n(coeffs): incoming delta, outgoing iota into H^{n+1}(pair)
         rank_out_i = _induced_rank(pair, n + 1, [iota(n + 1, v) for v in z_coeffs])
-        composite = [iota(n + 1, delta_n.matvec(v)) for v in z_prelie]
+        composite = [iota(n + 1, v) for v in delta_z_prelie]
         node(n, "coeffs", coeffs, rank_out_d, rank_out_i, vanishes(pair, n + 1, composite))
 
     return {"max_degree": n_max, "nodes": nodes, "all_exact": all_exact}

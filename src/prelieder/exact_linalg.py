@@ -8,15 +8,16 @@ The working form of a matrix is a list of sparse rows, {column: entry}
 with zeros absent; differential matrices are mostly zeros. There is
 one elimination kernel on such rows, in two phases: _forward picks the
 pivots and clears below them, _back clears above them. Ranks need only
-the forward phase: `rank` of a Matrix and `sparse_rank` of sparse rows
-run it alone, while `rref` (and through it `kernel_basis` and `solve`)
-runs both.
+the forward phase (`sparse_rank`); kernels and particular solutions
+(`sparse_kernel`, `sparse_solve`) are read straight off the reduced rows
+of both phases, and `sparse_matvec` applies the rows to a vector.
 
-A Matrix is dense, immutable and row-major, and is built only where a
-caller asks for one. The zero cells of matrices built from sparse rows
-(`Matrix.from_sparse`: dense differentials and every rref) are one
-shared Fraction(0), which the copy back into sparse rows skips by an
-identity test.
+A Matrix is dense, immutable and row-major; it holds structure data and
+small maps. Its `rank`, `rref`, `kernel_basis` and `solve` copy its
+nonzero cells into sparse rows and run the same kernel. The zero cells
+of matrices built from sparse rows (`Matrix.from_sparse`: the dense view
+of a differential and every rref) are one shared Fraction(0), which the
+copy back into sparse rows skips by an identity test.
 """
 
 from __future__ import annotations
@@ -60,13 +61,6 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
-
-    @staticmethod
-    def from_rows(rows_list) -> "Matrix":
-        rows_list = [list(r) for r in rows_list]
-        n = len(rows_list)
-        m = len(rows_list[0]) if n else 0
-        return Matrix(n, m, rows_list)
 
     @staticmethod
     def from_sparse(rows: int, cols: int, sparse_rows) -> "Matrix":
@@ -156,13 +150,6 @@ class Matrix:
         nz = [(j, x) for j, x in enumerate(map(frac, v)) if x]
         return tuple(sum((row[j] * x for j, x in nz), Fraction(0)) for row in self.entries)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
@@ -180,22 +167,22 @@ def rref(m: Matrix):
     indices. R is unique, with unit pivots and zeros above and below.
     Both phases of the kernel run: _forward, then _back.
     """
-    pivots, reduced = _forward(_sparse_rows(m), m.cols)
-    _back(pivots, reduced)
+    pivots, reduced = _reduce(_sparse_rows(m), m.cols)
     rk = len(pivots)
     R = Matrix.from_sparse(m.rows, m.cols, reduced + [{}] * (m.rows - rk))
     return R, rk, tuple(pivots)
 
 
 def _sparse_rows(m: Matrix) -> list:
-    """The nonzero rows of m as {column: entry}, zeros absent."""
+    """The rows of m as {column: entry}, zeros absent, one per row of m."""
     # the identity test passes over the shared zero without calling
     # Fraction.__bool__, which costs more than the rest of the scan
-    return [
-        r
-        for r in ({j: x for j, x in enumerate(row) if x is not _ZERO and x} for row in m.entries)
-        if r
-    ]
+    return [{j: x for j, x in enumerate(row) if x is not _ZERO and x} for row in m.entries]
+
+
+def _copy(rows) -> list:
+    """Copies of the rows with their zero entries dropped, empty ones left out."""
+    return [r for r in ({k: x for k, x in row.items() if x} for row in rows) if r]
 
 
 def _forward(todo: list, cols: int):
@@ -242,6 +229,13 @@ def _back(pivots: list, reduced: list) -> None:
         row[c] = _ONE
 
 
+def _reduce(todo: list, cols: int):
+    """(pivots, reduced rows) of the reduced row echelon form; consumes todo."""
+    pivots, reduced = _forward(todo, cols)
+    _back(pivots, reduced)
+    return pivots, reduced
+
+
 def _subtract(row: dict, f: Fraction, piv: dict) -> None:
     """row -= f * piv on sparse rows, dropping entries that cancel."""
     for k, x in piv.items():
@@ -266,63 +260,61 @@ def sparse_rank(rows, cols: int) -> int:
 
     The rows are copied, not consumed; zero entries may be present.
     """
-    todo = [r for r in ({k: x for k, x in row.items() if x} for row in rows) if r]
-    return len(_forward(todo, cols)[0])
+    return len(_forward(_copy(rows), cols)[0])
+
+
+def sparse_kernel(rows, cols: int) -> list:
+    """Basis of {v : A v = 0} for the matrix A with the given sparse rows.
+
+    One vector per free column j of the reduced form R, in increasing j:
+    v[j] = 1 and v[pivot column of row r] = -R[r][j]. The rows are
+    copied, not consumed.
+    """
+    pivots, reduced = _reduce(_copy(rows), cols)
+    pivset = set(pivots)
+    basis = {j: [_ZERO] * cols for j in range(cols) if j not in pivset}
+    for pc, row in zip(pivots, reduced):
+        for j, x in row.items():
+            if j != pc:
+                basis[j][pc] = -x
+    for j, v in basis.items():
+        v[j] = _ONE
+    return [tuple(v) for v in basis.values()]
 
 
 def kernel_basis(m: Matrix) -> list:
-    """Basis of the right null space {v : m v = 0}, one vector per free column.
-
-    The basis is in the standard rref parametrization: vector k for free
-    column j has k[j] = 1 and k[pivot_col(r)] = -R[r][j].
-    """
-    R, rk, pivots = rref(m)
-    return kernel_from_rref(R, pivots)
+    """Basis of the right null space {v : m v = 0}; see sparse_kernel."""
+    return sparse_kernel(_sparse_rows(m), m.cols)
 
 
-def kernel_from_rref(R: Matrix, pivots) -> list:
-    """kernel_basis read off an already computed rref (R, pivots)."""
-    pivset = set(pivots)
-    basis = []
-    for j in range(R.cols):
-        if j in pivset:
-            continue
-        v = [Fraction(0)] * R.cols
-        v[j] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R.entries[r][j]
-        basis.append(tuple(v))
-    return basis
-
-
-def solve(m: Matrix, b) -> tuple | None:
-    """One exact solution of m x = b, or None when inconsistent.
+def sparse_solve(rows, cols: int, b) -> tuple | None:
+    """One exact solution of A x = b for the matrix A with the given sparse
+    rows (one per entry of b), or None when inconsistent.
 
     Free variables are set to zero, so the answer is the rref particular
-    solution. Callers wanting the full affine set combine with
-    kernel_basis(m).
+    solution, read off the reduced rows of A augmented by b. Callers
+    wanting the full affine set combine with sparse_kernel.
     """
     b = [frac(x) for x in b]
-    if len(b) != m.rows:
-        raise ValueError(f"right-hand side of length {len(b)} for a matrix with {m.rows} rows")
-    aug = Matrix(m.rows, m.cols + 1, [list(row) + [bv] for row, bv in zip(m.entries, b)])
-    R, rk, pivots = rref(aug)
-    if m.cols in pivots:
+    if len(b) != len(rows):
+        raise ValueError(f"right-hand side of length {len(b)} for a matrix with {len(rows)} rows")
+    pivots, reduced = _reduce(_copy({**row, cols: x} for row, x in zip(rows, b)), cols + 1)
+    if cols in pivots:
         return None
-    x = [Fraction(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = R.entries[r][m.cols]
+    x = [_ZERO] * cols
+    for pc, row in zip(pivots, reduced):
+        x[pc] = row.get(cols, _ZERO)
     return tuple(x)
 
 
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.rows != b.rows:
-        raise ValueError(f"cannot stack a {a.rows}-row matrix beside a {b.rows}-row one")
-    return Matrix(
-        a.rows,
-        a.cols + b.cols,
-        [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)],
-    )
+def solve(m: Matrix, b) -> tuple | None:
+    """One exact solution of m x = b, or None; see sparse_solve."""
+    return sparse_solve(_sparse_rows(m), m.cols, b)
+
+
+def sparse_matvec(rows, v) -> tuple:
+    """Product of the matrix with the given sparse rows and the vector v."""
+    return tuple(sum([x * v[k] for k, x in row.items() if v[k]], _ZERO) for row in rows)
 
 
 def columns_matrix(vectors, dim: int) -> Matrix:
@@ -331,16 +323,6 @@ def columns_matrix(vectors, dim: int) -> Matrix:
     if any(len(v) != dim for v in vectors):
         raise ValueError(f"columns must all have length {dim}")
     return Matrix(dim, len(vectors), [[v[i] for v in vectors] for i in range(dim)])
-
-
-def in_span(vectors, v) -> bool:
-    """Is v in the column span of vectors (all length-n sequences)?"""
-    v = tuple(frac(x) for x in v)
-    if all(x == 0 for x in v):
-        return True
-    if not vectors:
-        return False
-    return solve(columns_matrix(vectors, len(v)), v) is not None
 
 
 def vec_add(u, v):

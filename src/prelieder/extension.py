@@ -291,7 +291,8 @@ def canonical_section(ext: AbelianExtension) -> Matrix:
     cols = []
     for j in range(dg):
         s = solve(ext.proj, basis_vec(dg, j))
-        assert s is not None
+        if s is None:
+            raise ValueError("the projection is not onto g: it has no section")
         cols.append(s)
     return Matrix(n, dg, [[c[i] for c in cols] for i in range(n)])
 
@@ -302,9 +303,11 @@ def is_section(ext: AbelianExtension, s: Matrix) -> bool:
 
 def _v_part(ext: AbelianExtension, w) -> tuple:
     """Coordinates of w in V; w must project to zero."""
-    assert all(x == 0 for x in ext.proj.matvec(w))
+    if any(x != 0 for x in ext.proj.matvec(w)):
+        raise ValueError("a vector meant to lie in V does not project to zero")
     u = solve(ext.iota, w)
-    assert u is not None
+    if u is None:
+        raise ValueError("the image of iota does not contain the kernel of the projection")
     return u
 
 

@@ -1,10 +1,11 @@
 """Independent reference implementations the test suite checks against.
 
 Nothing here imports the modules it is used to verify beyond plain data
-types: ranks come from sympy, the low-arity bracket formulas are the
-classical closed forms written out by hand, and the associator identity
-characterizes the bracket through its defining property. The general
-composition and left symmetry are walked densely over the whole basis.
+types: ranks and span membership come from sympy, the low-arity bracket
+formulas are the classical closed forms written out by hand, and the
+associator identity characterizes the bracket through its defining
+property. The general composition and left symmetry are walked densely
+over the whole basis.
 """
 
 from fractions import Fraction
@@ -42,6 +43,14 @@ def sympy_solve(m: Matrix, b):
         return None
     sol = sol.subs({p: 0 for p in params})
     return tuple(Fraction(int(sympy.fraction(x)[0]), int(sympy.fraction(x)[1])) for x in sol)
+
+
+def in_span(vectors, v) -> bool:
+    """Is v in the column span of vectors (all of v's length)? Decided by sympy_solve."""
+    if not any(v):
+        return True
+    m = Matrix(len(v), len(vectors), [[u[i] for u in vectors] for i in range(len(v))])
+    return sympy_solve(m, v) is not None
 
 
 def eval_cochain(c: Cochain, args):

@@ -72,7 +72,6 @@ from prelieder import (
 )
 from prelieder.cochain import component_bidegree
 from prelieder.cohomology import _component_specs, _unflatten, _flatten, delta_bracket, partial_bracket
-from prelieder.exact_linalg import in_span
 from prelieder.prelie import pi_component
 
 from conftest import (
@@ -87,6 +86,7 @@ from conftest import (
     unipotent,
     zero_representation,
 )
+from oracles import in_span
 
 REPO = Path(__file__).resolve().parent.parent
 

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 import prelieder.cohomology
+import prelieder.exact_linalg
 from prelieder import (
     DerPair,
     DerPairCochain,
@@ -303,22 +304,43 @@ def test_cohomology_ranks_match_sympy(pair_corpus, regular_corpus):
 
 
 def test_cohomology_dim_builds_no_dense_matrix(pair_corpus, regular_corpus, monkeypatch):
-    # ranks come from the sparse rows alone: no rref and no dense d_n
+    # ranks, coboundaries, preimages, cocycle bases and the LES come from the
+    # sparse rows alone: no dense elimination and no dense d_n
+    for name in ("rref", "solve", "rank", "kernel_basis", "kernel_from_rref"):
+        assert not hasattr(prelieder.cohomology, name), name
     p = next(p for p in pair_corpus if (p.dims.dim_g, p.dims.dim_v) == (3, 2))
     rp = regular_corpus[7]
     cases = [(cid, p) for cid in ("coeffs", "prelie", "pair")]
     cases += [("regular", rp), ("rep", (rp, regular_module(rp)))]
     degrees = (1, 2, 3, 4)
-    before = {(cid, n): cohomology_dim(cid, n, data) for cid, data in cases for n in degrees}
+
+    def run():
+        rng = Random(61)
+        out = {}
+        for cid, data in cases:
+            cx = Complex(cid, data)
+            for n in degrees:
+                out[cid, n, "dim"] = cohomology_dim(cid, n, data)
+                if n == 4:
+                    continue
+                x = [random_mixed(rng, cx.dims, s, t) for s, t in cx.specs(n)]
+                y = cx.coboundary(n, x)
+                out[cid, n, "coboundary"] = y
+                out[cid, n, "preimage"] = cx.preimage(n + 1, y)
+                out[cid, n, "outside"] = cx.preimage(n, x)
+                out[cid, n, "cocycles"] = cx.cocycle_basis(n)
+        out["les"] = les_check(p, 2)
+        return out
+
+    before = run()
 
     def refuse(*args):
         raise RuntimeError("dense path taken")
 
-    monkeypatch.setattr(prelieder.cohomology, "rref", refuse)
+    for name in ("rref", "solve", "rank"):
+        monkeypatch.setattr(prelieder.exact_linalg, name, refuse)
     monkeypatch.setattr(Matrix, "from_sparse", staticmethod(refuse))
-    for cid, data in cases:
-        for n in degrees:
-            assert cohomology_dim(cid, n, data) == before[(cid, n)], (cid, n)
+    assert run() == before
     with pytest.raises(RuntimeError):
         differential_matrix("pair", 2, p)
 
@@ -357,3 +379,15 @@ def test_two_slot_shape_guards():
         DerPairCochain.zero(p.dims, 0)
     with pytest.raises(ValueError):
         p_project(DerPairCochain.zero(SplitDims(2, 1), 2))  # needs dim g == dim V
+    # C^2 and C^3 of the regular complex over dim 2 both have 12 coordinates:
+    # blocks of the wrong degree must not pass for a cochain of the right one
+    cx = Complex("regular", rp)
+    assert cx.dim(2) == cx.dim(3) == 12
+    three = TwoSlotCochain.zero(p.dims, 3, "g").blocks()
+    with pytest.raises(ValueError):
+        cx.coboundary(2, three)
+    with pytest.raises(ValueError):
+        cx.preimage(2, three)
+    # nor blocks over other dimensions
+    with pytest.raises(ValueError):
+        cx.coboundary(2, TwoSlotCochain.zero(SplitDims(2, 1), 2, "g").blocks())

@@ -35,7 +35,6 @@ from prelieder import (
 )
 from prelieder.cohomology import _component_specs, _flatten, _unflatten
 from prelieder.linfty import MCCandidate
-from prelieder.exact_linalg import in_span
 
 from conftest import (
     corpus_pairs,
@@ -44,6 +43,7 @@ from conftest import (
     shift_algebra,
     zero_representation,
 )
+from oracles import in_span
 
 
 @pytest.fixture(scope="module")

@@ -12,16 +12,17 @@ from hypothesis import strategies as st
 from prelieder import Matrix, kernel_basis, rank, rref, solve
 from prelieder.exact_linalg import (
     columns_matrix,
-    hstack,
-    in_span,
+    sparse_kernel,
+    sparse_matvec,
     sparse_rank,
+    sparse_solve,
     vec_add,
     vec_scale,
     vec_sub,
     zero_vec,
 )
 
-from oracles import sympy_matrix, sympy_nullity, sympy_rank
+from oracles import in_span, sympy_matrix, sympy_nullity, sympy_rank
 
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
@@ -136,6 +137,23 @@ def test_rank_is_the_forward_phase_of_rref(m, rnd):
     assert rows == copy
 
 
+@settings(max_examples=120, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_sparse_kernel_solve_and_matvec_match_the_dense_adapters(m, data):
+    # the same rows in sparse form, with some zero cells kept as explicit zeros
+    rnd = data.draw(st.randoms(use_true_random=False))
+    rows = [{j: x for j, x in enumerate(row) if x or rnd.random() < 0.3} for row in m.entries]
+    copy = [dict(r) for r in rows]
+    v = data.draw(st.lists(fractions, min_size=m.cols, max_size=m.cols))
+    b = m.matvec(v) if data.draw(st.booleans()) else data.draw(
+        st.lists(fractions, min_size=m.rows, max_size=m.rows)
+    )
+    assert sparse_matvec(rows, v) == m.matvec(v)
+    assert sparse_kernel(rows, m.cols) == kernel_basis(m)
+    assert sparse_solve(rows, m.cols, b) == solve(m, b)
+    assert rows == copy
+
+
 def test_sparse_rank_takes_explicit_zeros_and_cancelling_rows():
     z, half = Fraction(0), Fraction(1, 2)
     # explicit zeros in the pivot column: neither row may become its pivot
@@ -170,8 +188,6 @@ def test_shape_errors_are_value_errors():
         a.matvec([1, 2])
     with pytest.raises(ValueError):
         solve(a, [1, 2, 3])
-    with pytest.raises(ValueError):
-        hstack(a, Matrix.identity(3))
     with pytest.raises(ValueError):
         columns_matrix([(1, 2), (1, 2, 3)], 2)
 
@@ -216,6 +232,19 @@ def test_shape_and_float_checks_survive_optimize():
         "        print(type(e).__name__)\n"
         "    else:\n"
         "        print('accepted')\n"
+        "from prelieder import AbelianExtension, canonical_section, extract_cocycle\n"
+        "nilpotent = PreLieAlgebra(2, [[[0, 0], [0, 0]], [[0, 0], [1, 0]]])\n"
+        "total = RegularPair(nilpotent, Matrix.zeros(2, 2))\n"
+        "# iota does not span the kernel of proj; then proj is not onto g\n"
+        "skew = AbelianExtension(total, Matrix(2, 1, [[1], [1]]), Matrix(1, 2, [[0, 1]]))\n"
+        "flat = AbelianExtension(total, Matrix(2, 1, [[1], [0]]), Matrix(1, 2, [[0, 0]]))\n"
+        "for bad in (lambda: extract_cocycle(skew, canonical_section(skew)), lambda: canonical_section(flat)):\n"
+        "    try:\n"
+        "        bad()\n"
+        "    except ValueError as e:\n"
+        "        print(type(e).__name__)\n"
+        "    else:\n"
+        "        print('accepted')\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -223,7 +252,7 @@ def test_shape_and_float_checks_survive_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["ValueError", "TypeError", "ValueError", "ValueError", "ValueError", "ValueError"]
+    assert out.stdout.split() == ["ValueError", "TypeError"] + ["ValueError"] * 6
 
 
 def test_empty_shapes():
@@ -244,8 +273,6 @@ def test_matrix_algebra_identities():
     c = Matrix(3, 3, [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)])
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert (a + b).transpose() == a.transpose() + b.transpose()
-    assert (a * b).transpose() == b.transpose() * a.transpose()
     i = Matrix.identity(3)
     assert a * i == a and i * a == a
     v = (Fraction(1), Fraction(-2), Fraction(3))

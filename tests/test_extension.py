@@ -38,9 +38,9 @@ from prelieder import (
 )
 from prelieder.cochain import SplitDims
 from prelieder.cohomology import _component_specs, _unflatten
-from prelieder.exact_linalg import in_span
 
 from conftest import random_matrix, regular_pairs, shift_algebra
+from oracles import in_span
 
 
 @pytest.fixture(scope="module")
