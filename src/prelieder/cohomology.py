@@ -793,7 +793,8 @@ def _unflatten(dims: SplitDims, specs, vec):
             if any(x != 0 for x in chunk):
                 coeffs[key] = chunk
         maps.append(MixedMap(dims, shape, target, coeffs))
-    assert pos == len(vec)
+    if pos != len(vec):
+        raise RuntimeError(f"{len(vec)} coordinates for a layout of {pos}")
     return maps
 
 
@@ -801,10 +802,11 @@ class Complex:
     """One cochain complex (complex id, structure data), memoized by degree.
 
     It holds the block layout of each C^n and assembles each d_n at most
-    once, as sparse rows, the one form of d_n it keeps. Ranks are read
-    off the forward phase of an elimination of a copy of those rows,
-    cocycle bases and preimages off the reduced rows of both phases,
-    and coboundaries are sparse products. C^n is the zero space for
+    once, as sparse rows, the one form of d_n it keeps. Each rank is
+    read off the forward phase of an elimination of a copy of those
+    rows, once per degree and kept; cocycle bases and preimages come off
+    the reduced rows of both phases, and coboundaries are sparse
+    products. C^n is the zero space for
     n < 1. Cochains go in and out as lists of blocks in the layout
     order, so callers never handle coordinates.
     """
@@ -815,6 +817,7 @@ class Complex:
         self.dims = kind.dims(data)
         self._terms = kind.terms(data)
         self._sparse = {}
+        self._ranks = {}
 
     def specs(self, n: int):
         return self._kind.specs(n)
@@ -856,7 +859,9 @@ class Complex:
     def rank(self, n: int) -> int:
         if n < 1:
             return 0
-        return sparse_rank(*self._rows(n))
+        if n not in self._ranks:
+            self._ranks[n] = sparse_rank(*self._rows(n))
+        return self._ranks[n]
 
     def cocycle_basis(self, n: int) -> list:
         if n < 1:

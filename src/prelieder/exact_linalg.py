@@ -1,16 +1,22 @@
 """Exact linear algebra over the rationals: sparse rows, dense on request.
 
-Everything here works with fractions.Fraction entries; no floats ever
-enter, so ranks and kernels are exact and the row echelon form is the
-unique reduced one (leading ones, zeros above and below each pivot).
+Entries are ints and fractions.Fraction; no floats ever enter, so ranks
+and kernels are exact and the row echelon form is the unique reduced
+one (leading ones, zeros above and below each pivot).
 
 The working form of a matrix is a list of sparse rows, {column: entry}
 with zeros absent; differential matrices are mostly zeros. There is
-one elimination kernel on such rows, in two phases: _forward picks the
-pivots and clears below them, _back clears above them. Ranks need only
-the forward phase (`sparse_rank`); kernels and particular solutions
-(`sparse_kernel`, `sparse_solve`) are read straight off the reduced rows
-of both phases, and `sparse_matvec` applies the rows to a vector.
+one elimination kernel on such rows, and it is fraction-free: its entry
+copy (_copy) turns each row into a primitive integer row (denominators
+cleared, content divided out), and every step combines two integer
+rows and divides the content out again, so coefficients stay as small
+as the rows' own proportions allow and no Fraction arithmetic runs. It
+has two phases: _forward picks the pivots and clears below them, _back
+clears above them. Ranks need only the forward phase (`sparse_rank`);
+kernels and particular solutions (`sparse_kernel`, `sparse_solve`) and
+the R of `rref` are read off the reduced rows of both phases, the only
+place Fractions are built: each entry over its row's pivot entry.
+`sparse_matvec` applies the rows to a vector.
 
 A Matrix is dense, immutable and row-major; it holds structure data and
 small maps. Its `rank`, `rref`, `kernel_basis` and `solve` copy its
@@ -23,6 +29,7 @@ copy back into sparse rows skips by an identity test.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -167,10 +174,10 @@ def rref(m: Matrix):
     indices. R is unique, with unit pivots and zeros above and below.
     Both phases of the kernel run: _forward, then _back.
     """
-    pivots, reduced = _reduce(_sparse_rows(m), m.cols)
+    pivots, reduced = _reduce(_copy(_sparse_rows(m)), m.cols)
     rk = len(pivots)
-    R = Matrix.from_sparse(m.rows, m.cols, reduced + [{}] * (m.rows - rk))
-    return R, rk, tuple(pivots)
+    R = [{k: Fraction(x, row[c]) for k, x in row.items()} for c, row in zip(pivots, reduced)]
+    return Matrix.from_sparse(m.rows, m.cols, R + [{}] * (m.rows - rk)), rk, tuple(pivots)
 
 
 def _sparse_rows(m: Matrix) -> list:
@@ -181,36 +188,91 @@ def _sparse_rows(m: Matrix) -> list:
 
 
 def _copy(rows) -> list:
-    """Copies of the rows with their zero entries dropped, empty ones left out."""
-    return [r for r in ({k: x for k, x in row.items() if x} for row in rows) if r]
+    """Primitive integer copies of the rows, empty ones left out.
+
+    Entries may be int or Fraction, zeros included. Each row is cleared
+    of its denominators (times their lcm) and divided by its content,
+    which leaves its span and its nonzero pattern as they were.
+    """
+    out = []
+    for row in rows:
+        if not row:
+            continue
+        ratios = [x.as_integer_ratio() for x in row.values()]
+        den = lcm(*[d for _, d in ratios])
+        row = {k: n * (den // d) for k, (n, d) in zip(row, ratios) if n}
+        if row:
+            _divide_content(row)
+            out.append(row)
+    return out
+
+
+def _divide_content(row: dict) -> None:
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for k, x in row.items():
+            row[k] = x // g
+
+
+def _eliminate(row: dict, c: int, piv: dict) -> None:
+    """Clear column c of an integer row against the pivot row piv, in place.
+
+    With a = row[c], p = piv[c] and g = gcd(a, p) of the sign of p,
+    row := (p/g) row - (a/g) piv, which cancels column c and drops any
+    other entry that cancels; then the row's content is divided out.
+    """
+    p = piv[c]
+    g = gcd(row[c], p)
+    if p < 0:
+        g = -g
+    s, t = p // g, row[c] // g
+    if s != 1:
+        for k, x in row.items():
+            row[k] = x * s
+    for k, x in piv.items():
+        y = row.get(k)
+        if y is None:
+            row[k] = -t * x
+        else:
+            y -= t * x
+            if y:
+                row[k] = y
+            else:
+                del row[k]
+    _divide_content(row)
 
 
 def _forward(todo: list, cols: int):
-    """Forward phase of Gauss-Jordan on sparse rows, which it consumes.
+    """Forward phase of fraction-free Gauss-Jordan on integer rows, which it
+    consumes.
 
-    For each column in turn, the shortest remaining row with an entry
-    there becomes the pivot row (it spreads the least fill-in), is
-    scaled to a unit pivot and the column is cleared from the other
-    remaining rows. Rows must hold no zero entries. Returns (pivots,
-    reduced): reduced[i] is the i-th pivot row without its unit entry
-    at pivots[i], still holding entries in later pivot columns.
+    Rows must hold nonzero int entries only (see _copy). They wait in
+    buckets by their lowest column. For each column in turn, the rows of
+    its bucket are the rows with an entry there: the shortest becomes the
+    pivot row (it spreads the least fill-in), the column is cleared from
+    the others by _eliminate, and each goes to the bucket of its new
+    lowest column. Returns (pivots, reduced): reduced[i] is the i-th
+    pivot row, its pivot entry at pivots[i] not scaled to one, still
+    holding entries in later pivot columns.
     """
+    lead = {}
+    for row in todo:
+        lead.setdefault(min(row), []).append(row)
     pivots, reduced = [], []
     for c in range(cols):
-        hits = [r for r in todo if c in r]
-        if not hits:
+        hits = lead.pop(c, None)
+        if hits is None:
             continue
         piv = min(hits, key=len)
-        inv = _ONE / piv.pop(c)
-        for k in piv:
-            piv[k] *= inv
         for row in hits:
             if row is not piv:
-                _subtract(row, row.pop(c), piv)
-        todo = [r for r in todo if r and r is not piv]
+                _eliminate(row, c, piv)
+                if row:
+                    lead.setdefault(min(row), []).append(row)
         pivots.append(c)
         reduced.append(piv)
-        if not todo:
+        if not lead:
             break
     return pivots, reduced
 
@@ -219,40 +281,27 @@ def _back(pivots: list, reduced: list) -> None:
     """Back phase: clear each pivot column above its pivot, in place.
 
     Each pivot row, last first, is reduced once against the rows after
-    it, which are already reduced; then the unit pivots are put back.
+    it, which are already reduced. Row i then is a multiple of the i-th
+    row of the reduced row echelon form: that row is row i over its
+    pivot entry.
     """
     where = {c: i for i, c in enumerate(pivots)}
-    for row in reversed(reduced):
-        for c in [c for c in row if c in where]:
-            _subtract(row, row.pop(c), reduced[where[c]])
-    for c, row in zip(pivots, reduced):
-        row[c] = _ONE
+    for own, row in zip(reversed(pivots), reversed(reduced)):
+        for c in [c for c in row if c != own and c in where]:
+            _eliminate(row, c, reduced[where[c]])
 
 
 def _reduce(todo: list, cols: int):
-    """(pivots, reduced rows) of the reduced row echelon form; consumes todo."""
+    """(pivots, reduced rows) of the reduced row echelon form up to a
+    factor per row; consumes todo."""
     pivots, reduced = _forward(todo, cols)
     _back(pivots, reduced)
     return pivots, reduced
 
 
-def _subtract(row: dict, f: Fraction, piv: dict) -> None:
-    """row -= f * piv on sparse rows, dropping entries that cancel."""
-    for k, x in piv.items():
-        y = row.get(k)
-        if y is None:
-            row[k] = -f * x
-        else:
-            y -= f * x
-            if y:
-                row[k] = y
-            else:
-                del row[k]
-
-
 def rank(m: Matrix) -> int:
     """Rank of m, from the forward phase alone."""
-    return len(_forward(_sparse_rows(m), m.cols)[0])
+    return len(_forward(_copy(_sparse_rows(m)), m.cols)[0])
 
 
 def sparse_rank(rows, cols: int) -> int:
@@ -274,9 +323,10 @@ def sparse_kernel(rows, cols: int) -> list:
     pivset = set(pivots)
     basis = {j: [_ZERO] * cols for j in range(cols) if j not in pivset}
     for pc, row in zip(pivots, reduced):
+        p = row[pc]
         for j, x in row.items():
             if j != pc:
-                basis[j][pc] = -x
+                basis[j][pc] = Fraction(-x, p)
     for j, v in basis.items():
         v[j] = _ONE
     return [tuple(v) for v in basis.values()]
@@ -303,7 +353,8 @@ def sparse_solve(rows, cols: int, b) -> tuple | None:
         return None
     x = [_ZERO] * cols
     for pc, row in zip(pivots, reduced):
-        x[pc] = row.get(cols, _ZERO)
+        if cols in row:
+            x[pc] = Fraction(row[cols], row[pc])
     return tuple(x)
 
 

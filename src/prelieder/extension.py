@@ -43,9 +43,12 @@ class DerPairRepresentation:
         self.K = K
         self.rho_t = list(rho_t)
         self.mu_t = list(mu_t)
-        assert K.rows == K.cols == dim_v
-        assert all(m.rows == m.cols == dim_v for m in self.rho_t + self.mu_t)
-        assert len(self.rho_t) == len(self.mu_t)
+        if not K.rows == K.cols == dim_v:
+            raise ValueError(f"K must be {dim_v} x {dim_v}")
+        if not all(m.rows == m.cols == dim_v for m in self.rho_t + self.mu_t):
+            raise ValueError(f"rho_t and mu_t must be {dim_v} x {dim_v} matrices")
+        if len(self.rho_t) != len(self.mu_t):
+            raise ValueError("rho_t and mu_t must have one matrix per basis vector of g")
 
     @property
     def dim_g(self) -> int:
@@ -69,7 +72,8 @@ REP_TAGS = ("rep-axiom-1", "rep-axiom-2", "extension-rep-1", "extension-rep-2")
 def derpair_representation_report(base: RegularPair, r: DerPairRepresentation) -> dict:
     """Per-equation validation of a module over a regular pair."""
     a = base.algebra
-    assert r.dim_g == a.dim
+    if r.dim_g != a.dim:
+        raise ValueError(f"module over dim g = {r.dim_g}, base pair has dim g = {a.dim}")
     failed = list(representation_report(a, r.plain())["failed"])
     for i in range(a.dim):
         dcol = base.D.col(i)
@@ -140,9 +144,12 @@ class ExtensionCocycle:
         self.dims = dims
         self.theta = theta
         self.xi = xi
-        assert theta.shape == MixedShape(1, 0, "g") and theta.target == "v"
-        assert xi.shape == MixedShape(0, 0, "g") and xi.target == "v"
-        assert theta.dims == dims and xi.dims == dims
+        if theta.shape != MixedShape(1, 0, "g") or theta.target != "v":
+            raise ValueError("theta must be a V-valued map on g tensor g")
+        if xi.shape != MixedShape(0, 0, "g") or xi.target != "v":
+            raise ValueError("xi must be a V-valued map on g")
+        if theta.dims != dims or xi.dims != dims:
+            raise ValueError(f"theta and xi must be over {dims}")
 
     @staticmethod
     def from_matrices(dims: SplitDims, theta_table, xi: Matrix) -> "ExtensionCocycle":
@@ -196,8 +203,10 @@ class AbelianExtension:
         self.iota = iota
         self.proj = proj
         n = total.algebra.dim
-        assert iota.rows == n and proj.cols == n
-        assert proj.rows + iota.cols == n
+        if iota.rows != n or proj.cols != n:
+            raise ValueError(f"iota must have {n} rows and proj {n} columns")
+        if proj.rows + iota.cols != n:
+            raise ValueError(f"dim g + dim V must be {n}, got {proj.rows} + {iota.cols}")
 
     @property
     def dim_g(self) -> int:

@@ -169,12 +169,20 @@ def conjugated_regular(a: PreLieAlgebra, t: Matrix, t_inv: Matrix) -> Representa
     return Representation(a.dim, rho, mu)
 
 
-def unipotent(rng: Random, n: int):
-    """A random upper unipotent matrix and its exact inverse."""
+def small_int(rng: Random) -> int:
+    return rng.choice((-2, -1, 1, 2))
+
+
+def unipotent(rng: Random, n: int, draw=rational):
+    """A random upper unipotent matrix and its exact inverse.
+
+    It is a product of elementary row operations, each adding draw(rng)
+    times a later row; with draw=small_int both are integer matrices.
+    """
     t = Matrix.identity(n)
     for i in range(n):
         for j in range(i + 1, n):
-            c = rational(rng)
+            c = draw(rng)
             rows = [list(r) for r in t.entries]
             for k in range(n):
                 rows[i][k] += c * rows[j][k]
@@ -185,6 +193,38 @@ def unipotent(rng: Random, n: int):
         cols.append(solve(t, e))
     inv = Matrix(n, n, [[cols[c][r] for c in range(n)] for r in range(n)])
     return t, inv
+
+
+def rebased_pair(p: DerPair, t: Matrix, t_inv: Matrix, s: Matrix, s_inv: Matrix) -> DerPair:
+    """The same pair written in the basis of the columns of t on g and of s on V.
+
+    e'_i . e'_j = t^-1 (t e_i . t e_j), rho'(e'_i) = s^-1 rho(t e_i) s, the
+    same for mu, and D' = s^-1 D t. An isomorphic pair, so its cohomology
+    is the same, while sparse structure data turns dense.
+    """
+    a, n = p.algebra, p.algebra.dim
+    cols = [t.col(i) for i in range(n)]
+    table = [[t_inv.matvec(a.prod(cols[i], cols[j])) for j in range(n)] for i in range(n)]
+
+    def move(mats):
+        out = []
+        for x in cols:
+            m = Matrix.zeros(s.rows, s.rows)
+            for k, c in enumerate(x):
+                if c:
+                    m = m + mats[k].scale(c)
+            out.append(s_inv * m * s)
+        return out
+
+    rep = Representation(p.rep.dim_v, move(p.rep.rho), move(p.rep.mu))
+    return DerPair(PreLieAlgebra(n, table), rep, s_inv * p.D * t)
+
+
+def dense_copy(rng: Random, p: DerPair) -> DerPair:
+    """p under random integer unipotent basis changes of g and of V."""
+    t, t_inv = unipotent(rng, p.algebra.dim, small_int)
+    s, s_inv = unipotent(rng, p.rep.dim_v, small_int)
+    return rebased_pair(p, t, t_inv, s, s_inv)
 
 
 def regular_pairs(rng: Random) -> list:

@@ -1,7 +1,8 @@
 """Independent reference implementations the test suite checks against.
 
 Nothing here imports the modules it is used to verify beyond plain data
-types: ranks and span membership come from sympy, the low-arity bracket
+types: ranks and span membership come from sympy, or for matrices too
+large for it from elimination modulo a large prime, the low-arity bracket
 formulas are the classical closed forms written out by hand, and the
 associator identity characterizes the bracket through its defining
 property. The general composition and left symmetry are walked densely
@@ -43,6 +44,44 @@ def sympy_solve(m: Matrix, b):
         return None
     sol = sol.subs({p: 0 for p in params})
     return tuple(Fraction(int(sympy.fraction(x)[0]), int(sympy.fraction(x)[1])) for x in sol)
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+def rank_mod_p(rows, cols: int, p: int = MERSENNE_61) -> int:
+    """Rank over Z/p of the matrix with the given {column: Fraction} rows.
+
+    Every entry n/d becomes n * d^-1 mod p, so p must divide no
+    denominator; the result is then a lower bound on the rank over Q,
+    equal to it unless p divides every nonzero maximal minor. Rows are
+    reduced one at a time against a basis of unit-leading rows, each
+    kept once by its leading column.
+    """
+    basis = {}
+    for row in rows:
+        v = {}
+        for j, x in row.items():
+            x = Fraction(x)
+            y = x.numerator * pow(x.denominator, -1, p) % p
+            if y:
+                v[j] = y
+        while v:
+            lead = min(v)
+            b = basis.get(lead)
+            if b is None:
+                inv = pow(v[lead], -1, p)
+                basis[lead] = {j: y * inv % p for j, y in v.items()}
+                break
+            f = v[lead]
+            for j, y in b.items():
+                z = (v.get(j, 0) - f * y) % p
+                if z:
+                    v[j] = z
+                else:
+                    v.pop(j, None)
+    assert all(0 <= j < cols for j in basis)
+    return len(basis)
 
 
 def in_span(vectors, v) -> bool:

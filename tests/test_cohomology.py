@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from random import Random
 
@@ -11,6 +12,7 @@ from prelieder import (
     DerPairRepresentation,
     Matrix,
     RegularPair,
+    Representation,
     TwoSlotCochain,
     cohomology_dim,
     differential_matrix,
@@ -41,8 +43,16 @@ from prelieder.cohomology import (
 )
 from prelieder.prelie import regular_representation
 
-from conftest import random_mixed, shift_algebra
-from oracles import sympy_rank
+from conftest import (
+    dense_copy,
+    direct_sum,
+    idempotent_line,
+    random_derivation,
+    random_mixed,
+    shift_algebra,
+    triangular_algebra,
+)
+from oracles import rank_mod_p, sympy_rank
 
 
 def golden_pair() -> DerPair:
@@ -347,6 +357,92 @@ def test_cohomology_dim_builds_no_dense_matrix(pair_corpus, regular_corpus, monk
 
 # ----------------------------------------------------------------------
 # long exact sequence on the corpus
+
+
+def test_les_check_ranks_each_differential_once(pair_corpus, monkeypatch):
+    # Complex.rank runs the kernel once per (complex, degree); les_check asks
+    # for the same ranks again from cohomology_dim and _induced_rank
+    requested, kernel_calls, rank_calls, inside = set(), [0], [0], [False]
+    real_rank, real_sparse = Complex.rank, prelieder.cohomology.sparse_rank
+
+    def rank(self, n):
+        rank_calls[0] += 1
+        if n >= 1:
+            requested.add((self, n))
+        inside.append(True)
+        try:
+            return real_rank(self, n)
+        finally:
+            inside.pop()
+
+    def sparse_rank(rows, cols):
+        kernel_calls[0] += inside[-1]
+        return real_sparse(rows, cols)
+
+    p = next(p for p in pair_corpus if (p.dims.dim_g, p.dims.dim_v) == (3, 2))
+    want = les_check(p, 3)
+    monkeypatch.setattr(Complex, "rank", rank)
+    monkeypatch.setattr(prelieder.cohomology, "sparse_rank", sparse_rank)
+    assert les_check(p, 3) == want
+    assert kernel_calls[0] == len(requested) > 0
+    assert rank_calls[0] > 2 * kernel_calls[0]
+
+
+def _d_squared_is_zero(cx: Complex, n: int) -> bool:
+    """d_(n+1) d_n = 0, composed exactly on the sparse rows."""
+    inner = cx._rows(n)[0]
+    for row in cx._rows(n + 1)[0]:
+        acc = {}
+        for k, x in row.items():
+            for j, y in inner[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _nnz(cx: Complex, n: int) -> int:
+    return sum(map(len, cx._rows(n)[0]))
+
+
+def test_dense_4_4_pair_complex_within_budget():
+    # the (4,4) pair: tri+line with its regular module, under integer
+    # unipotent basis changes; dim C^n = 32, 208, 512, 608, 352, 80
+    rng = Random(1)
+    a = direct_sum(triangular_algebra(), idempotent_line(1))
+    reg = regular_representation(a)
+    sparse = DerPair(a, reg, random_derivation(a, reg.rho, reg.mu, 4, rng))
+    cx = Complex("pair", dense_copy(rng, sparse))
+    degrees = range(1, 7)
+    t0 = time.perf_counter()
+    zbh = [cx.cohomology_dim(n) for n in degrees]
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, f"dense (4,4) pair complex took {elapsed:.1f}s, budget 5s"
+    assert [cx.dim(n) for n in range(1, 8)] == [32, 208, 512, 608, 352, 80, 0]
+    # an isomorphic copy: the same cohomology as the sparse original, from
+    # differentials with more nonzeros
+    orig = Complex("pair", sparse)
+    assert zbh == [orig.cohomology_dim(n) for n in degrees]
+    assert _nnz(cx, 3) > 2 * _nnz(orig, 3)
+    for n in degrees:
+        assert cx.rank(n) == rank_mod_p(*cx._rows(n)), n
+        assert _d_squared_is_zero(cx, n), n
+
+
+def test_dense_3_2_pair_complex_matches_sympy():
+    # upper triangular 2x2 matrices acting on column vectors, mu = 0
+    rng = Random(3)
+    a = triangular_algebra()
+    units = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]]
+    rep = Representation(2, [Matrix(2, 2, e) for e in units], [Matrix.zeros(2, 2)] * 3)
+    p = DerPair(a, rep, random_derivation(a, rep.rho, rep.mu, 2, rng))
+    cx = Complex("pair", dense_copy(rng, p))
+    n = 1
+    while cx.dim(n):
+        assert cx.rank(n) == sympy_rank(cx.d(n)) == rank_mod_p(*cx._rows(n)), n
+        assert cx.cohomology_dim(n) == Complex("pair", p).cohomology_dim(n), n
+        n += 1
+    assert n == 6
 
 
 def test_les_exact_on_small_corpus(pair_corpus):

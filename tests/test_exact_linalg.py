@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from random import Random
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from prelieder import Matrix, kernel_basis, rank, rref, solve
 from prelieder.exact_linalg import (
+    _copy,
+    _reduce,
     columns_matrix,
     sparse_kernel,
     sparse_matvec,
@@ -22,7 +25,7 @@ from prelieder.exact_linalg import (
     zero_vec,
 )
 
-from oracles import in_span, sympy_matrix, sympy_nullity, sympy_rank
+from oracles import in_span, sympy_matrix, sympy_nullity, sympy_rank, sympy_solve
 
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
@@ -152,6 +155,112 @@ def test_sparse_kernel_solve_and_matvec_match_the_dense_adapters(m, data):
     assert sparse_kernel(rows, m.cols) == kernel_basis(m)
     assert sparse_solve(rows, m.cols, b) == solve(m, b)
     assert rows == copy
+
+
+WIDE = 2**64
+# int and Fraction entries with numerators and denominators up to 2^64;
+# zeros of both types are kept as explicit entries
+wide_entries = st.one_of(
+    st.sampled_from([0, Fraction(0)]),
+    st.integers(-WIDE, WIDE),
+    st.builds(Fraction, st.integers(-WIDE, WIDE), st.integers(1, WIDE)),
+)
+
+
+@st.composite
+def wide_rows(draw, max_dim=6):
+    """(rows as {column: entry}, cols): either free entries or the product of
+    two wide factors through a smaller inner dimension, so that the rank
+    falls short and elimination must cancel products of 2^64-sized numbers
+    exactly, with the content of the rows growing before it is divided out."""
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+
+    def block(r, c):
+        return [[draw(wide_entries) for _ in range(c)] for _ in range(r)]
+
+    if draw(st.booleans()):
+        ent = block(rows, cols)
+    else:
+        inner = draw(st.integers(0, max(min(rows, cols) - 1, 0)))
+        a, b = block(rows, inner), block(inner, cols)
+        ent = [[sum((a[i][k] * b[k][j] for k in range(inner)), 0) for j in range(cols)] for i in range(rows)]
+        # mix the types back in: whole-number products become ints
+        ent = [[int(x) if Fraction(x).denominator == 1 else x for x in row] for row in ent]
+    return [dict(enumerate(row)) for row in ent], cols
+
+
+def _sympy_kernel(m: Matrix) -> list:
+    """sympy's nullspace: the free variable 1, the others 0, as Fractions."""
+    if m.rows == 0:
+        return [tuple(Fraction(int(i == j)) for i in range(m.cols)) for j in range(m.cols)]
+    return [tuple(Fraction(int(x.p), int(x.q)) for x in v) for v in sympy_matrix(m).nullspace()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(wide_rows(), st.data())
+def test_wide_coefficients_match_sympy(rc, data):
+    rows, cols = rc
+    copy = [dict(r) for r in rows]
+    m = Matrix(len(rows), cols, [[r[j] for j in range(cols)] for r in rows])
+    rk = sympy_rank(m)
+    assert rank(m) == sparse_rank(rows, cols) == rk
+    r, rk_r, pivots = rref(m)
+    assert rk_r == rk
+    if m.rows and m.cols:
+        want, want_pivots = sympy_matrix(m).rref()
+        assert sympy_matrix(r) == want
+        assert pivots == tuple(want_pivots)
+    kernel = _sympy_kernel(m)
+    assert kernel_basis(m) == sparse_kernel(rows, cols) == kernel
+    x = data.draw(st.lists(wide_entries, min_size=cols, max_size=cols))
+    b = m.matvec(x) if data.draw(st.booleans()) else data.draw(
+        st.lists(wide_entries, min_size=m.rows, max_size=m.rows)
+    )
+    assert sparse_matvec(rows, x) == m.matvec(x)
+    want = sympy_solve(m, b)
+    assert solve(m, b) == sparse_solve(rows, cols, b) == want
+    assert rows == copy
+
+
+FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__mod__", "__rmod__", "__pow__", "__rpow__", "__neg__", "__abs__",
+)
+
+
+def _no_fraction_arithmetic(*args):
+    raise AssertionError("Fraction arithmetic in the elimination kernel")
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_rows(), st.lists(wide_entries, min_size=6, max_size=6))
+def test_kernel_runs_on_primitive_integer_rows(rc, b):
+    rows, cols = rc
+    b = b[: len(rows)]
+    m = Matrix(len(rows), cols, [[r[j] for j in range(cols)] for r in rows])
+    want = (rank(m), rref(m), kernel_basis(m), solve(m, b), sparse_kernel(rows, cols), sparse_solve(rows, cols, b))
+    # the entry copy: each nonzero row times a rational, an integer row of content 1
+    ints = _copy(rows)
+    nonzero = [r for r in rows if any(r.values())]
+    assert len(ints) == len(nonzero)
+    for src, row in zip(nonzero, ints):
+        assert row.keys() == {k for k, x in src.items() if x}
+        assert all(type(x) is int for x in row.values()) and gcd(*row.values()) == 1
+        k = next(iter(row))
+        assert all(row[j] * Fraction(src[k]) == row[k] * Fraction(src[j]) for j in row)
+    pivots, reduced = _reduce(ints, cols)
+    for c, row in zip(pivots, reduced):
+        assert all(type(x) is int for x in row.values()) and gcd(*row.values()) == 1
+        assert not any(j in row for j in pivots if j != c)
+    # with every Fraction operator disabled, ranks, reduced forms, kernels
+    # and solves still come out: Fractions are only built, at read-off
+    with pytest.MonkeyPatch.context() as mp:
+        for name in FRACTION_ARITHMETIC:
+            mp.setattr(Fraction, name, _no_fraction_arithmetic)
+        got = (rank(m), rref(m), kernel_basis(m), solve(m, b), sparse_kernel(rows, cols), sparse_solve(rows, cols, b))
+    assert got == want
 
 
 def test_sparse_rank_takes_explicit_zeros_and_cancelling_rows():

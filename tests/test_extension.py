@@ -7,8 +7,12 @@ extensions are isomorphic over (g, V) exactly when the cocycles differ
 by a coboundary.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -365,3 +369,51 @@ def test_validate_extension_tag_granularity():
     solved = Matrix(2, 2, [list(zeta.row(2))[:2], list(zeta.row(3))[:2]])
     back = coboundary_cocycle(b, r, solved)
     assert back.theta == cb.theta and back.xi == cb.xi
+
+
+def test_shape_checks_are_value_errors_under_optimize():
+    # python -O strips assert statements; the shape checks of modules,
+    # extension cocycles and extensions must not be asserts
+    script = (
+        "from prelieder import (AbelianExtension, DerPairRepresentation, ExtensionCocycle, Matrix,\n"
+        "    PreLieAlgebra, RegularPair, derpair_representation_report)\n"
+        "from prelieder.cochain import MixedMap, MixedShape, SplitDims\n"
+        "from prelieder.cohomology import _component_specs, _unflatten\n"
+        "shift = PreLieAlgebra(2, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]])\n"
+        "base = RegularPair(shift, Matrix.zeros(2, 2))\n"
+        "z1, z2 = Matrix.zeros(1, 1), Matrix.zeros(2, 2)\n"
+        "dims = SplitDims(2, 1)\n"
+        "theta = MixedMap(dims, MixedShape(1, 0, 'g'), 'v')\n"
+        "xi = MixedMap(dims, MixedShape(0, 0, 'g'), 'v')\n"
+        "cases = [\n"
+        "    lambda: DerPairRepresentation(1, z2, [z1, z1], [z1, z1]),\n"
+        "    lambda: DerPairRepresentation(1, z1, [z1, z2], [z1, z1]),\n"
+        "    lambda: DerPairRepresentation(1, z1, [z1, z1], [z1]),\n"
+        "    lambda: derpair_representation_report(base, DerPairRepresentation(1, z1, [z1], [z1])),\n"
+        "    lambda: ExtensionCocycle(dims, xi, xi),\n"
+        "    lambda: ExtensionCocycle(dims, theta, theta),\n"
+        "    lambda: ExtensionCocycle(SplitDims(2, 2), theta, xi),\n"
+        "    lambda: AbelianExtension(base, Matrix(3, 1, [[0], [0], [1]]), Matrix(1, 2, [[1, 0]])),\n"
+        "    lambda: AbelianExtension(base, Matrix(2, 1, [[0], [1]]), Matrix(2, 2, [[1, 0], [0, 1]])),\n"
+        "]\n"
+        "for bad in cases:\n"
+        "    try:\n"
+        "        bad()\n"
+        "    except ValueError as e:\n"
+        "        print(type(e).__name__)\n"
+        "    else:\n"
+        "        print('accepted')\n"
+        "try:\n"
+        "    _unflatten(dims, _component_specs('rep', 2), [0] * 5)\n"
+        "except RuntimeError as e:\n"
+        "    print(type(e).__name__)\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ValueError"] * 9 + ["RuntimeError"]
