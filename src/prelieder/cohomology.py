@@ -806,9 +806,9 @@ class Complex:
     read off the forward phase of an elimination of a copy of those
     rows, once per degree and kept; cocycle bases and preimages come off
     the reduced rows of both phases, and coboundaries are sparse
-    products. C^n is the zero space for
-    n < 1. Cochains go in and out as lists of blocks in the layout
-    order, so callers never handle coordinates.
+    products. C^n is the zero space for n < 1. Cochains go in and out as
+    lists of blocks in the layout order, so callers never handle
+    coordinates.
     """
 
     def __init__(self, complex_id: str, data):

@@ -221,6 +221,8 @@ def _eliminate(row: dict, c: int, piv: dict) -> None:
     With a = row[c], p = piv[c] and g = gcd(a, p) of the sign of p,
     row := (p/g) row - (a/g) piv, which cancels column c and drops any
     other entry that cancels; then the row's content is divided out.
+    The sign makes p/g positive, so the row is not scaled at all when p
+    divides a.
     """
     p = piv[c]
     g = gcd(row[c], p)

@@ -53,8 +53,8 @@ def rank_mod_p(rows, cols: int, p: int = MERSENNE_61) -> int:
     """Rank over Z/p of the matrix with the given {column: Fraction} rows.
 
     Every entry n/d becomes n * d^-1 mod p, so p must divide no
-    denominator; the result is then a lower bound on the rank over Q,
-    equal to it unless p divides every nonzero maximal minor. Rows are
+    denominator; the result is then a lower bound on the rank r over Q,
+    equal to it unless p divides every r x r minor. Rows are
     reduced one at a time against a basis of unit-leading rows, each
     kept once by its leading column.
     """
