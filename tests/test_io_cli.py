@@ -120,6 +120,171 @@ def test_parse_rejects_malformed_documents():
         parse(doc_bytes(table=[[["0", "0"], ["1/0", "1"]], [["0", "0"], ["0", "0"]]]))
 
 
+DROP = object()
+
+
+def corpus_doc(name, *edits):
+    """A corpus document with edits applied: (key path, value), DROP deletes."""
+    doc = json.loads((REPO / "corpus" / f"{name}.json").read_text())
+    for keys, value in edits:
+        *head, last = keys
+        node = doc
+        for k in head:
+            node = node[k]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return doc
+
+
+def entry(wedge, tail, value):
+    return {"wedge": wedge, "tail": tail, "value": value}
+
+
+FULL_VALUE = ["1", "0", "0", "0"]
+TWO_SLOT_VALUE = ["1", "0"]
+
+# One malformed document per ParseError site reachable from parse, plus
+# the field paths of the payload parsers, each with its exact message.
+MALFORMED = [
+    ("scalar-type", corpus_doc("prelie_shift", (("table", 0, 1, 1), 1.5)),
+     "$.table[0][1][1]: expected a rational string, got float"),
+    ("scalar-invalid", corpus_doc("prelie_shift", (("table", 0, 1, 0), "1/0")),
+     "$.table[0][1][0]: invalid rational '1/0'"),
+    ("not-an-object", corpus_doc("module_regular", (("algebra",), [])),
+     "$.algebra: expected an object"),
+    ("unknown-field", corpus_doc("prelie_shift", (("extra",), 1)),
+     "$: unknown field 'extra'"),
+    ("not-a-list", corpus_doc("prelie_shift", (("table",), "x")),
+     "$.table: expected a list"),
+    ("wrong-length", corpus_doc("prelie_shift", (("table", 0, 1), ["0", "1", "0"])),
+     "$.table[0][1]: expected length 2, got 3"),
+    ("missing-field", corpus_doc("pair_shift", (("D",), DROP)),
+     "$: missing field 'D'"),
+    ("not-an-integer", corpus_doc("prelie_shift", (("dim",), "2")),
+     "$.dim: expected an integer"),
+    ("dim-positive", corpus_doc("prelie_shift", (("dim",), 0), (("table",), [])),
+     "$.dim: must be positive"),
+    ("not-json", b"{nope",
+     "$: not valid JSON (Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1))"),
+    ("not-a-json-object", b"[1, 2]", "$: expected a JSON object"),
+    ("unknown-kind", {"kind": "group"},
+     "$.kind: expected one of prelie, representation, derivation, derpair, "
+     "cochain, deformation, extension"),
+    ("prelie-no-table", corpus_doc("prelie_shift", (("table",), DROP)),
+     "$.table: expected a list"),
+    ("prelie-no-dim", corpus_doc("prelie_shift", (("dim",), DROP)),
+     "$.dim: expected an integer"),
+    ("representation-dim-v", corpus_doc("module_regular", (("dim_v",), 0)),
+     "$.dim_v: must be positive"),
+    ("representation-no-dim-v", corpus_doc("module_regular", (("dim_v",), DROP)),
+     "$: missing field 'dim_v'"),
+    ("representation-rho-count", corpus_doc("module_regular", (("rho",), [[["0", "0"], ["0", "1"]]])),
+     "$.rho: expected length 2, got 1"),
+    ("representation-mu-row", corpus_doc("module_regular", (("mu", 1, 0), ["0"])),
+     "$.mu[1][0]: expected length 2, got 1"),
+    ("representation-K", corpus_doc("module_regular", (("K",), [["0", "0"]])),
+     "$.K: expected length 2, got 1"),
+    ("representation-algebra-table",
+     corpus_doc("module_regular", (("algebra", "table", 1, 1, 0), "1/0")),
+     "$.algebra.table[1][1][0]: invalid rational '1/0'"),
+    ("derivation-shape", corpus_doc("derivation_section", (("rows",), -1)),
+     "$: negative shape"),
+    ("derivation-matrix", corpus_doc("derivation_section", (("matrix", 2), ["0"])),
+     "$.matrix[2]: expected length 2, got 1"),
+    ("derpair-rho-without-mu", corpus_doc("pair_module", (("mu",), DROP)),
+     "$: rho and mu must appear together"),
+    ("derpair-dim-v", corpus_doc("pair_module", (("dim_v",), 0)),
+     "$.dim_v: must be positive"),
+    ("derpair-no-dim-v", corpus_doc("pair_module", (("dim_v",), DROP)),
+     "$: missing field 'dim_v'"),
+    ("derpair-regular-dim-v", corpus_doc("pair_shift", (("dim_v",), 1)),
+     "$.dim_v: only allowed with explicit rho and mu"),
+    ("derpair-rho-matrix", corpus_doc("pair_module", (("rho", 0), [["1"], ["0"]])),
+     "$.rho[0]: expected length 1, got 2"),
+    ("derpair-module-D", corpus_doc("pair_module", (("D",), [["0", "1"], ["0", "0"]])),
+     "$.D: expected length 1, got 2"),
+    ("derpair-regular-D", corpus_doc("pair_shift", (("D", 1), ["0"])),
+     "$.D[1]: expected length 2, got 1"),
+    ("derpair-algebra-field", corpus_doc("pair_shift", (("algebra", "kind"), "prelie")),
+     "$.algebra: unknown field 'kind'"),
+    ("wedge-negative", corpus_doc("cochain_structure", (("entries",), [entry([-1], 0, FULL_VALUE)])),
+     "$.entries[0].wedge: negative index"),
+    ("wedge-order", corpus_doc("cochain_structure", (("arity",), 3),
+                               (("entries",), [entry([1, 0], 0, FULL_VALUE)])),
+     "$.entries[0].wedge: must be strictly increasing"),
+    ("tail-negative", corpus_doc("cochain_structure", (("entries",), [entry([0], -1, FULL_VALUE)])),
+     "$.entries[0].tail: negative index"),
+    ("entry-no-value", corpus_doc("cochain_structure", (("entries", 0, "value"), DROP)),
+     "$.entries[0]: missing field 'value'"),
+    ("entry-value-length", corpus_doc("cochain_structure", (("entries", 0, "value"), ["1"])),
+     "$.entries[0].value: expected length 4, got 1"),
+    ("full-dimensions", corpus_doc("cochain_structure", (("dim_g",), 0)),
+     "$: bad dimensions"),
+    ("full-arity", corpus_doc("cochain_structure", (("arity",), 0)),
+     "$.arity: must be at least 1"),
+    ("full-wedge-count", corpus_doc("cochain_structure", (("entries",), [entry([], 0, FULL_VALUE)])),
+     "$.entries[0].wedge: expected 1 indices"),
+    ("full-index-range", corpus_doc("cochain_structure", (("entries",), [entry([4], 0, FULL_VALUE)])),
+     "$.entries[0]: index out of range for total dimension 4"),
+    ("full-duplicate", corpus_doc("cochain_structure", (("entries", 2, "wedge"), [0])),
+     "$.entries[2]: duplicate key"),
+    ("component-wedge-count", corpus_doc("cocycle_zero", (("f",), [entry([], 0, TWO_SLOT_VALUE)])),
+     "$.f[0].wedge: expected 1 indices"),
+    ("component-wedge-range", corpus_doc("cocycle_zero", (("f",), [entry([2], 0, TWO_SLOT_VALUE)])),
+     "$.f[0].wedge: index out of range"),
+    ("component-tail-range", corpus_doc("cocycle_zero", (("theta",), [entry([], 2, TWO_SLOT_VALUE)])),
+     "$.theta[0].tail: index out of range"),
+    ("component-duplicate",
+     corpus_doc("cocycle_coboundary", (("f", 1, "wedge"), [0])),
+     "$.f[1]: duplicate key"),
+    ("two-slot-dimensions", corpus_doc("cocycle_zero", (("dim_v",), 0)),
+     "$: bad dimensions"),
+    ("two-slot-degree", corpus_doc("cocycle_zero", (("degree",), 0)),
+     "$.degree: must be at least 1"),
+    ("two-slot-target", corpus_doc("cocycle_zero", (("target",), "w")),
+     "$.target: expected 'g' or 'v'"),
+    ("two-slot-theta-degree-1",
+     corpus_doc("cocycle_zero", (("degree",), 1), (("theta",), [entry([], 0, TWO_SLOT_VALUE)])),
+     "$.theta: must be empty at degree 1"),
+    ("cochain-format", corpus_doc("cocycle_zero", (("format",), "sparse")),
+     "$.format: expected 'full' or 'two-slot'"),
+    ("deformation-dimensions", corpus_doc("deformation_zero", (("dim_g",), 0)),
+     "$: bad dimensions"),
+    ("deformation-omega-row", corpus_doc("deformation_zero", (("omega", 1), [["0", "0"]])),
+     "$.omega[1]: expected length 2, got 1"),
+    ("deformation-omega-scalar", corpus_doc("deformation_zero", (("omega", 0, 1, 0), "x")),
+     "$.omega[0][1][0]: invalid rational 'x'"),
+    ("deformation-sigma-count", corpus_doc("deformation_zero", (("sigma",), [[["0", "0"], ["0", "0"]]])),
+     "$.sigma: expected length 2, got 1"),
+    ("deformation-tau-row", corpus_doc("deformation_zero", (("tau", 1, 1), ["0"])),
+     "$.tau[1][1]: expected length 2, got 1"),
+    ("deformation-no-dhat", corpus_doc("deformation_zero", (("dhat",), DROP)),
+     "$: missing field 'dhat'"),
+    ("extension-iota-width", corpus_doc("extension_semidirect", (("iota",), [[], [], [], []])),
+     "$.iota: needs between 1 and 3 columns"),
+    ("extension-total-D", corpus_doc("extension_semidirect", (("total", "D"), DROP)),
+     "$.total: missing field 'D'"),
+    ("extension-total-table",
+     corpus_doc("extension_semidirect", (("total", "algebra", "table", 0, 0, 0), True)),
+     "$.total.algebra.table[0][0][0]: expected a rational string, got bool"),
+    ("extension-proj", corpus_doc("extension_semidirect", (("proj",), [["1", "0", "0", "0"]])),
+     "$.proj: expected length 2, got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,message", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
+)
+def test_parse_error_messages(doc, message):
+    data = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+    with pytest.raises(ParseError) as info:
+        parse(data)
+    assert str(info.value) == message
+
+
 def test_parse_derpair_field_rules():
     alg = {"dim": 1, "table": [[["0"]]]}
     base = {"kind": "derpair", "algebra": alg, "D": [["0"]]}
@@ -332,6 +497,93 @@ def test_cli_math_false_paths(tmp_path, capsys):
     if code != 1:
         # the datum may happen to be valid for this pair; force a failure
         pytest.fail(f"expected exit 1, got {code}: {captured.out}")
+
+
+def corpus_path(name):
+    return str(REPO / "corpus" / f"{name}.json")
+
+
+def written(args, tmp_path):
+    """argv with each document (a dict) written to a file under tmp_path."""
+    argv = []
+    for k, a in enumerate(args):
+        if isinstance(a, dict):
+            path = tmp_path / f"arg{k}.json"
+            path.write_text(json.dumps(a))
+            a = str(path)
+        argv.append(a)
+    return argv
+
+
+BAD_PAIR = corpus_doc("pair_shift", (("D",), [["0", "1"], ["0", "0"]]))
+BAD_DATUM = corpus_doc("deformation_zero", (("dhat", 0, 0), "1"))
+BAD_COCYCLE = corpus_doc("cocycle_coboundary", (("theta",), [entry([], 0, TWO_SLOT_VALUE)]))
+NOT_A_SECTION = corpus_doc("derivation_section", (("matrix",), [["0", "0"]] * 4))
+
+# A ValueError from the library is a mathematically false input: exit 1
+# with an error report, in text and in JSON.
+REFUSALS = [
+    (["deform", "class", corpus_path("pair_shift"), BAD_DATUM, corpus_path("deformation_zero")],
+     {"command": "deform-class", "same_class": False},
+     "input datum is not a 2-cocycle of the pair"),
+    (["ext", "build", corpus_path("pair_shift"), corpus_path("module_regular"), BAD_COCYCLE],
+     {"command": "ext-build", "ok": False},
+     "(theta, xi) is not a 2-cocycle of the module complex"),
+    (["ext", "extract", corpus_path("extension_semidirect"), "--section", NOT_A_SECTION],
+     {"command": "ext-extract", "ok": False},
+     "not a section of the projection"),
+    (["ext", "classify", corpus_path("pair_shift"), corpus_path("module_regular"), BAD_COCYCLE,
+      corpus_path("cocycle_zero")],
+     {"command": "ext-classify", "same_class": False},
+     "input is not a 2-cocycle of the module complex"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,report,error", REFUSALS, ids=[report["command"] for _, report, _ in REFUSALS]
+)
+def test_library_refusals_exit_1_with_an_error_report(args, report, error, tmp_path, capsys):
+    argv = written(args, tmp_path)
+    assert cli_run(argv) == 1
+    assert capsys.readouterr() == (f"error: {error}\n", "")
+    assert cli_run(argv + ["--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {**report, "error": error}
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+# Command-level refusals: exit 2, one stderr line, nothing on stdout.
+USAGE_ERRORS = [
+    (["les", BAD_PAIR, "--max", "2"], "{argv[1]}: not a valid pair (derivation-axiom)"),
+    (["deform", "check", BAD_PAIR, corpus_path("deformation_zero")],
+     "{argv[2]}: not a valid pair (derivation-axiom)"),
+    (["les", corpus_path("pair_shift"), "--max", "0"], "--max must be at least 1"),
+    (["cohomology", corpus_path("pair_module"), "--complex", "regular", "--degree", "1"],
+     "{argv[1]}: this command needs a regular pair (no explicit rho/mu)"),
+    (["cohomology", corpus_path("pair_shift"), "--complex", "rep", "--degree", "1",
+      "--rep", corpus_doc("module_regular", (("K",), DROP))],
+     "{argv[7]}: module documents need the field K"),
+    (["cohomology", corpus_path("pair_shift"), "--complex", "rep", "--degree", "1"],
+     "--complex rep needs --rep <module.json>"),
+    (["mc", corpus_path("prelie_shift")], "{argv[1]}: expected a derpair document, got prelie"),
+    (["bracket", corpus_path("cocycle_zero"), corpus_path("cochain_structure")],
+     "bracket needs two full-format cochains"),
+    (["deform", "check", corpus_path("pair_module"), corpus_path("deformation_zero")],
+     "datum dimensions do not match the base pair"),
+    (["ext", "extract", corpus_path("extension_semidirect"), "--section",
+      corpus_doc("derivation_section", (("rows",), 2), (("matrix",), [["1", "0"], ["0", "1"]]))],
+     "section has the wrong shape"),
+    (["validate", corpus_doc("prelie_shift", (("dim",), 0), (("table",), []))],
+     "{argv[1]}: $.dim: must be positive"),
+]
+
+
+@pytest.mark.parametrize("args,message", USAGE_ERRORS)
+def test_command_refusals_exit_2(args, message, tmp_path, capsys):
+    argv = written(args, tmp_path)
+    assert cli_run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(argv=argv)}\n")
 
 
 def test_cli_reports_are_deterministic():
