@@ -1,9 +1,11 @@
 """JSON document format and the command-line surface.
 
 Document kinds: prelie, representation, derivation, derpair, cochain,
-deformation, extension. All scalars are exact rationals written as
-strings "p/q" or "n" (plain JSON integers are accepted on input and
-canonicalized to strings on output).
+deformation, extension. `DOCUMENTS` is the one place a kind is defined:
+its row holds the kind's parser, its emitter and its equation check.
+All scalars are exact rationals written as strings "p/q" or "n" (plain
+JSON integers are accepted on input and canonicalized to strings on
+output).
 
 A derpair document without explicit rho/mu is a regular pair: the
 algebra acts on itself by left and right multiplication and D is a
@@ -27,6 +29,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .cochain import Cochain, MixedMap, MixedShape, SplitDims
 from .cohomology import (
@@ -61,17 +64,8 @@ from .prelie import (
     Representation,
     is_derivation,
     is_prelie,
+    is_regular_pair,
     representation_report,
-)
-
-KINDS = (
-    "prelie",
-    "representation",
-    "derivation",
-    "derpair",
-    "cochain",
-    "deformation",
-    "extension",
 )
 
 
@@ -146,6 +140,25 @@ def emit_matrix(m: Matrix) -> list:
     return [emit_vector(row) for row in m.entries]
 
 
+def _parse_table(obj, dim, path) -> list:
+    """A dim x dim table of dim-vectors, as the structure constants of a product."""
+    table = []
+    for i, row in enumerate(_expect_list(obj, path, dim)):
+        row = _expect_list(row, f"{path}[{i}]", dim)
+        table.append([parse_vector(v, dim, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
+    return table
+
+
+def _parse_mats(obj, count, dim, path):
+    lst = _expect_list(obj, path, count)
+    return [parse_matrix(m, dim, dim, f"{path}[{i}]") for i, m in enumerate(lst)]
+
+
+def _dumps(payload) -> str:
+    """The canonical JSON text of documents and reports."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 # ---------------------------------------------------------------------------
 # per-kind payloads
 
@@ -155,14 +168,7 @@ def _parse_algebra(obj, path) -> PreLieAlgebra:
     dim = _int(_get(obj, "dim", path), f"{path}.dim")
     if dim < 1:
         raise ParseError(f"{path}.dim: must be positive")
-    tab = _expect_list(_get(obj, "table", path), f"{path}.table", dim)
-    table = []
-    for i, row in enumerate(tab):
-        row = _expect_list(row, f"{path}.table[{i}]", dim)
-        table.append(
-            [parse_vector(v, dim, f"{path}.table[{i}][{j}]") for j, v in enumerate(row)]
-        )
-    return PreLieAlgebra(dim, table)
+    return PreLieAlgebra(dim, _parse_table(_get(obj, "table", path), dim, f"{path}.table"))
 
 
 def _emit_algebra(a: PreLieAlgebra) -> dict:
@@ -172,16 +178,30 @@ def _emit_algebra(a: PreLieAlgebra) -> dict:
     }
 
 
-def _parse_mats(obj, count, dim, path):
-    lst = _expect_list(obj, path, count)
-    return [parse_matrix(m, dim, dim, f"{path}[{i}]") for i, m in enumerate(lst)]
+def _parse_action(raw, dim_g, path) -> Representation:
+    """The fields dim_v, rho and mu: one dim_v x dim_v matrix per basis vector of g."""
+    dim_v = _int(_get(raw, "dim_v", path), f"{path}.dim_v")
+    if dim_v < 1:
+        raise ParseError(f"{path}.dim_v: must be positive")
+    rho = _parse_mats(_get(raw, "rho", path), dim_g, dim_v, f"{path}.rho")
+    mu = _parse_mats(_get(raw, "mu", path), dim_g, dim_v, f"{path}.mu")
+    return Representation(dim_v, rho, mu)
+
+
+def _emit_action(dim_v, rho, mu) -> dict:
+    return {
+        "dim_v": dim_v,
+        "rho": [emit_matrix(m) for m in rho],
+        "mu": [emit_matrix(m) for m in mu],
+    }
 
 
 class Document:
     """Parsed document: kind plus the constructed domain object."""
 
     def __init__(self, kind: str, obj):
-        assert kind in KINDS
+        if kind not in DOCUMENTS:
+            raise ValueError(f"unknown document kind {kind!r}")
         self.kind = kind
         self.obj = obj
 
@@ -194,9 +214,20 @@ def parse(data: bytes) -> Document:
     if not isinstance(raw, dict):
         raise ParseError("$: expected a JSON object")
     kind = raw.get("kind")
-    if kind not in KINDS:
-        raise ParseError(f"$.kind: expected one of {', '.join(KINDS)}")
-    return Document(kind, _PARSERS[kind](raw, "$"))
+    if not isinstance(kind, str) or kind not in DOCUMENTS:
+        raise ParseError(f"$.kind: expected one of {', '.join(DOCUMENTS)}")
+    return Document(kind, DOCUMENTS[kind].parse(raw, "$"))
+
+
+def emit(doc: Document) -> bytes:
+    payload = {"kind": doc.kind, **DOCUMENTS[doc.kind].emit(doc.obj)}
+    return (_dumps(payload) + "\n").encode("utf-8")
+
+
+def validate_document(doc: Document) -> dict:
+    """Mathematical validation; structural checks already ran in parse."""
+    failed = DOCUMENTS[doc.kind].failed(doc.obj)
+    return {"ok": not failed, "failed": failed}
 
 
 def _parse_prelie(raw, path) -> PreLieAlgebra:
@@ -204,18 +235,31 @@ def _parse_prelie(raw, path) -> PreLieAlgebra:
     return _parse_algebra({"dim": raw.get("dim"), "table": raw.get("table")}, path)
 
 
+def _failed_prelie(a: PreLieAlgebra) -> list:
+    return [] if is_prelie(a) else ["prelie-left-symmetry"]
+
+
 def _parse_representation(raw, path):
     raw = _expect_dict(raw, path, ("kind", "algebra", "dim_v", "rho", "mu", "K"))
     a = _parse_algebra(_get(raw, "algebra", path), f"{path}.algebra")
-    dim_v = _int(_get(raw, "dim_v", path), f"{path}.dim_v")
-    if dim_v < 1:
-        raise ParseError(f"{path}.dim_v: must be positive")
-    rho = _parse_mats(_get(raw, "rho", path), a.dim, dim_v, f"{path}.rho")
-    mu = _parse_mats(_get(raw, "mu", path), a.dim, dim_v, f"{path}.mu")
+    rep = _parse_action(raw, a.dim, path)
     K = None
     if "K" in raw:
-        K = parse_matrix(raw["K"], dim_v, dim_v, f"{path}.K")
-    return (a, Representation(dim_v, rho, mu), K)
+        K = parse_matrix(raw["K"], rep.dim_v, rep.dim_v, f"{path}.K")
+    return (a, rep, K)
+
+
+def _emit_representation_doc(obj) -> dict:
+    a, rep, K = obj
+    out = {"algebra": _emit_algebra(a), **_emit_action(rep.dim_v, rep.rho, rep.mu)}
+    if K is not None:
+        out["K"] = emit_matrix(K)
+    return out
+
+
+def _failed_representation(obj) -> list:
+    a, rep, K = obj
+    return _failed_prelie(a) + representation_report(a, rep)["failed"]
 
 
 def _parse_derivation(raw, path) -> Matrix:
@@ -227,68 +271,81 @@ def _parse_derivation(raw, path) -> Matrix:
     return parse_matrix(_get(raw, "matrix", path), rows, cols, f"{path}.matrix")
 
 
+def _emit_derivation_doc(m: Matrix) -> dict:
+    return {"rows": m.rows, "cols": m.cols, "matrix": emit_matrix(m)}
+
+
 def _parse_derpair(raw, path):
     raw = _expect_dict(raw, path, ("kind", "algebra", "D", "dim_v", "rho", "mu"))
     a = _parse_algebra(_get(raw, "algebra", path), f"{path}.algebra")
     if ("rho" in raw) != ("mu" in raw):
         raise ParseError(f"{path}: rho and mu must appear together")
     if "rho" in raw:
-        dim_v = _int(_get(raw, "dim_v", path), f"{path}.dim_v")
-        if dim_v < 1:
-            raise ParseError(f"{path}.dim_v: must be positive")
-        rho = _parse_mats(raw["rho"], a.dim, dim_v, f"{path}.rho")
-        mu = _parse_mats(raw["mu"], a.dim, dim_v, f"{path}.mu")
-        D = parse_matrix(_get(raw, "D", path), dim_v, a.dim, f"{path}.D")
-        return DerPair(a, Representation(dim_v, rho, mu), D)
+        rep = _parse_action(raw, a.dim, path)
+        return DerPair(a, rep, parse_matrix(_get(raw, "D", path), rep.dim_v, a.dim, f"{path}.D"))
     if "dim_v" in raw:
         raise ParseError(f"{path}.dim_v: only allowed with explicit rho and mu")
-    D = parse_matrix(_get(raw, "D", path), a.dim, a.dim, f"{path}.D")
-    return RegularPair(a, D)
+    return RegularPair(a, parse_matrix(_get(raw, "D", path), a.dim, a.dim, f"{path}.D"))
 
 
-def _parse_entries(obj, path, keyspec):
-    """keyspec: list of (field, kind) with kind 'wedge' or 'tail'."""
-    entries = _expect_list(obj, path)
+def _emit_derpair_doc(p) -> dict:
+    out = {"algebra": _emit_algebra(p.algebra), "D": emit_matrix(p.D)}
+    if isinstance(p, DerPair):
+        out.update(_emit_action(p.rep.dim_v, p.rep.rho, p.rep.mu))
+    return out
+
+
+def _as_pair(p) -> DerPair:
+    """The pair, with the action (L, R) of a regular pair made explicit."""
+    return p.to_derpair() if isinstance(p, RegularPair) else p
+
+
+def _failed_derpair(p) -> list:
+    failed = _failed_prelie(p.algebra)
+    if isinstance(p, DerPair):
+        failed += representation_report(p.algebra, p.rep)["failed"]
+    if not is_derivation(_as_pair(p)):
+        failed.append("derivation-axiom")
+    return failed
+
+
+def _parse_dims(raw, path, min_v=1) -> SplitDims:
+    """The fields dim_g >= 1 and dim_v >= min_v."""
+    dim_g = _int(_get(raw, "dim_g", path), f"{path}.dim_g")
+    dim_v = _int(_get(raw, "dim_v", path), f"{path}.dim_v")
+    if dim_g < 1 or dim_v < min_v:
+        raise ParseError(f"{path}: bad dimensions")
+    return SplitDims(dim_g, dim_v)
+
+
+def _parse_entries(obj, path):
+    """(wedge, tail, raw value, entry path) per entry, indices non-negative."""
     out = []
-    for k, e in enumerate(entries):
+    for k, e in enumerate(_expect_list(obj, path)):
         epath = f"{path}[{k}]"
-        e = _expect_dict(e, epath, tuple(f for f, _ in keyspec) + ("value",))
-        key = {}
-        for field, fkind in keyspec:
-            v = _get(e, field, epath)
-            if fkind == "wedge":
-                v = _expect_list(v, f"{epath}.{field}")
-                idx = tuple(_int(x, f"{epath}.{field}[{i}]") for i, x in enumerate(v))
-                if any(x < 0 for x in idx):
-                    raise ParseError(f"{epath}.{field}: negative index")
-                if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-                    raise ParseError(f"{epath}.{field}: must be strictly increasing")
-                key[field] = idx
-            else:
-                iv = _int(v, f"{epath}.{field}")
-                if iv < 0:
-                    raise ParseError(f"{epath}.{field}: negative index")
-                key[field] = iv
-        out.append((key, _get(e, "value", epath), epath))
+        e = _expect_dict(e, epath, ("wedge", "tail", "value"))
+        w = _expect_list(_get(e, "wedge", epath), f"{epath}.wedge")
+        wedge = tuple(_int(x, f"{epath}.wedge[{i}]") for i, x in enumerate(w))
+        if any(x < 0 for x in wedge):
+            raise ParseError(f"{epath}.wedge: negative index")
+        if any(wedge[i] >= wedge[i + 1] for i in range(len(wedge) - 1)):
+            raise ParseError(f"{epath}.wedge: must be strictly increasing")
+        tail = _int(_get(e, "tail", epath), f"{epath}.tail")
+        if tail < 0:
+            raise ParseError(f"{epath}.tail: negative index")
+        out.append((wedge, tail, _get(e, "value", epath), epath))
     return out
 
 
 def _parse_cochain_full(raw, path):
     raw = _expect_dict(raw, path, ("kind", "format", "dim_g", "dim_v", "arity", "entries"))
-    dim_g = _int(_get(raw, "dim_g", path), f"{path}.dim_g")
-    dim_v = _int(_get(raw, "dim_v", path), f"{path}.dim_v")
-    if dim_g < 1 or dim_v < 0:
-        raise ParseError(f"{path}: bad dimensions")
+    dims = _parse_dims(raw, path, min_v=0)
     arity = _int(_get(raw, "arity", path), f"{path}.arity")
     if arity < 1:
         raise ParseError(f"{path}.arity: must be at least 1")
-    dims = SplitDims(dim_g, dim_v)
     total = dims.total
     coeffs = {}
-    for key, value, epath in _parse_entries(
-        _get(raw, "entries", path), f"{path}.entries", [("wedge", "wedge"), ("tail", "tail")]
-    ):
-        wedge, tail = key["wedge"], key["tail"]
+    for wedge, tail, value, epath in _parse_entries(_get(raw, "entries", path), f"{path}.entries"):
         if len(wedge) != arity - 1:
             raise ParseError(f"{epath}.wedge: expected {arity - 1} indices")
         if any(x >= total for x in wedge) or tail >= total:
@@ -301,8 +358,7 @@ def _parse_cochain_full(raw, path):
 
 def _parse_component(obj, dims, shape, target, path) -> MixedMap:
     coeffs = {}
-    for key, value, epath in _parse_entries(obj, path, [("wedge", "wedge"), ("tail", "tail")]):
-        wedge, tail = key["wedge"], key["tail"]
+    for wedge, tail, value, epath in _parse_entries(obj, path):
         if shape.degenerate or len(wedge) != shape.g_wedge:
             raise ParseError(f"{epath}.wedge: expected {max(shape.g_wedge, 0)} indices")
         if any(x >= dims.dim_g for x in wedge):
@@ -321,17 +377,13 @@ def _parse_cochain_two_slot(raw, path):
     raw = _expect_dict(
         raw, path, ("kind", "format", "dim_g", "dim_v", "degree", "target", "f", "theta")
     )
-    dim_g = _int(_get(raw, "dim_g", path), f"{path}.dim_g")
-    dim_v = _int(_get(raw, "dim_v", path), f"{path}.dim_v")
-    if dim_g < 1 or dim_v < 1:
-        raise ParseError(f"{path}: bad dimensions")
+    dims = _parse_dims(raw, path)
     degree = _int(_get(raw, "degree", path), f"{path}.degree")
     if degree < 1:
         raise ParseError(f"{path}.degree: must be at least 1")
     target = _get(raw, "target", path)
     if target not in ("g", "v"):
         raise ParseError(f"{path}.target: expected 'g' or 'v'")
-    dims = SplitDims(dim_g, dim_v)
     f = _parse_component(
         _get(raw, "f", path), dims, MixedShape(degree - 1, 0, "g"), target, f"{path}.f"
     )
@@ -355,26 +407,63 @@ def _parse_cochain(raw, path):
     raise ParseError(f"{path}.format: expected 'full' or 'two-slot'")
 
 
+def _emit_entries(coeffs) -> list:
+    """Entries of the coefficients of a Cochain or MixedMap, in key order.
+
+    A key is (wedge, tail) or (g-wedge, v-wedge, tail); only the first
+    wedge is written.
+    """
+    return [
+        {"wedge": list(key[0]), "tail": key[-1], "value": emit_vector(v)}
+        for key, v in sorted(coeffs.items())
+    ]
+
+
+def _emit_cochain_doc(c) -> dict:
+    if isinstance(c, Cochain):
+        return {
+            "format": "full",
+            "dim_g": c.dims.dim_g,
+            "dim_v": c.dims.dim_v,
+            "arity": c.arity,
+            "entries": _emit_entries(c.coeffs),
+        }
+    if not isinstance(c, TwoSlotCochain):
+        raise ValueError(f"a cochain document holds a Cochain or a TwoSlotCochain, not {type(c).__name__}")
+    return {
+        "format": "two-slot",
+        "dim_g": c.dims.dim_g,
+        "dim_v": c.dims.dim_v,
+        "degree": c.n,
+        "target": c.target,
+        "f": _emit_entries(c.f.coeffs),
+        "theta": _emit_entries(c.theta.coeffs),
+    }
+
+
 def _parse_deformation(raw, path) -> DeformationDatum:
     raw = _expect_dict(
         raw, path, ("kind", "dim_g", "dim_v", "omega", "sigma", "tau", "dhat")
     )
-    dim_g = _int(_get(raw, "dim_g", path), f"{path}.dim_g")
-    dim_v = _int(_get(raw, "dim_v", path), f"{path}.dim_v")
-    if dim_g < 1 or dim_v < 1:
-        raise ParseError(f"{path}: bad dimensions")
-    dims = SplitDims(dim_g, dim_v)
-    om = _expect_list(_get(raw, "omega", path), f"{path}.omega", dim_g)
-    omega_table = []
-    for i, row in enumerate(om):
-        row = _expect_list(row, f"{path}.omega[{i}]", dim_g)
-        omega_table.append(
-            [parse_vector(v, dim_g, f"{path}.omega[{i}][{j}]") for j, v in enumerate(row)]
-        )
+    dims = _parse_dims(raw, path)
+    dim_g, dim_v = dims.dim_g, dims.dim_v
+    omega_table = _parse_table(_get(raw, "omega", path), dim_g, f"{path}.omega")
     sigma = _parse_mats(_get(raw, "sigma", path), dim_g, dim_v, f"{path}.sigma")
     tau = _parse_mats(_get(raw, "tau", path), dim_g, dim_v, f"{path}.tau")
     dhat = parse_matrix(_get(raw, "dhat", path), dim_v, dim_g, f"{path}.dhat")
     return DeformationDatum.from_matrices(dims, omega_table, sigma, tau, dhat)
+
+
+def _emit_deformation_doc(d: DeformationDatum) -> dict:
+    dg = d.dims.dim_g
+    return {
+        "dim_g": dg,
+        "dim_v": d.dims.dim_v,
+        "omega": [[emit_vector(d.omega_vec(i, j)) for j in range(dg)] for i in range(dg)],
+        "sigma": [emit_matrix(d.sigma_mat(i)) for i in range(dg)],
+        "tau": [emit_matrix(d.tau_mat(j)) for j in range(dg)],
+        "dhat": emit_matrix(d.dhat_mat()),
+    }
 
 
 def _parse_extension(raw, path) -> AbelianExtension:
@@ -392,103 +481,6 @@ def _parse_extension(raw, path) -> AbelianExtension:
     return AbelianExtension(total, iota, proj)
 
 
-_PARSERS = {
-    "prelie": _parse_prelie,
-    "representation": _parse_representation,
-    "derivation": _parse_derivation,
-    "derpair": _parse_derpair,
-    "cochain": _parse_cochain,
-    "deformation": _parse_deformation,
-    "extension": _parse_extension,
-}
-
-
-def emit(doc: Document) -> bytes:
-    payload = _EMITTERS[doc.kind](doc.obj)
-    payload = {"kind": doc.kind, **payload}
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
-def _emit_prelie_doc(a: PreLieAlgebra) -> dict:
-    return _emit_algebra(a)
-
-
-def _emit_representation_doc(obj) -> dict:
-    a, rep, K = obj
-    out = {
-        "algebra": _emit_algebra(a),
-        "dim_v": rep.dim_v,
-        "rho": [emit_matrix(m) for m in rep.rho],
-        "mu": [emit_matrix(m) for m in rep.mu],
-    }
-    if K is not None:
-        out["K"] = emit_matrix(K)
-    return out
-
-
-def _emit_derivation_doc(m: Matrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols, "matrix": emit_matrix(m)}
-
-
-def _emit_derpair_doc(p) -> dict:
-    if isinstance(p, RegularPair):
-        return {"algebra": _emit_algebra(p.algebra), "D": emit_matrix(p.D)}
-    return {
-        "algebra": _emit_algebra(p.algebra),
-        "dim_v": p.rep.dim_v,
-        "rho": [emit_matrix(m) for m in p.rep.rho],
-        "mu": [emit_matrix(m) for m in p.rep.mu],
-        "D": emit_matrix(p.D),
-    }
-
-
-def _emit_full_entries(c: Cochain) -> list:
-    return [
-        {"wedge": list(w), "tail": t, "value": emit_vector(v)}
-        for (w, t), v in sorted(c.coeffs.items())
-    ]
-
-
-def _emit_component_entries(m: MixedMap) -> list:
-    return [
-        {"wedge": list(gt), "tail": t, "value": emit_vector(v)}
-        for (gt, vt, t), v in sorted(m.coeffs.items())
-    ]
-
-
-def _emit_cochain_doc(c) -> dict:
-    if isinstance(c, Cochain):
-        return {
-            "format": "full",
-            "dim_g": c.dims.dim_g,
-            "dim_v": c.dims.dim_v,
-            "arity": c.arity,
-            "entries": _emit_full_entries(c),
-        }
-    assert isinstance(c, TwoSlotCochain)
-    return {
-        "format": "two-slot",
-        "dim_g": c.dims.dim_g,
-        "dim_v": c.dims.dim_v,
-        "degree": c.n,
-        "target": c.target,
-        "f": _emit_component_entries(c.f),
-        "theta": _emit_component_entries(c.theta),
-    }
-
-
-def _emit_deformation_doc(d: DeformationDatum) -> dict:
-    dg = d.dims.dim_g
-    return {
-        "dim_g": dg,
-        "dim_v": d.dims.dim_v,
-        "omega": [[emit_vector(d.omega_vec(i, j)) for j in range(dg)] for i in range(dg)],
-        "sigma": [emit_matrix(d.sigma_mat(i)) for i in range(dg)],
-        "tau": [emit_matrix(d.tau_mat(j)) for j in range(dg)],
-        "dhat": emit_matrix(d.dhat_mat()),
-    }
-
-
 def _emit_extension_doc(e: AbelianExtension) -> dict:
     return {
         "total": {"algebra": _emit_algebra(e.total.algebra), "D": emit_matrix(e.total.D)},
@@ -497,46 +489,33 @@ def _emit_extension_doc(e: AbelianExtension) -> dict:
     }
 
 
-_EMITTERS = {
-    "prelie": _emit_prelie_doc,
-    "representation": _emit_representation_doc,
-    "derivation": _emit_derivation_doc,
-    "derpair": _emit_derpair_doc,
-    "cochain": _emit_cochain_doc,
-    "deformation": _emit_deformation_doc,
-    "extension": _emit_extension_doc,
+def _failed_extension(e: AbelianExtension) -> list:
+    return validate_extension(e)["failed"]
+
+
+def _no_equations(obj) -> list:
+    """Structural validity only: parse has already checked everything."""
+    return []
+
+
+class _DocumentKind(NamedTuple):
+    parse: Callable  # (raw JSON object, field path) -> domain object
+    emit: Callable  # domain object -> JSON payload without "kind"
+    failed: Callable  # domain object -> tags of the failed equations
+
+
+# The order here is the order of the "$.kind: expected one of" message.
+DOCUMENTS = {
+    "prelie": _DocumentKind(_parse_prelie, _emit_algebra, _failed_prelie),
+    "representation": _DocumentKind(
+        _parse_representation, _emit_representation_doc, _failed_representation
+    ),
+    "derivation": _DocumentKind(_parse_derivation, _emit_derivation_doc, _no_equations),
+    "derpair": _DocumentKind(_parse_derpair, _emit_derpair_doc, _failed_derpair),
+    "cochain": _DocumentKind(_parse_cochain, _emit_cochain_doc, _no_equations),
+    "deformation": _DocumentKind(_parse_deformation, _emit_deformation_doc, _no_equations),
+    "extension": _DocumentKind(_parse_extension, _emit_extension_doc, _failed_extension),
 }
-
-
-# ---------------------------------------------------------------------------
-# validation by kind
-
-
-def validate_document(doc: Document) -> dict:
-    """Mathematical validation; structural checks already ran in parse."""
-    failed = []
-    if doc.kind == "prelie":
-        if not is_prelie(doc.obj):
-            failed.append("prelie-left-symmetry")
-    elif doc.kind == "representation":
-        a, rep, K = doc.obj
-        if not is_prelie(a):
-            failed.append("prelie-left-symmetry")
-        failed.extend(representation_report(a, rep)["failed"])
-    elif doc.kind == "derpair":
-        p = doc.obj
-        if not is_prelie(p.algebra):
-            failed.append("prelie-left-symmetry")
-        pair = p.to_derpair() if isinstance(p, RegularPair) else p
-        if isinstance(p, DerPair):
-            failed.extend(representation_report(p.algebra, p.rep)["failed"])
-        if not is_derivation(pair):
-            failed.append("derivation-axiom")
-    elif doc.kind == "extension":
-        rep = validate_extension(doc.obj)
-        failed.extend(rep["failed"])
-    # derivation, cochain, deformation: structural validity only
-    return {"ok": not failed, "failed": failed}
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +545,13 @@ def _load_kind(path: str, *kinds: str) -> Document:
     return doc
 
 
-def _as_pair(doc: Document, path: str) -> DerPair:
-    p = doc.obj
-    return p.to_derpair() if isinstance(p, RegularPair) else p
+def _valid_pair(path: str) -> DerPair:
+    """A derpair document that passes validation, as a DerPair."""
+    doc = _load_kind(path, "derpair")
+    failed = validate_document(doc)["failed"]
+    if failed:
+        raise CliError(f"{path}: not a valid pair ({', '.join(failed)})")
+    return _as_pair(doc.obj)
 
 
 def _require_regular(doc: Document, path: str) -> RegularPair:
@@ -577,8 +560,8 @@ def _require_regular(doc: Document, path: str) -> RegularPair:
     return doc.obj
 
 
-def _module_from_doc(doc: Document, path: str) -> DerPairRepresentation:
-    a, rep, K = doc.obj
+def _load_module(path: str) -> DerPairRepresentation:
+    a, rep, K = _load_kind(path, "representation").obj
     if K is None:
         raise CliError(f"{path}: module documents need the field K")
     return DerPairRepresentation(rep.dim_v, K, rep.rho, rep.mu)
@@ -586,10 +569,16 @@ def _module_from_doc(doc: Document, path: str) -> DerPairRepresentation:
 
 def _print(args, payload: dict, text_lines):
     if args.json:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_dumps(payload) + "\n")
     else:
         for line in text_lines:
             sys.stdout.write(line + "\n")
+
+
+def _refused(args, payload: dict, e: ValueError) -> int:
+    """Report the library's refusal of a mathematically false input: exit 1."""
+    _print(args, {**payload, "error": str(e)}, [f"error: {e}"])
+    return 1
 
 
 def _cmd_validate(args) -> int:
@@ -615,11 +604,7 @@ def _cmd_bracket(args) -> int:
         raise CliError("cochains live over different spaces")
     out = mn_bracket(f, g)
     payload = _emit_cochain_doc(out)
-    _print(
-        args,
-        {"command": "bracket", "result": payload},
-        [json.dumps(payload, indent=2, sort_keys=True)],
-    )
+    _print(args, {"command": "bracket", "result": payload}, [_dumps(payload)])
     return 0
 
 
@@ -630,7 +615,7 @@ def _cmd_cohomology(args) -> int:
         raise CliError("--degree must be at least 1")
     cid = args.complex
     if cid != "rep":
-        data = (_require_regular if cid == "regular" else _as_pair)(doc, args.pair)
+        data = _require_regular(doc, args.pair) if cid == "regular" else _as_pair(doc.obj)
         report = validate_document(doc)
         if not report["ok"]:
             _print(
@@ -643,11 +628,11 @@ def _cmd_cohomology(args) -> int:
         regp = _require_regular(doc, args.pair)
         if not args.rep:
             raise CliError("--complex rep needs --rep <module.json>")
-        module = _module_from_doc(_load_kind(args.rep, "representation"), args.rep)
+        module = _load_module(args.rep)
         if module.dim_g != regp.algebra.dim:
             raise CliError("module and pair dimensions do not match")
         rep_report = derpair_representation_report(regp, module)
-        if not is_prelie(regp.algebra) or not is_derivation(regp.to_derpair()):
+        if not is_regular_pair(regp):
             _print(
                 args,
                 {"command": "cohomology", "ok": False, "failed": ["pair-invalid"]},
@@ -672,26 +657,15 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    doc = _load_kind(args.candidate, "derpair")
-    p = doc.obj
-    if isinstance(p, RegularPair):
-        a = p.algebra
-        cand = MCCandidate(
-            a,
-            [a.left_mult(i) for i in range(a.dim)],
-            [a.right_mult(i) for i in range(a.dim)],
-            p.D,
-        )
-    else:
-        cand = MCCandidate(p.algebra, p.rep.rho, p.rep.mu, p.D)
-    res = mc_check(cand)
+    p = _as_pair(_load_kind(args.candidate, "derpair").obj)
+    res = mc_check(MCCandidate(p.algebra, p.rep.rho, p.rep.mu, p.D))
     sh, hp = res["residual"]
     payload = {
         "command": "mc",
         "is_mc": res["is_mc"],
         "residual": {
-            "structure": _emit_full_entries(sh),
-            "mixing": _emit_component_entries(hp),
+            "structure": _emit_entries(sh.coeffs),
+            "mixing": _emit_entries(hp.coeffs),
         },
     }
     lines = ["maurer-cartan: " + ("yes" if res["is_mc"] else "no")]
@@ -707,11 +681,7 @@ def _cmd_mc(args) -> int:
 
 
 def _deformation_inputs(args):
-    base_doc = _load_kind(args.base, "derpair")
-    base = _as_pair(base_doc, args.base)
-    vrep = validate_document(base_doc)
-    if not vrep["ok"]:
-        raise CliError(f"{args.base}: not a valid pair ({', '.join(vrep['failed'])})")
+    base = _valid_pair(args.base)
     datum = _load_kind(args.datum, "deformation").obj
     if datum.dims != base.dims:
         raise CliError("datum dimensions do not match the base pair")
@@ -740,12 +710,7 @@ def _cmd_deform_class(args) -> int:
     try:
         w = same_cohomology_class(base, d1, d2)
     except ValueError as e:
-        _print(
-            args,
-            {"command": "deform-class", "same_class": False, "error": str(e)},
-            [f"error: {e}"],
-        )
-        return 1
+        return _refused(args, {"command": "deform-class", "same_class": False}, e)
     if w is None:
         _print(
             args,
@@ -767,9 +732,9 @@ def _cmd_deform_class(args) -> int:
 
 def _ext_module_inputs(args):
     base = _require_regular(_load_kind(args.base, "derpair"), args.base)
-    if not is_prelie(base.algebra) or not is_derivation(base.to_derpair()):
+    if not is_regular_pair(base):
         raise CliError(f"{args.base}: not a valid regular pair")
-    module = _module_from_doc(_load_kind(args.module, "representation"), args.module)
+    module = _load_module(args.module)
     if module.dim_g != base.algebra.dim:
         raise CliError("module and pair dimensions do not match")
     report = derpair_representation_report(base, module)
@@ -793,13 +758,12 @@ def _cmd_ext_build(args) -> int:
     try:
         ext = build_extension(base, module, c)
     except ValueError as e:
-        _print(args, {"command": "ext-build", "ok": False, "error": str(e)}, [f"error: {e}"])
-        return 1
+        return _refused(args, {"command": "ext-build", "ok": False}, e)
     payload = _emit_extension_doc(ext)
     _print(
         args,
         {"command": "ext-build", "ok": True, "extension": payload},
-        [json.dumps({"kind": "extension", **payload}, indent=2, sort_keys=True)],
+        [_dumps({"kind": "extension", **payload})],
     )
     return 0
 
@@ -823,24 +787,17 @@ def _cmd_ext_extract(args) -> int:
     try:
         cocycle, module = extract_cocycle(ext, s)
     except ValueError as e:
-        _print(args, {"command": "ext-extract", "ok": False, "error": str(e)}, [f"error: {e}"])
-        return 1
+        return _refused(args, {"command": "ext-extract", "ok": False}, e)
     payload = {
         "command": "ext-extract",
         "ok": True,
         "cocycle": _emit_cochain_doc(cocycle.two_slot()),
         "module": {
-            "dim_v": module.dim_v,
+            **_emit_action(module.dim_v, module.rho_t, module.mu_t),
             "K": emit_matrix(module.K),
-            "rho": [emit_matrix(m) for m in module.rho_t],
-            "mu": [emit_matrix(m) for m in module.mu_t],
         },
     }
-    _print(
-        args,
-        payload,
-        [json.dumps({k: v for k, v in payload.items() if k != "command"}, indent=2, sort_keys=True)],
-    )
+    _print(args, payload, [_dumps({k: v for k, v in payload.items() if k != "command"})])
     return 0
 
 
@@ -851,12 +808,7 @@ def _cmd_ext_classify(args) -> int:
     try:
         zeta = classify(base, module, c1, c2)
     except ValueError as e:
-        _print(
-            args,
-            {"command": "ext-classify", "same_class": False, "error": str(e)},
-            [f"error: {e}"],
-        )
-        return 1
+        return _refused(args, {"command": "ext-classify", "same_class": False}, e)
     if zeta is None:
         _print(
             args,
@@ -873,11 +825,7 @@ def _cmd_ext_classify(args) -> int:
 
 
 def _cmd_les(args) -> int:
-    doc = _load_kind(args.pair, "derpair")
-    pair = _as_pair(doc, args.pair)
-    vrep = validate_document(doc)
-    if not vrep["ok"]:
-        raise CliError(f"{args.pair}: not a valid pair ({', '.join(vrep['failed'])})")
+    pair = _valid_pair(args.pair)
     if args.max < 1:
         raise CliError("--max must be at least 1")
     report = les_check(pair, args.max)

@@ -26,6 +26,7 @@ from prelieder import (
     parse_scalar,
     validate_document,
 )
+from prelieder.io_cli import DOCUMENTS
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = sorted((REPO / "corpus").glob("*.json"))
@@ -84,6 +85,15 @@ def test_corpus_matches_document_schema(path):
     schema = json.loads((REPO / "docs" / "document.schema.json").read_text())
     Draft202012Validator.check_schema(schema)
     Draft202012Validator(schema).validate(json.loads(path.read_text()))
+
+
+def test_document_table_matches_schema_kinds():
+    schema = json.loads((REPO / "docs" / "document.schema.json").read_text())
+    kinds = [
+        schema["$defs"][ref["$ref"].rsplit("/", 1)[1]]["properties"]["kind"]["const"]
+        for ref in schema["oneOf"]
+    ]
+    assert list(DOCUMENTS) == list(dict.fromkeys(kinds))
 
 
 def test_corpus_documents_validate():
@@ -171,6 +181,9 @@ MALFORMED = [
      "line 1 column 2 (char 1))"),
     ("not-a-json-object", b"[1, 2]", "$: expected a JSON object"),
     ("unknown-kind", {"kind": "group"},
+     "$.kind: expected one of prelie, representation, derivation, derpair, "
+     "cochain, deformation, extension"),
+    ("unhashable-kind", {"kind": ["prelie"]},
      "$.kind: expected one of prelie, representation, derivation, derpair, "
      "cochain, deformation, extension"),
     ("prelie-no-table", corpus_doc("prelie_shift", (("table",), DROP)),
