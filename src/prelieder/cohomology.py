@@ -67,6 +67,7 @@ from .prelie import (
     RegularPair,
     bracket_vec,
     derivation_cochain,
+    regular_representation,
     structure_cochain,
 )
 from .spaces import normalize_wedge
@@ -277,9 +278,8 @@ def d_prelie(a: PreLieAlgebra, rep, f: MixedMap) -> MixedMap:
 
 def d_regular(a: PreLieAlgebra, f: MixedMap) -> MixedMap:
     """Coboundary with regular coefficients (L, R) on g itself."""
-    L = [a.left_mult(i) for i in range(a.dim)]
-    R = [a.right_mult(i) for i in range(a.dim)]
-    return d_coeff(a, L, R, f)
+    r = regular_representation(a)
+    return d_coeff(a, r.rho, r.mu, f)
 
 
 # ---------------------------------------------------------------------------

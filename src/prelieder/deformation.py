@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .cochain import MixedMap, MixedShape, SplitDims, lift
 from .cohomology import Complex, DerPairCochain, huaD
-from .exact_linalg import Matrix, vec_add, vec_scale, vec_sub, zero_vec
+from .exact_linalg import Matrix, columns_matrix, combination, vec_add, vec_scale, vec_sub, zero_vec
 from .linfty import LElement
 from .mn_bracket import mn_bracket
 from .prelie import (
@@ -59,11 +59,16 @@ class DeformationDatum:
         self.sigma = sigma
         self.tau = tau
         self.dhat = dhat
-        assert omega.shape == MixedShape(1, 0, "g") and omega.target == "g"
-        assert sigma.shape == MixedShape(1, 0, "v") and sigma.target == "v"
-        assert tau.shape == MixedShape(0, 1, "g") and tau.target == "v"
-        assert dhat.shape == MixedShape(0, 0, "g") and dhat.target == "v"
-        assert all(m.dims == dims for m in (omega, sigma, tau, dhat))
+        if omega.shape != MixedShape(1, 0, "g") or omega.target != "g":
+            raise ValueError("omega must be a g-valued map on g x g")
+        if sigma.shape != MixedShape(1, 0, "v") or sigma.target != "v":
+            raise ValueError("sigma must be a V-valued map on g x V")
+        if tau.shape != MixedShape(0, 1, "g") or tau.target != "v":
+            raise ValueError("tau must be a V-valued map on V x g")
+        if dhat.shape != MixedShape(0, 0, "g") or dhat.target != "v":
+            raise ValueError("dhat must be a V-valued map on g")
+        if any(m.dims != dims for m in (omega, sigma, tau, dhat)):
+            raise ValueError(f"omega, sigma, tau and dhat must be over {dims}")
 
     @staticmethod
     def from_matrices(dims: SplitDims, omega_table, sigma_mats, tau_mats, dhat: Matrix) -> "DeformationDatum":
@@ -120,13 +125,11 @@ class DeformationDatum:
 
     def sigma_mat(self, i: int) -> Matrix:
         dv = self.dims.dim_v
-        cols = [self.sigma.eval_local((i,), (), u) for u in range(dv)]
-        return Matrix(dv, dv, [[c[r] for c in cols] for r in range(dv)])
+        return columns_matrix([self.sigma.eval_local((i,), (), u) for u in range(dv)], dv)
 
     def tau_mat(self, j: int) -> Matrix:
         dv = self.dims.dim_v
-        cols = [self.tau.eval_local((), (u,), j) for u in range(dv)]
-        return Matrix(dv, dv, [[c[r] for c in cols] for r in range(dv)])
+        return columns_matrix([self.tau.eval_local((), (u,), j) for u in range(dv)], dv)
 
     def dhat_mat(self) -> Matrix:
         return self.dhat.to_matrix()
@@ -144,7 +147,8 @@ class EquivalenceWitness:
     """(N, S): candidate morphism corrections on g and V."""
 
     def __init__(self, N: Matrix, S: Matrix):
-        assert N.rows == N.cols and S.rows == S.cols
+        if N.rows != N.cols or S.rows != S.cols:
+            raise ValueError("N and S must be square")
         self.N = N
         self.S = S
 
@@ -154,7 +158,8 @@ DEFORMATION_TAGS = ("deformation-1", "deformation-2", "deformation-3", "deformat
 
 def is_infinitesimal_deformation(base: DerPair, d: DeformationDatum) -> dict:
     """The four t-degree bracket equations, with per-equation tags."""
-    assert d.dims == base.dims
+    if d.dims != base.dims:
+        raise ValueError(f"datum over {d.dims}, base pair over {base.dims}")
     m = structure_cochain(base)
     dc = derivation_cochain(base)
     w = lift(d.omega) + lift(d.sigma) + lift(d.tau)
@@ -217,7 +222,8 @@ def is_equivalence(base: DerPair, d1: DeformationDatum, d2: DeformationDatum, w:
     dg, dv = dims.dim_g, dims.dim_v
     a = base.algebra
     N, S = w.N, w.S
-    assert N.rows == dg and S.rows == dv
+    if N.rows != dg or S.rows != dv:
+        raise ValueError(f"N must be {dg} x {dg} and S {dv} x {dv}")
     rho, mu, D = base.rep.rho, base.rep.mu, base.D
     failed = set()
 
@@ -265,18 +271,10 @@ def is_equivalence(base: DerPair, d1: DeformationDatum, d2: DeformationDatum, w:
 
     for i in range(dg):
         ni = N.col(i)
-
-        def ncomb(mats):
-            out = Matrix.zeros(dv, dv)
-            for k, c in enumerate(ni):
-                if c != 0:
-                    out = out + mats[k].scale(c)
-            return out
-
-        rho_n = ncomb(rho)
-        mu_n = ncomb(mu)
-        sig_n = ncomb([d2.sigma_mat(k) for k in range(dg)])
-        tau_n = ncomb([d2.tau_mat(k) for k in range(dg)])
+        rho_n = combination(ni, rho, dv, dv)
+        mu_n = combination(ni, mu, dv, dv)
+        sig_n = combination(ni, [d2.sigma_mat(k) for k in range(dg)], dv, dv)
+        tau_n = combination(ni, [d2.tau_mat(k) for k in range(dg)], dv, dv)
         s1, s2 = d1.sigma_mat(i), d2.sigma_mat(i)
         t1, t2 = d1.tau_mat(i), d2.tau_mat(i)
         # 4: sigma'(x) - sigma(x) = rho(N x) + rho(x) S - S rho(x)

@@ -378,6 +378,15 @@ def columns_matrix(vectors, dim: int) -> Matrix:
     return Matrix(dim, len(vectors), [[v[i] for v in vectors] for i in range(dim)])
 
 
+def combination(coeffs, mats, rows: int, cols: int) -> Matrix:
+    """The rows x cols matrix sum of c * m over the nonzero coefficients c of coeffs."""
+    out = Matrix.zeros(rows, cols)
+    for c, m in zip(coeffs, mats, strict=True):
+        if c != 0:
+            out = out + m.scale(c)
+    return out
+
+
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 

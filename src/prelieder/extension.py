@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .cochain import MixedMap, MixedShape, SplitDims
 from .cohomology import Complex, TwoSlotCochain, huaD_rep
-from .exact_linalg import Matrix, rank, solve, zero_vec
+from .exact_linalg import Matrix, columns_matrix, combination, rank, solve, zero_vec
 from .prelie import (
     PreLieAlgebra,
     RegularPair,
@@ -31,6 +31,7 @@ from .prelie import (
     basis_vec,
     is_morphism,
     is_regular_pair,
+    regular_representation,
     representation_report,
 )
 
@@ -60,10 +61,8 @@ class DerPairRepresentation:
 
 def regular_module(base: RegularPair) -> DerPairRepresentation:
     """g acting on itself by left and right multiplication, K = D."""
-    a = base.algebra
-    L = [a.left_mult(i) for i in range(a.dim)]
-    R = [a.right_mult(i) for i in range(a.dim)]
-    return DerPairRepresentation(a.dim, base.D, L, R)
+    r = regular_representation(base.algebra)
+    return DerPairRepresentation(r.dim_v, base.D, r.rho, r.mu)
 
 
 REP_TAGS = ("rep-axiom-1", "rep-axiom-2", "extension-rep-1", "extension-rep-2")
@@ -76,13 +75,8 @@ def derpair_representation_report(base: RegularPair, r: DerPairRepresentation) -
         raise ValueError(f"module over dim g = {r.dim_g}, base pair has dim g = {a.dim}")
     failed = list(representation_report(a, r.plain())["failed"])
     for i in range(a.dim):
-        dcol = base.D.col(i)
-        rho_d = Matrix.zeros(r.dim_v, r.dim_v)
-        mu_d = Matrix.zeros(r.dim_v, r.dim_v)
-        for k, c in enumerate(dcol):
-            if c != 0:
-                rho_d = rho_d + r.rho_t[k].scale(c)
-                mu_d = mu_d + r.mu_t[k].scale(c)
+        rho_d = combination(base.D.col(i), r.rho_t, r.dim_v, r.dim_v)
+        mu_d = combination(base.D.col(i), r.mu_t, r.dim_v, r.dim_v)
         if r.K * r.rho_t[i] != r.rho_t[i] * r.K + rho_d:
             if "extension-rep-1" not in failed:
                 failed.append("extension-rep-1")
@@ -303,7 +297,7 @@ def canonical_section(ext: AbelianExtension) -> Matrix:
         if s is None:
             raise ValueError("the projection is not onto g: it has no section")
         cols.append(s)
-    return Matrix(n, dg, [[c[i] for c in cols] for i in range(n)])
+    return columns_matrix(cols, n)
 
 
 def is_section(ext: AbelianExtension, s: Matrix) -> bool:
@@ -356,10 +350,10 @@ def extract_cocycle(ext: AbelianExtension, s: Matrix):
             iu = ext.iota.col(u)
             rcols.append(_v_part(ext, a.prod(s.col(i), iu)))
             mcols.append(_v_part(ext, a.prod(iu, s.col(i))))
-        rho_t.append(Matrix(dv, dv, [[c[r] for c in rcols] for r in range(dv)]))
-        mu_t.append(Matrix(dv, dv, [[c[r] for c in mcols] for r in range(dv)]))
+        rho_t.append(columns_matrix(rcols, dv))
+        mu_t.append(columns_matrix(mcols, dv))
     kcols = [_v_part(ext, ext.total.D.matvec(ext.iota.col(u))) for u in range(dv)]
-    K = Matrix(dv, dv, [[c[r] for c in kcols] for r in range(dv)])
+    K = columns_matrix(kcols, dv)
     r = DerPairRepresentation(dv, K, rho_t, mu_t)
 
     theta_table = []
@@ -375,7 +369,7 @@ def extract_cocycle(ext: AbelianExtension, s: Matrix):
         dsx = ext.total.D.matvec(s.col(j))
         sdx = s.matvec(base.D.col(j))
         xi_cols.append(_v_part(ext, tuple(x - y for x, y in zip(dsx, sdx))))
-    xi = Matrix(dv, dg, [[c[r] for c in xi_cols] for r in range(dv)])
+    xi = columns_matrix(xi_cols, dv)
     return ExtensionCocycle.from_matrices(dims, theta_table, xi), r
 
 

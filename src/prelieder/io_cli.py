@@ -429,7 +429,7 @@ def _emit_cochain_doc(c) -> dict:
             "entries": _emit_entries(c.coeffs),
         }
     if not isinstance(c, TwoSlotCochain):
-        raise ValueError(f"a cochain document holds a Cochain or a TwoSlotCochain, not {type(c).__name__}")
+        raise ValueError(f"cannot emit a {type(c).__name__} as a cochain document")
     return {
         "format": "two-slot",
         "dim_g": c.dims.dim_g,

@@ -16,7 +16,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from .cochain import Cochain, MixedMap, MixedShape, SplitDims, lift
-from .exact_linalg import Matrix, frac, vec_add, vec_scale, vec_sub, zero_vec
+from .exact_linalg import Matrix, combination, frac, vec_add, vec_scale, vec_sub, zero_vec
 
 
 class PreLieAlgebra:
@@ -188,19 +188,11 @@ def representation_report(a: PreLieAlgebra, r: Representation) -> dict:
     for i in range(a.dim):
         for j in range(a.dim):
             # rho([e_i,e_j]) = rho(e_i)rho(e_j) - rho(e_j)rho(e_i)
-            br = bracket_vec(a, i, j)
-            lhs = Matrix.zeros(r.dim_v, r.dim_v)
-            for k, c in enumerate(br):
-                if c != 0:
-                    lhs = lhs + r.rho[k].scale(c)
+            lhs = combination(bracket_vec(a, i, j), r.rho, r.dim_v, r.dim_v)
             if lhs != r.rho[i] * r.rho[j] - r.rho[j] * r.rho[i]:
                 ok1 = False
             # mu(e_j)mu(e_i) - mu(e_i.e_j) = mu(e_j)rho(e_i) - rho(e_i)mu(e_j)
-            prod = a.prod_basis(i, j)
-            mu_prod = Matrix.zeros(r.dim_v, r.dim_v)
-            for k, c in enumerate(prod):
-                if c != 0:
-                    mu_prod = mu_prod + r.mu[k].scale(c)
+            mu_prod = combination(a.prod_basis(i, j), r.mu, r.dim_v, r.dim_v)
             if r.mu[j] * r.mu[i] - mu_prod != r.mu[j] * r.rho[i] - r.rho[i] * r.mu[j]:
                 ok2 = False
     failed = []
@@ -263,14 +255,11 @@ def is_morphism(f_g: Matrix, f_v: Matrix, src: DerPair, dst: DerPair) -> bool:
             # f_g(x.y) = f_g(x).f_g(y)
             if f_g.matvec(a1.prod_basis(i, j)) != a2.prod(f_g.col(i), f_g.col(j)):
                 return False
+    dv = dst.rep.dim_v
     for i in range(a1.dim):
         fi = f_g.col(i)
-        rho2 = Matrix.zeros(dst.rep.dim_v, dst.rep.dim_v)
-        mu2 = Matrix.zeros(dst.rep.dim_v, dst.rep.dim_v)
-        for k, c in enumerate(fi):
-            if c != 0:
-                rho2 = rho2 + dst.rep.rho[k].scale(c)
-                mu2 = mu2 + dst.rep.mu[k].scale(c)
+        rho2 = combination(fi, dst.rep.rho, dv, dv)
+        mu2 = combination(fi, dst.rep.mu, dv, dv)
         # f_V . rho(x) = rho'(f_g x) . f_V, same for mu
         if f_v * src.rep.rho[i] != rho2 * f_v:
             return False

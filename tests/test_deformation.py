@@ -6,8 +6,12 @@ valid data form a cone, not a subspace. Classification of equivalence
 happens in degree-2 cohomology of the pair complex.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -324,3 +328,43 @@ def test_same_class_requires_cocycles(small_pairs):
         same_cohomology_class(p, bad, zero)
     with pytest.raises(ValueError):
         same_cohomology_class(p, zero, bad)
+
+
+def test_shape_checks_are_value_errors_under_optimize():
+    # python -O strips assert statements; the shape checks of data,
+    # witnesses and the equation checkers must not be asserts
+    script = (
+        "from prelieder import (DeformationDatum, EquivalenceWitness, Matrix, PreLieAlgebra,\n"
+        "    RegularPair, SplitDims, is_equivalence, is_infinitesimal_deformation)\n"
+        "dims = SplitDims(2, 1)\n"
+        "z = DeformationDatum.zero(dims)\n"
+        "om, sg, ta, dh = z.omega, z.sigma, z.tau, z.dhat\n"
+        "wide = DeformationDatum.zero(SplitDims(2, 2))\n"
+        "shift = PreLieAlgebra(2, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]])\n"
+        "base = RegularPair(shift, Matrix.zeros(2, 2)).to_derpair()\n"
+        "cases = [\n"
+        "    lambda: DeformationDatum(dims, sg, sg, ta, dh),\n"
+        "    lambda: DeformationDatum(dims, om, om, ta, dh),\n"
+        "    lambda: DeformationDatum(dims, om, sg, sg, dh),\n"
+        "    lambda: DeformationDatum(dims, om, sg, ta, ta),\n"
+        "    lambda: DeformationDatum(dims, om, sg, ta, wide.dhat),\n"
+        "    lambda: EquivalenceWitness(Matrix.zeros(2, 1), Matrix.zeros(1, 1)),\n"
+        "    lambda: is_infinitesimal_deformation(base, z),\n"
+        "    lambda: is_equivalence(base, wide, wide,\n"
+        "        EquivalenceWitness(Matrix.zeros(1, 1), Matrix.zeros(2, 2))),\n"
+        "]\n"
+        "for bad in cases:\n"
+        "    try:\n"
+        "        bad()\n"
+        "    except ValueError as e:\n"
+        "        print(type(e).__name__)\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ValueError"] * 8

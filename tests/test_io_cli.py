@@ -7,6 +7,7 @@ outputs are frozen under tests/golden and compared byte for byte.
 """
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -619,3 +620,24 @@ def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error: RuntimeError: ")
     assert "Traceback" not in captured.err
+
+
+def test_kind_checks_are_value_errors_under_optimize():
+    # python -O strips assert statements; a Document of an unknown kind
+    # and a cochain document of the wrong type must still be refused
+    script = (
+        "from prelieder import Document, emit\n"
+        "for bad in (lambda: Document('group', None), lambda: emit(Document('cochain', 3))):\n"
+        "    try:\n"
+        "        bad()\n"
+        "    except ValueError as e:\n"
+        "        print(type(e).__name__)\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ValueError"] * 2
