@@ -46,7 +46,7 @@ no other module handles coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -65,7 +65,6 @@ from .prelie import (
     DerPair,
     PreLieAlgebra,
     RegularPair,
-    bracket_vec,
     derivation_cochain,
     regular_representation,
     structure_cochain,
@@ -82,23 +81,32 @@ def _drop(t, i):
 
 
 def _nonzero(vec) -> tuple:
-    return tuple((k, c) for k, c in enumerate(vec) if c)
+    return tuple(compress(enumerate(vec), vec))
 
 
 def _columns(m: Matrix) -> tuple:
     """The columns of m, each as its nonzero (row, entry) pairs."""
-    return tuple(_nonzero(m.col(j)) for j in range(m.cols))
+    return tuple(map(_nonzero, zip(*m.entries))) if m.rows else ((),) * m.cols
 
 
 class _Algebra:
-    """Structure constants of g in the form the term generators read."""
+    """Structure constants of g in the form the term generators read,
+    built from the nonzero constants alone: left[i][u] = e_i.e_u is
+    column u of L_(e_i), right[i][u] = e_u.e_i that of R_(e_i)."""
 
     def __init__(self, a: PreLieAlgebra):
         r = range(a.dim)
-        self.prod = [[_nonzero(a.prod_basis(i, j)) for j in r] for i in r]
-        self.bracket = [[_nonzero(bracket_vec(a, i, j)) for j in r] for i in r]
-        self.left = [_columns(a.left_mult(i)) for i in r]
-        self.right = [_columns(a.right_mult(i)) for i in r]
+        self.prod = self.left = p = [[_nonzero(a.table[i][j]) for j in r] for i in r]
+        self.right = [[p[u][i] for u in r] for i in r]
+        self.bracket = [[_difference(p[i][j], p[j][i]) for j in r] for i in r]
+
+
+def _difference(x, y) -> tuple:
+    """The nonzero (index, entry) pairs of x - y, given as such pairs."""
+    out = dict(x)
+    for k, c in y:
+        out[k] = out.get(k, 0) - c
+    return tuple(sorted((k, c) for k, c in out.items() if c))
 
 
 class _Action:
@@ -605,17 +613,6 @@ def _check_square(dims: SplitDims) -> None:
         raise ValueError(f"needs dim g == dim V, got {dims.dim_g} and {dims.dim_v}")
 
 
-def retarget(m: MixedMap, tail: str | None = None, target: str | None = None) -> MixedMap:
-    """Reinterpret tail or target space; only valid when dims agree."""
-    dims = m.dims
-    new_tail = tail or m.shape.tail
-    new_target = target or m.target
-    if (new_tail, new_target) != (m.shape.tail, m.target):
-        _check_square(dims)
-    shape = MixedShape(m.shape.g_wedge, m.shape.v_wedge, new_tail)
-    return MixedMap(dims, shape, new_target, dict(m.coeffs))
-
-
 def i_embed(c: TwoSlotCochain) -> DerPairCochain:
     """i(f, theta) = (f, f, f, theta) into the pair complex over V = g.
 
@@ -635,16 +632,15 @@ def i_embed(c: TwoSlotCochain) -> DerPairCochain:
         if any(x != 0 for x in val):
             coeffs[(gt, vt, t)] = val
     f_mu = MixedMap(dims, mu_shape, "v", coeffs)
-    theta = retarget(c.theta, target="v")
+    theta = MixedMap(dims, c.theta.shape, "v", dict(c.theta.coeffs))
     return DerPairCochain(dims, n, f, f_rho, f_mu, theta)
 
 
 def p_project(c: DerPairCochain) -> TwoSlotCochain:
     """p(f_g, f_rho, f_mu, theta) = (f_g, theta) with g-valued theta."""
     _check_square(c.dims)
-    return TwoSlotCochain(
-        c.dims, c.n, "g", c.f_g, retarget(c.theta, target="g")
-    )
+    theta = MixedMap(c.dims, c.theta.shape, "g", dict(c.theta.coeffs))
+    return TwoSlotCochain(c.dims, c.n, "g", c.f_g, theta)
 
 
 # ---------------------------------------------------------------------------

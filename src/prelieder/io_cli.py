@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -77,16 +78,20 @@ class ParseError(Exception):
 # scalar, matrix and table helpers
 
 
+# The "rational" pattern of docs/document.schema.json: an optional minus,
+# ASCII digits and an optional nonzero denominator, with surrounding
+# whitespace. Fraction alone would also take "+1", "0.5", "1e3" and "1_0".
+_RATIONAL = re.compile(r"\s*-?[0-9]+(/0*[1-9][0-9]*)?\s*")
+
+
 def parse_scalar(x, path: str) -> Fraction:
     if isinstance(x, bool) or not isinstance(x, (str, int)):
         raise ParseError(f"{path}: expected a rational string, got {type(x).__name__}")
     if isinstance(x, int):
         return Fraction(x)
-    try:
-        f = Fraction(x.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{path}: invalid rational {x!r}") from None
-    return f
+    if not _RATIONAL.fullmatch(x):
+        raise ParseError(f"{path}: invalid rational {x!r}")
+    return Fraction(x)
 
 
 def emit_scalar(f: Fraction) -> str:
@@ -472,9 +477,11 @@ def _parse_extension(raw, path) -> AbelianExtension:
     a = _parse_algebra(_get(total_raw, "algebra", f"{path}.total"), f"{path}.total.algebra")
     D = parse_matrix(_get(total_raw, "D", f"{path}.total"), a.dim, a.dim, f"{path}.total.D")
     total = RegularPair(a, D)
+    if a.dim < 2:
+        raise ParseError(f"{path}.total.algebra: an extension needs dimension at least 2, got {a.dim}")
     iota_raw = _expect_list(_get(raw, "iota", path), f"{path}.iota", a.dim)
-    dim_v = len(_expect_list(iota_raw[0], f"{path}.iota[0]")) if a.dim else 0
-    if dim_v < 1 or dim_v >= a.dim:
+    dim_v = len(_expect_list(iota_raw[0], f"{path}.iota[0]"))
+    if not 1 <= dim_v < a.dim:
         raise ParseError(f"{path}.iota: needs between 1 and {a.dim - 1} columns")
     iota = parse_matrix(iota_raw, a.dim, dim_v, f"{path}.iota")
     proj = parse_matrix(_get(raw, "proj", path), a.dim - dim_v, a.dim, f"{path}.proj")

@@ -60,18 +60,21 @@ class LElement:
     """
 
     def __init__(self, dims: SplitDims, degree: int, shifted: Cochain, h_part: MixedMap):
-        assert degree >= -1
+        if degree < -1:
+            raise ValueError(f"L-infinity degree must be at least -1, got {degree}")
         self.dims = dims
         self.degree = degree
         self.shifted = shifted
         self.h_part = h_part
-        assert shifted.dims == dims and shifted.arity == degree + 2
+        if shifted.dims != dims or shifted.arity != degree + 2:
+            raise ValueError(f"shifted part must have arity {degree + 2} over {dims}")
         # bidegree_of is None both for zero and for mixed cochains, so the
         # zero test keeps the former while rejecting the latter
         if bidegree_of(shifted) != (degree + 1, 0) and not shifted.is_zero():
             raise ValueError(f"shifted part not homogeneous of bidegree {degree + 1}|0")
-        assert h_part.dims == dims
-        assert h_part.shape == MixedShape(degree, 0, "g") and h_part.target == "v"
+        shape = MixedShape(degree, 0, "g")
+        if h_part.dims != dims or h_part.shape != shape or h_part.target != "v":
+            raise ValueError(f"h part must be a V-valued map of shape {shape} over {dims}")
 
     @staticmethod
     def zero(dims: SplitDims, degree: int) -> "LElement":
@@ -94,7 +97,8 @@ class LElement:
         )
 
     def __add__(self, other: "LElement") -> "LElement":
-        assert self.degree == other.degree
+        if self.degree != other.degree:
+            raise ValueError(f"cannot add elements of degrees {self.degree} and {other.degree}")
         return LElement(
             self.dims,
             self.degree,
@@ -111,7 +115,8 @@ class LElement:
 
 def l2(x: LElement, y: LElement) -> LElement:
     """Binary product; output degree |x| + |y| + 1."""
-    assert x.dims == y.dims
+    if x.dims != y.dims:
+        raise ValueError(f"l2 of elements over {x.dims} and {y.dims}")
     dims = x.dims
     dx, dy = x.degree, y.degree
     out_deg = dx + dy + 1
@@ -131,7 +136,8 @@ def l2(x: LElement, y: LElement) -> LElement:
 def higher_lk(args) -> LElement:
     """l_k for k >= 3: identically zero on this subalgebra."""
     args = list(args)
-    assert len(args) >= 3
+    if len(args) < 3:
+        raise ValueError(f"higher_lk takes at least 3 arguments, got {len(args)}")
     dims = args[0].dims
     out_deg = sum(a.degree for a in args) + 1
     return LElement.zero(dims, out_deg)
@@ -154,9 +160,12 @@ class MCCandidate:
         self.mu = list(mu)
         self.D = D
         dim_v = D.rows
-        assert D.cols == algebra.dim
-        assert all(m.rows == m.cols == dim_v for m in self.rho + self.mu)
-        assert len(self.rho) == len(self.mu) == algebra.dim
+        if D.cols != algebra.dim:
+            raise ValueError(f"D must have {algebra.dim} columns, got {D.cols}")
+        if not all(m.rows == m.cols == dim_v for m in self.rho + self.mu):
+            raise ValueError(f"rho and mu must be {dim_v} x {dim_v} matrices")
+        if not len(self.rho) == len(self.mu) == algebra.dim:
+            raise ValueError(f"rho and mu must have {algebra.dim} matrices each")
         self.dims = SplitDims(algebra.dim, dim_v)
 
     def element(self) -> LElement:
@@ -206,7 +215,8 @@ def mc_twisted_check(alpha: LElement, alpha_prime: LElement) -> bool:
     Equivalent to mc_check on alpha + alpha_prime when both have degree
     zero.
     """
-    assert alpha_prime.degree == alpha.degree == 0
+    if not alpha_prime.degree == alpha.degree == 0:
+        raise ValueError("mc_twisted_check takes two elements of degree 0")
     t = twist(alpha)
     res = t["l1"](alpha_prime) + mc_residual(alpha_prime)
     return res.is_zero()

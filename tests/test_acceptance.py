@@ -9,6 +9,7 @@ criteria (1 and 6) run the full corpus, not a sample.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -698,6 +699,7 @@ def test_criterion_10_cli_golden_files():
         cp = subprocess.run(
             [sys.executable, "-m", "prelieder", *entry["args"]],
             cwd=REPO,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
             capture_output=True,
             timeout=120,
         )

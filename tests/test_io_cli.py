@@ -372,6 +372,7 @@ def run_cli(args, cwd=REPO):
     return subprocess.run(
         [sys.executable, "-m", "prelieder", *args],
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         capture_output=True,
         timeout=120,
     )
