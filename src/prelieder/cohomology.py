@@ -90,9 +90,11 @@ def _columns(m: Matrix) -> tuple:
 
 
 class _Algebra:
-    """Structure constants of g in the form the term generators read,
-    built from the nonzero constants alone: left[i][u] = e_i.e_u is
-    column u of L_(e_i), right[i][u] = e_u.e_i that of R_(e_i)."""
+    """Structure constants of g in the form the term generators read.
+
+    Built from the nonzero constants alone: left[i][u] = e_i.e_u is
+    column u of L_(e_i) and right[i][u] = e_u.e_i that of R_(e_i).
+    """
 
     def __init__(self, a: PreLieAlgebra):
         r = range(a.dim)

@@ -475,10 +475,10 @@ def _parse_extension(raw, path) -> AbelianExtension:
     raw = _expect_dict(raw, path, ("kind", "total", "iota", "proj"))
     total_raw = _expect_dict(_get(raw, "total", path), f"{path}.total", ("algebra", "D"))
     a = _parse_algebra(_get(total_raw, "algebra", f"{path}.total"), f"{path}.total.algebra")
-    D = parse_matrix(_get(total_raw, "D", f"{path}.total"), a.dim, a.dim, f"{path}.total.D")
-    total = RegularPair(a, D)
     if a.dim < 2:
         raise ParseError(f"{path}.total.algebra: an extension needs dimension at least 2, got {a.dim}")
+    D = parse_matrix(_get(total_raw, "D", f"{path}.total"), a.dim, a.dim, f"{path}.total.D")
+    total = RegularPair(a, D)
     iota_raw = _expect_list(_get(raw, "iota", path), f"{path}.iota", a.dim)
     dim_v = len(_expect_list(iota_raw[0], f"{path}.iota[0]"))
     if not 1 <= dim_v < a.dim:

@@ -3,6 +3,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prelieder.cohomology
 import prelieder.exact_linalg
@@ -11,6 +13,7 @@ from prelieder import (
     DerPairCochain,
     DerPairRepresentation,
     Matrix,
+    PreLieAlgebra,
     RegularPair,
     Representation,
     TwoSlotCochain,
@@ -28,6 +31,9 @@ from prelieder import (
 from prelieder.cochain import MixedShape, SplitDims
 from prelieder.cohomology import (
     Complex,
+    _Action,
+    _Algebra,
+    _columns,
     _apply_differential,
     _component_specs,
     _flatten,
@@ -41,7 +47,7 @@ from prelieder.cohomology import (
     partial,
     partial_bracket,
 )
-from prelieder.prelie import regular_representation
+from prelieder.prelie import bracket_vec, regular_representation
 
 from conftest import (
     dense_copy,
@@ -313,6 +319,58 @@ def test_cohomology_ranks_match_sympy(pair_corpus, regular_corpus):
             assert h == z - b
 
 
+# zeros as int and as Fraction, small rationals and wide entries
+table_entries = st.one_of(
+    st.sampled_from([0, Fraction(0), 1, -1]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    st.integers(-(10**40), 10**40),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+)
+
+
+@st.composite
+def sparse_tables(draw, shape):
+    """Nested lists of the given shape; about half of the entries are zeros."""
+    if not shape:
+        return draw(st.one_of(st.sampled_from([0, Fraction(0)]), table_entries))
+    return [draw(sparse_tables(shape[1:])) for _ in range(shape[0])]
+
+
+def _dense_columns(m: Matrix) -> tuple:
+    return tuple(tuple((k, c) for k, c in enumerate(m.col(j)) if c) for j in range(m.cols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_structure_tables_match_the_dense_derivation(data):
+    # the tables the term engine reads, built from the nonzero constants,
+    # hold the (index, entry) pairs that left_mult, right_mult, bracket_vec
+    # and Matrix.col give, in the same order and as Fractions
+    dim = data.draw(st.integers(0, 4))
+    a = PreLieAlgebra(dim, data.draw(sparse_tables((dim, dim, dim))))
+    alg, r = _Algebra(a), range(dim)
+
+    def nonzero(vec):
+        return tuple((k, c) for k, c in enumerate(vec) if c)
+
+    assert alg.prod == [[nonzero(a.prod_basis(i, j)) for j in r] for i in r]
+    assert alg.bracket == [[nonzero(bracket_vec(a, i, j)) for j in r] for i in r]
+    assert alg.left == [list(_dense_columns(a.left_mult(i))) for i in r]
+    assert alg.right == [list(_dense_columns(a.right_mult(i))) for i in r]
+    for table in (alg.prod, alg.bracket, alg.left, alg.right):
+        assert all(type(c) is Fraction for row in table for pairs in row for _, c in pairs)
+
+    # the columns of the matrices the caller holds (rho, mu, D, K), zero
+    # rows or columns included
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    mats = [Matrix(rows, cols, data.draw(sparse_tables((rows, cols)))) for _ in r]
+    assert [_columns(m) for m in mats] == [_dense_columns(m) for m in mats]
+    if rows == cols:
+        act = _Action(mats, rows)
+        assert act.cols == [_dense_columns(m) for m in mats]
+        assert act.at == [tuple(_dense_columns(m)[u] for m in mats) for u in range(rows)]
+
+
 def test_cohomology_dim_builds_no_dense_matrix(pair_corpus, regular_corpus, monkeypatch):
     # ranks, coboundaries, preimages, cocycle bases and the LES come from the
     # sparse rows alone: no dense elimination and no dense d_n
@@ -350,6 +408,11 @@ def test_cohomology_dim_builds_no_dense_matrix(pair_corpus, regular_corpus, monk
     for name in ("rref", "solve", "rank"):
         monkeypatch.setattr(prelieder.exact_linalg, name, refuse)
     monkeypatch.setattr(Matrix, "from_sparse", staticmethod(refuse))
+    # the structure tables come from the nonzero constants and the matrices
+    # the caller holds: Complex(...) builds no Matrix, L_x or R_x either
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    monkeypatch.setattr(PreLieAlgebra, "left_mult", refuse)
+    monkeypatch.setattr(PreLieAlgebra, "right_mult", refuse)
     assert run() == before
     with pytest.raises(RuntimeError):
         differential_matrix("pair", 2, p)

@@ -62,6 +62,30 @@ def test_scalar_parsing_and_canonical_form():
         parse_scalar("", "$")
 
 
+# (string, accepted): the parser and the schema's rational pattern agree on each
+RATIONAL_STRINGS = [
+    ("3", True), ("-1/2", True), ("2/4", True), ("0", True), ("-0", True), ("007", True),
+    ("1/01", True), (" -3 ", True), ("\t7\n", True), ("12345678901234567890/3", True),
+    ("", False), (" ", False), ("-", False), ("1/0", False), ("1/00", False), ("1/", False),
+    ("/2", False), ("1/-2", False), ("-1/-2", False), ("--1", False), ("+1", False),
+    ("0.5", False), (".5", False), ("1.", False), ("1e3", False), ("1E3", False),
+    ("1_000", False), ("1/2_0", False), ("- 1", False), ("1 /2", False), ("1/2/3", False),
+    ("inf", False), ("nan", False), ("0x10", False), ("\u0663", False), ("1\u00a0/2", False),
+]
+
+
+def test_rational_pattern_matches_parse_scalar():
+    schema = json.loads((REPO / "docs" / "document.schema.json").read_text())
+    rational = Draft202012Validator(schema["$defs"]["rational"])
+    for text, accepted in RATIONAL_STRINGS:
+        assert rational.is_valid(text) == accepted, text
+        if accepted:
+            assert parse_scalar(text, "$") == Fraction(text.strip())
+        else:
+            with pytest.raises(ParseError, match=re.escape(f"$.x: invalid rational {text!r}")):
+                parse_scalar(text, "$.x")
+
+
 def test_non_canonical_rationals_are_canonicalized():
     raw = doc_bytes(table=[[["0", "0"], ["0", "2/4"]], [["0", "0"], ["0", "0"]]])
     out = emit(parse(raw)).decode()
@@ -178,6 +202,12 @@ MALFORMED = [
      "$.mu[1][0]: expected length 2, got 1"),
     ("representation-K", corpus_doc("module_regular", (("K",), [["0", "0"]])),
      "$.K: expected length 2, got 1"),
+    *(
+        (f"rational-{name}", corpus_doc("prelie_shift", (("table", 0, 1, 1), text)),
+         f"$.table[0][1][1]: invalid rational {text!r}")
+        for name, text in (("decimal", "0.5"), ("exponent", "1e3"), ("underscore", "1_000"),
+                           ("plus", "+1"), ("signed-denominator", "1/-2"))
+    ),
     ("representation-algebra-table",
      corpus_doc("module_regular", (("algebra", "table", 1, 1, 0), "1/0")),
      "$.algebra.table[1][1][0]: invalid rational '1/0'"),
@@ -256,6 +286,11 @@ MALFORMED = [
      "$: missing field 'dhat'"),
     ("extension-iota-width", corpus_doc("extension_semidirect", (("iota",), [[], [], [], []])),
      "$.iota: needs between 1 and 3 columns"),
+    ("extension-total-dim-1",
+     corpus_doc("extension_semidirect",
+                (("total",), {"algebra": {"dim": 1, "table": [[["0"]]]}, "D": [["0"]]}),
+                (("iota",), [["1"]]), (("proj",), [])),
+     "$.total.algebra: an extension needs dimension at least 2, got 1"),
     ("extension-total-D", corpus_doc("extension_semidirect", (("total", "D"), DROP)),
      "$.total: missing field 'D'"),
     ("extension-total-table",

@@ -7,8 +7,12 @@ equivalence between Maurer-Cartan elements and valid pair structures,
 and the fact that twisting recovers the pair coboundary.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -284,3 +288,43 @@ def test_twisted_mc_matches_shifted_sum(small_pairs):
             xi = rand_elem(rng, p.dims, 0)
             assert mc_twisted_check(alpha, xi) == mc_residual(alpha + xi).is_zero()
     assert both >= 4
+
+
+def test_shape_checks_are_value_errors_under_optimize():
+    # python -O strips assert statements; the degree and shape checks of
+    # elements, products and candidates must not be asserts
+    script = (
+        "from prelieder import (Cochain, LElement, MCCandidate, Matrix, MixedMap, MixedShape,\n"
+        "    PreLieAlgebra, SplitDims, higher_lk, l2, mc_twisted_check)\n"
+        "dims = SplitDims(2, 1)\n"
+        "z0, z1 = LElement.zero(dims, 0), LElement.zero(dims, 1)\n"
+        "h0 = MixedMap(dims, MixedShape(0, 0, 'g'), 'v')\n"
+        "a = PreLieAlgebra(2, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])\n"
+        "one, D = Matrix.identity(1), Matrix.zeros(1, 2)\n"
+        "cases = [\n"
+        "    lambda: LElement(dims, -2, None, None),\n"
+        "    lambda: LElement(dims, 0, Cochain(dims, 3), h0),\n"
+        "    lambda: LElement(dims, 0, Cochain(dims, 2), MixedMap(dims, MixedShape(1, 0, 'g'), 'v')),\n"
+        "    lambda: z0 + z1,\n"
+        "    lambda: l2(z0, LElement.zero(SplitDims(1, 1), 0)),\n"
+        "    lambda: higher_lk([z0, z0]),\n"
+        "    lambda: MCCandidate(a, [one, one], [one, one], Matrix.zeros(1, 1)),\n"
+        "    lambda: MCCandidate(a, [D, one], [one, one], D),\n"
+        "    lambda: MCCandidate(a, [one], [one], D),\n"
+        "    lambda: mc_twisted_check(z1, z1),\n"
+        "]\n"
+        "for bad in cases:\n"
+        "    try:\n"
+        "        bad()\n"
+        "    except ValueError as e:\n"
+        "        print(type(e).__name__)\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ValueError"] * 10
