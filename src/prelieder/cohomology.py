@@ -89,6 +89,14 @@ def _columns(m: Matrix) -> tuple:
     return tuple(map(_nonzero, zip(*m.entries))) if m.rows else ((),) * m.cols
 
 
+def _difference(x, y) -> tuple:
+    """The nonzero (index, entry) pairs of x - y, given as such pairs."""
+    out = dict(x)
+    for k, c in y:
+        out[k] = out.get(k, 0) - c
+    return tuple(sorted((k, c) for k, c in out.items() if c))
+
+
 class _Algebra:
     """Structure constants of g in the form the term generators read.
 
@@ -101,14 +109,6 @@ class _Algebra:
         self.prod = self.left = p = [[_nonzero(a.table[i][j]) for j in r] for i in r]
         self.right = [[p[u][i] for u in r] for i in r]
         self.bracket = [[_difference(p[i][j], p[j][i]) for j in r] for i in r]
-
-
-def _difference(x, y) -> tuple:
-    """The nonzero (index, entry) pairs of x - y, given as such pairs."""
-    out = dict(x)
-    for k, c in y:
-        out[k] = out.get(k, 0) - c
-    return tuple(sorted((k, c) for k, c in out.items() if c))
 
 
 class _Action:
