@@ -27,7 +27,8 @@ class SplitDims:
     __slots__ = ("dim_g", "dim_v")
 
     def __init__(self, dim_g: int, dim_v: int):
-        assert dim_g >= 0 and dim_v >= 0
+        if dim_g < 0 or dim_v < 0:
+            raise ValueError(f"negative dimensions {dim_g}, {dim_v}")
         object.__setattr__(self, "dim_g", dim_g)
         object.__setattr__(self, "dim_v", dim_v)
 
@@ -57,7 +58,8 @@ class SplitDims:
 
 def _clean_value(val, dim):
     v = tuple(frac(x) for x in val)
-    assert len(v) == dim
+    if len(v) != dim:
+        raise ValueError(f"value of length {len(v)}, expected {dim}")
     return v
 
 
@@ -65,19 +67,20 @@ class Cochain:
     """Sparse alternating map wedge^(n-1)(g+V) tensor (g+V) -> g+V."""
 
     def __init__(self, dims: SplitDims, arity: int, coeffs=None):
-        assert arity >= 1
+        if arity < 1:
+            raise ValueError(f"cochain arity must be at least 1, got {arity}")
         self.dims = dims
         self.arity = arity
         self.coeffs = {}
         total = dims.total
         for (wedge, tail), val in (coeffs or {}).items():
             wedge = tuple(wedge)
-            assert len(wedge) == arity - 1
-            assert all(0 <= i < total for i in wedge)
-            assert all(wedge[i] < wedge[i + 1] for i in range(len(wedge) - 1)), (
-                "cochain keys must use strictly increasing wedge tuples"
-            )
-            assert 0 <= tail < total
+            if len(wedge) != arity - 1:
+                raise ValueError(f"cochain key {wedge}: expected {arity - 1} wedge indices")
+            if not all(0 <= i < total for i in wedge) or not 0 <= tail < total:
+                raise ValueError(f"cochain key {(wedge, tail)}: index out of range {total}")
+            if not all(wedge[i] < wedge[i + 1] for i in range(len(wedge) - 1)):
+                raise ValueError("cochain keys must use strictly increasing wedge tuples")
             v = _clean_value(val, total)
             if any(x != 0 for x in v):
                 self.coeffs[(wedge, tail)] = v
@@ -97,7 +100,8 @@ class Cochain:
         )
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        assert self.dims == other.dims and self.arity == other.arity
+        if self.dims != other.dims or self.arity != other.arity:
+            raise ValueError("cannot add cochains of different dimensions or arities")
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = vec_add(out[k], v) if k in out else v
@@ -141,7 +145,8 @@ class MixedShape:
     __slots__ = ("g_wedge", "v_wedge", "tail")
 
     def __init__(self, g_wedge: int, v_wedge: int, tail: str):
-        assert tail in ("g", "v")
+        if tail not in ("g", "v"):
+            raise ValueError(f"tail must be 'g' or 'v', got {tail!r}")
         object.__setattr__(self, "g_wedge", g_wedge)
         object.__setattr__(self, "v_wedge", v_wedge)
         object.__setattr__(self, "tail", tail)
@@ -192,27 +197,36 @@ class MixedMap:
     """
 
     def __init__(self, dims: SplitDims, shape: MixedShape, target: str, coeffs=None):
-        assert target in ("g", "v")
+        if target not in ("g", "v"):
+            raise ValueError(f"target must be 'g' or 'v', got {target!r}")
         self.dims = dims
         self.shape = shape
         self.target = target
         self.coeffs = {}
         if shape.degenerate:
-            assert not coeffs
+            if coeffs:
+                raise ValueError(f"{shape} is the zero space and takes no coefficients")
             return
         tail_dim = dims.dim_g if shape.tail == "g" else dims.dim_v
         tgt_dim = dims.dim_g if target == "g" else dims.dim_v
         for (gt, vt, tail), val in (coeffs or {}).items():
             gt, vt = tuple(gt), tuple(vt)
-            assert len(gt) == shape.g_wedge and len(vt) == shape.v_wedge
-            assert all(0 <= i < dims.dim_g for i in gt)
-            assert all(0 <= i < dims.dim_v for i in vt)
-            assert all(gt[i] < gt[i + 1] for i in range(len(gt) - 1))
-            assert all(vt[i] < vt[i + 1] for i in range(len(vt) - 1))
-            assert 0 <= tail < tail_dim
+            key = (gt, vt, tail)
+            if len(gt) != shape.g_wedge or len(vt) != shape.v_wedge:
+                raise ValueError(f"key {key} does not fit {shape}")
+            if (
+                not all(0 <= i < dims.dim_g for i in gt)
+                or not all(0 <= i < dims.dim_v for i in vt)
+                or not 0 <= tail < tail_dim
+            ):
+                raise ValueError(f"key {key}: index out of range for {dims}")
+            if not all(gt[i] < gt[i + 1] for i in range(len(gt) - 1)) or not all(
+                vt[i] < vt[i + 1] for i in range(len(vt) - 1)
+            ):
+                raise ValueError(f"key {key}: wedge indices must be strictly increasing")
             v = _clean_value(val, tgt_dim)
             if any(x != 0 for x in v):
-                self.coeffs[(gt, vt, tail)] = v
+                self.coeffs[key] = v
 
     @staticmethod
     def from_matrix(dims: SplitDims, tail: str, target: str, m: Matrix) -> "MixedMap":
@@ -222,7 +236,8 @@ class MixedMap:
 
     def to_matrix(self) -> Matrix:
         """Inverse of from_matrix: column j is the value on e_j."""
-        assert self.shape.g_wedge == self.shape.v_wedge == 0
+        if not self.shape.g_wedge == self.shape.v_wedge == 0:
+            raise ValueError(f"to_matrix needs a degree-1 map, got {self.shape}")
         tail_dim = self.dims.dim_g if self.shape.tail == "g" else self.dims.dim_v
         zero = zero_vec(self.target_dim)
         cols = [self.coeffs.get(((), (), j), zero) for j in range(tail_dim)]
@@ -245,8 +260,8 @@ class MixedMap:
         )
 
     def __add__(self, other: "MixedMap") -> "MixedMap":
-        assert self.dims == other.dims and self.shape == other.shape
-        assert self.target == other.target
+        if (self.dims, self.shape, self.target) != (other.dims, other.shape, other.target):
+            raise ValueError("cannot add maps of different dimensions, shapes or targets")
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = vec_add(out[k], v) if k in out else v
@@ -332,7 +347,8 @@ def component(c: Cochain, shape: MixedShape, target: str) -> MixedMap:
     dims = c.dims
     if shape.degenerate:
         return MixedMap(dims, shape, target)
-    assert shape.arity == c.arity
+    if shape.arity != c.arity:
+        raise ValueError(f"{shape} has arity {shape.arity}, the cochain {c.arity}")
     out = {}
     tgt_slice = (
         (0, dims.dim_g) if target == "g" else (dims.dim_g, dims.total)
@@ -386,8 +402,8 @@ def decompose_k0(c: Cochain):
     f_g = component(c, MixedShape(n - 1, 0, "g"), "g")
     f_rho = component(c, MixedShape(n - 1, 0, "v"), "v")
     f_mu = component(c, MixedShape(n - 2, 1, "g"), "v")
-    recombined = lift(f_g) + lift(f_rho) + lift(f_mu)
-    assert recombined == c, "cochain has parts outside bidegree (n-1)|0"
+    if lift(f_g) + lift(f_rho) + lift(f_mu) != c:
+        raise ValueError("cochain has parts outside bidegree (n-1)|0")
     return f_g, f_rho, f_mu
 
 

@@ -5,7 +5,9 @@ deformation, extension. `DOCUMENTS` is the one place a kind is defined:
 its row holds the kind's parser, its emitter and its equation check.
 All scalars are exact rationals written as strings "p/q" or "n" (plain
 JSON integers are accepted on input and canonicalized to strings on
-output).
+output). Number literals are read exactly from their text: as in JSON
+Schema, a number with a zero fractional part (1.0, -2.00, 1e3) is an
+integer, and any other (0.5) is refused.
 
 A derpair document without explicit rho/mu is a regular pair: the
 algebra acts on itself by left and right multiplication and D is a
@@ -18,7 +20,11 @@ complex (fields `f` and `theta`; an extension cocycle is the degree-2,
 target-"v" case).
 
 Exit codes: 0 success / mathematically true, 1 mathematically false,
-2 malformed input or usage, 3 internal error (one stderr line).
+2 malformed input or usage, 3 internal error (one stderr line). The
+cohomology and les commands exit 2 before any assembly when a cochain
+space they need has dimension over MAX_COCHAIN_DIM; library calls have
+no such limit. cli_run builds the argument parser once per process, on
+its first call.
 Reports are deterministic; --json swaps the human text for a
 machine-readable object including equation tags.
 """
@@ -26,9 +32,11 @@ machine-readable object including equation tags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -38,6 +46,7 @@ from .cohomology import (
     TwoSlotCochain,
     cohomology_dim,
     les_check,
+    space_dimension,
 )
 from .deformation import (
     DeformationDatum,
@@ -84,14 +93,34 @@ class ParseError(Exception):
 _RATIONAL = re.compile(r"\s*-?[0-9]+(/0*[1-9][0-9]*)?\s*")
 
 
-def parse_scalar(x, path: str) -> Fraction:
-    if isinstance(x, bool) or not isinstance(x, (str, int)):
-        raise ParseError(f"{path}: expected a rational string, got {type(x).__name__}")
+# parse reads every JSON number as a Decimal, exactly from its text. One that
+# denotes an integer may have up to Python's default int_max_str_digits.
+_MAX_DIGITS = 4300
+
+
+def _integer(x, path: str):
+    """The integer a JSON value denotes, or None: 3, 1.0 and 1e3 do, 0.5 and true do not."""
+    if isinstance(x, bool):
+        return None
     if isinstance(x, int):
+        return x
+    if isinstance(x, Decimal) and x.is_finite() and x == x.to_integral_value():
+        if x.adjusted() >= _MAX_DIGITS:
+            raise ParseError(f"{path}: integer with more than {_MAX_DIGITS} digits")
+        return int(x)
+    return None
+
+
+def parse_scalar(x, path: str) -> Fraction:
+    if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise ParseError(f"{path}: invalid rational {x!r}")
         return Fraction(x)
-    if not _RATIONAL.fullmatch(x):
-        raise ParseError(f"{path}: invalid rational {x!r}")
-    return Fraction(x)
+    n = _integer(x, path)
+    if n is None:
+        name = "float" if isinstance(x, Decimal) else type(x).__name__
+        raise ParseError(f"{path}: expected a rational string, got {name}")
+    return Fraction(n)
 
 
 def emit_scalar(f: Fraction) -> str:
@@ -122,9 +151,10 @@ def _get(obj, key, path):
 
 
 def _int(x, path) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
+    n = _integer(x, path)
+    if n is None:
         raise ParseError(f"{path}: expected an integer")
-    return x
+    return n
 
 
 def parse_vector(obj, length, path) -> tuple:
@@ -213,8 +243,8 @@ class Document:
 
 def parse(data: bytes) -> Document:
     try:
-        raw = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raw = json.loads(data.decode("utf-8"), parse_float=Decimal, parse_int=Decimal)
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, or nested too deep
         raise ParseError(f"$: not valid JSON ({e})") from None
     if not isinstance(raw, dict):
         raise ParseError("$: expected a JSON object")
@@ -533,6 +563,21 @@ class CliError(Exception):
     """Bad input at the command level; exits 2."""
 
 
+# The largest dim C^k a cohomology or les command may need. Every degree of
+# a dense (4,4) pair (608 at most) fits; a dense (5,5) pair from degree 2
+# on (dim C^3 = 1250) takes minutes to rank and is refused.
+MAX_COCHAIN_DIM = 1000
+
+
+def _check_size(complex_id: str, data, degrees) -> None:
+    for k in degrees:
+        dim = space_dimension(complex_id, k, data)
+        if dim > MAX_COCHAIN_DIM:
+            raise CliError(
+                f"{complex_id} complex: dim C^{k} = {dim} is over the limit of {MAX_COCHAIN_DIM}"
+            )
+
+
 def _load(path: str) -> Document:
     try:
         with open(path, "rb") as fh:
@@ -654,6 +699,7 @@ def _cmd_cohomology(args) -> int:
             )
             return 1
         data = (regp, module)
+    _check_size(cid, data, (n - 1, n, n + 1))
     z, b, h = cohomology_dim(cid, n, data)
     _print(
         args,
@@ -835,6 +881,9 @@ def _cmd_les(args) -> int:
     pair = _valid_pair(args.pair)
     if args.max < 1:
         raise CliError("--max must be at least 1")
+    top = min(args.max, pair.dims.dim_g + 1) + 1  # C^k is zero past degree dim g + 2
+    for cid in ("pair", "prelie", "coeffs"):
+        _check_size(cid, pair, range(1, top + 1))
     report = les_check(pair, args.max)
     lines = []
     for node in report["nodes"]:
@@ -848,7 +897,11 @@ def _cmd_les(args) -> int:
     return 0 if report["all_exact"] else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first cli_run and reused: parse_args
+    returns a new Namespace per call and finds sys.stdout/stderr only when it
+    prints."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable report")
     top = argparse.ArgumentParser(
