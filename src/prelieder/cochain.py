@@ -78,7 +78,9 @@ class Cochain:
             if len(wedge) != arity - 1:
                 raise ValueError(f"cochain key {wedge}: expected {arity - 1} wedge indices")
             if not all(0 <= i < total for i in wedge) or not 0 <= tail < total:
-                raise ValueError(f"cochain key {(wedge, tail)}: index out of range {total}")
+                raise ValueError(
+                    f"cochain key {(wedge, tail)}: index out of range for total dimension {total}"
+                )
             if not all(wedge[i] < wedge[i + 1] for i in range(len(wedge) - 1)):
                 raise ValueError("cochain keys must use strictly increasing wedge tuples")
             v = _clean_value(val, total)

@@ -95,6 +95,7 @@ _RATIONAL = re.compile(r"\s*-?[0-9]+(/0*[1-9][0-9]*)?\s*")
 
 # parse reads every JSON number as a Decimal, exactly from its text. One that
 # denotes an integer may have up to Python's default int_max_str_digits.
+_DECODER = json.JSONDecoder(parse_float=Decimal, parse_int=Decimal)
 _MAX_DIGITS = 4300
 
 
@@ -243,7 +244,7 @@ class Document:
 
 def parse(data: bytes) -> Document:
     try:
-        raw = json.loads(data.decode("utf-8"), parse_float=Decimal, parse_int=Decimal)
+        raw = _DECODER.decode(data.decode("utf-8"))
     except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, or nested too deep
         raise ParseError(f"$: not valid JSON ({e})") from None
     if not isinstance(raw, dict):

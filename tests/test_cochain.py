@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import comb
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -180,3 +184,48 @@ def test_component_bidegree_table():
     assert component_bidegree(MixedShape(1, 1, "g"), "g") == (1, 1)
     assert component_bidegree(MixedShape(1, 0, "g"), "v") == (2, -1)
     assert component_bidegree(MixedShape(0, 1, "v"), "v") == (0, 1)
+
+
+def test_key_and_shape_checks_are_value_errors_under_optimize():
+    # python -O strips assert statements; the key, shape and sum checks of
+    # cochains and component maps, and decompose_k0's bidegree check, must
+    # still refuse bad input
+    script = (
+        "from prelieder.cochain import (Cochain, MixedMap, MixedShape, SplitDims, component,\n"
+        "    decompose_k0, lift)\n"
+        "dims = SplitDims(1, 1)\n"
+        "g1, v1 = MixedShape(1, 0, 'g'), MixedShape(0, 1, 'v')\n"
+        "cases = [\n"
+        "    lambda: SplitDims(-1, 0),\n"
+        "    lambda: Cochain(dims, 0),\n"
+        "    lambda: Cochain(dims, 2, {((0, 1), 0): (1, 0)}),\n"
+        "    lambda: Cochain(dims, 2, {((2,), 0): (1, 0)}),\n"
+        "    lambda: Cochain(dims, 2, {((0,), 2): (1, 0)}),\n"
+        "    lambda: Cochain(dims, 3, {((1, 0), 0): (1, 0)}),\n"
+        "    lambda: Cochain(dims, 1, {((), 0): (1,)}),\n"
+        "    lambda: Cochain(dims, 1) + Cochain(dims, 2),\n"
+        "    lambda: MixedShape(0, 0, 'w'),\n"
+        "    lambda: MixedMap(dims, g1, 'w'),\n"
+        "    lambda: MixedMap(dims, MixedShape(-1, 0, 'g'), 'g', {((), (), 0): (1,)}),\n"
+        "    lambda: MixedMap(dims, g1, 'g', {((), (), 0): (1,)}),\n"
+        "    lambda: MixedMap(dims, g1, 'g', {((1,), (), 0): (1,)}),\n"
+        "    lambda: MixedMap(SplitDims(2, 1), MixedShape(2, 0, 'g'), 'g', {((1, 0), (), 0): (1, 0)}),\n"
+        "    lambda: MixedMap(dims, g1, 'g') + MixedMap(dims, v1, 'g'),\n"
+        "    lambda: MixedMap(dims, g1, 'g').to_matrix(),\n"
+        "    lambda: component(Cochain(dims, 3), g1, 'g'),\n"
+        "    lambda: decompose_k0(lift(MixedMap(dims, v1, 'v', {((), (0,), 0): (1,)}))),\n"
+        "]\n"
+        "for bad in cases:\n"
+        "    try:\n"
+        "        bad()\n"
+        "    except ValueError as e:\n"
+        "        print(type(e).__name__)\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ValueError"] * 18

@@ -6,15 +6,20 @@ emit(parse(x)) is byte-identical for canonical inputs. Golden command
 outputs are frozen under tests/golden and compared byte for byte.
 """
 
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from prelieder import (
@@ -22,12 +27,13 @@ from prelieder import (
     Document,
     ParseError,
     cli_run,
+    cohomology_dim,
     emit,
     parse,
     parse_scalar,
     validate_document,
 )
-from prelieder.io_cli import DOCUMENTS
+from prelieder.io_cli import DOCUMENTS, MAX_COCHAIN_DIM, _build_parser
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = sorted((REPO / "corpus").glob("*.json"))
@@ -74,6 +80,15 @@ RATIONAL_STRINGS = [
 ]
 
 
+# (JSON number literal, accepted): JSON Schema's integer type takes a number
+# with a zero fractional part, and so does the parser, reading the literal exactly
+RATIONAL_NUMBERS = [
+    ("7", True), ("-0", True), ("1.0", True), ("-2.00", True), ("1e3", True), ("1E+3", True),
+    ("10e-1", True), ("2.50e1", True), ("-0.0", True),
+    ("0.5", False), ("-1.5", False), ("1e-3", False), ("1.25e1", False),
+]
+
+
 def test_rational_pattern_matches_parse_scalar():
     schema = json.loads((REPO / "docs" / "document.schema.json").read_text())
     rational = Draft202012Validator(schema["$defs"]["rational"])
@@ -84,6 +99,27 @@ def test_rational_pattern_matches_parse_scalar():
         else:
             with pytest.raises(ParseError, match=re.escape(f"$.x: invalid rational {text!r}")):
                 parse_scalar(text, "$.x")
+    for literal, accepted in RATIONAL_NUMBERS:
+        assert rational.is_valid(json.loads(literal)) == accepted, literal
+        table = [[["0", "0"], ["0", "@"]], [["0", "0"], ["0", "0"]]]
+        data = doc_bytes(table=table).replace(b'"@"', literal.encode())
+        if accepted:
+            assert parse(data).obj.prod_basis(0, 1)[1] == Fraction(Decimal(literal)), literal
+        else:
+            message = "$.table[0][1][1]: expected a rational string, got float"
+            with pytest.raises(ParseError, match=re.escape(message)):
+                parse(data)
+
+
+def test_integral_numbers_are_integers_everywhere():
+    # dimensions and indices follow the same rule as scalars
+    data = (REPO / "corpus" / "pair_shift.json").read_bytes()
+    as_float = json.loads(data)
+    as_float["algebra"]["dim"] = 2.0
+    assert emit(parse(json.dumps(as_float).encode())) == data
+    as_float["algebra"]["dim"] = 2.5
+    with pytest.raises(ParseError, match=re.escape("$.algebra.dim: expected an integer")):
+        parse(json.dumps(as_float).encode())
 
 
 def test_non_canonical_rationals_are_canonicalized():
@@ -182,6 +218,10 @@ MALFORMED = [
      "$: not valid JSON (Expecting property name enclosed in double quotes: "
      "line 1 column 2 (char 1))"),
     ("not-a-json-object", b"[1, 2]", "$: expected a JSON object"),
+    ("integer-digits", b'{"kind": "prelie", "dim": 1' + b"0" * 4300 + b', "table": []}',
+     "$.dim: integer with more than 4300 digits"),
+    ("integer-exponent", corpus_doc("prelie_shift", (("table", 0, 1, 1), "@")),
+     "$.table[0][1][1]: integer with more than 4300 digits"),
     ("unknown-kind", {"kind": "group"},
      "$.kind: expected one of prelie, representation, derivation, derpair, "
      "cochain, deformation, extension"),
@@ -305,7 +345,7 @@ MALFORMED = [
     "doc,message", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
 )
 def test_parse_error_messages(doc, message):
-    data = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+    data = doc if isinstance(doc, bytes) else json.dumps(doc).replace('"@"', "1e4300").encode()
     with pytest.raises(ParseError) as info:
         parse(data)
     assert str(info.value) == message
@@ -413,15 +453,50 @@ def run_cli(args, cwd=REPO):
     )
 
 
-def test_golden_outputs_byte_identical():
+def test_golden_outputs_byte_identical(monkeypatch, capsysbinary):
+    # every golden replayed in one process, in order, reversed and in order
+    # again, through the one parser cli_run builds; a usage error and --help
+    # between the passes leave no trace. The subprocess replay is criterion 10.
     manifest = json.loads((GOLDEN / "manifest.json").read_text())
     assert len(manifest) >= 20
-    for entry in manifest:
-        proc = run_cli(entry["args"])
-        expected = (GOLDEN / f"{entry['name']}.out").read_bytes()
-        assert proc.returncode == entry["exit"], (entry["name"], proc.stderr)
-        assert proc.stdout == expected, entry["name"]
-        assert proc.stderr == b"", entry["name"]
+    monkeypatch.chdir(REPO)
+    _build_parser.cache_clear()
+    for k, entries in enumerate((manifest, manifest[::-1], manifest)):
+        if k:
+            argv = ["cohomology", "corpus/pair_shift.json", "--complex", "pair", "--degree", "x"]
+            assert cli_run(argv) == 2
+            out, err = capsysbinary.readouterr()
+            assert out == b"" and err.startswith(b"usage: prelieder cohomology")
+            assert b"argument --degree: invalid int value: 'x'" in err
+            assert cli_run(["--help"]) == 0
+            out, err = capsysbinary.readouterr()
+            assert out.startswith(b"usage: prelieder") and err == b""
+        for entry in entries:
+            assert cli_run(entry["args"]) == entry["exit"], entry["name"]
+            out, err = capsysbinary.readouterr()
+            assert out == (GOLDEN / f"{entry['name']}.out").read_bytes(), entry["name"]
+            assert err == b"", entry["name"]
+    assert _build_parser.cache_info().misses == 1
+
+
+def test_import_and_library_calls_build_no_parser():
+    script = (
+        "import prelieder\n"
+        "from prelieder.io_cli import _build_parser\n"
+        "doc = prelieder.parse(open('corpus/pair_shift.json', 'rb').read())\n"
+        "prelieder.validate_document(doc)\n"
+        "print(_build_parser.cache_info().misses)\n"
+        "for argv in (['validate', 'corpus/pair_shift.json'], ['--help']):\n"
+        "    prelieder.cli_run(argv)\n"
+        "print(_build_parser.cache_info().misses)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "0" and out.stdout.splitlines()[-1] == "1"
 
 
 def test_golden_json_outputs_match_report_schema():
@@ -644,3 +719,138 @@ def test_kind_checks_are_value_errors_under_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["ValueError"] * 2
+
+
+# ----------------------------------------------------------------------
+# size guard
+
+
+def abelian_pair(dim):
+    zero = ["0"] * dim
+    return {"kind": "derpair", "algebra": {"dim": dim, "table": [[zero] * dim] * dim},
+            "D": [zero] * dim}
+
+
+OVER = "error: {} complex: dim C^3 = {} is over the limit of 1000\n"
+
+
+# (argv, stderr): exit 0 with no stderr, or exit 2 naming the complex, the
+# degree, the dimension and the limit
+SIZES = [
+    (["cohomology", abelian_pair(4), "--complex", "pair", "--degree", "4"], ""),  # C^4: 608
+    (["cohomology", abelian_pair(5), "--complex", "pair", "--degree", "1"], ""),  # C^2: 400
+    (["cohomology", abelian_pair(5), "--complex", "regular", "--degree", "2"], ""),
+    (["les", abelian_pair(5), "--max", "1"], ""),
+    (["cohomology", abelian_pair(5), "--complex", "pair", "--degree", "2"], OVER.format("pair", 1250)),
+    (["cohomology", abelian_pair(5), "--complex", "prelie", "--degree", "3"],
+     OVER.format("prelie", 1125)),
+    (["les", abelian_pair(5), "--max", "2"], OVER.format("pair", 1250)),
+    (["les", abelian_pair(5), "--max", "1000000000"], OVER.format("pair", 1250)),
+]
+
+
+@pytest.mark.parametrize("args,error", SIZES)
+def test_size_guard_refuses_large_cochain_spaces(args, error, tmp_path, capsys):
+    assert MAX_COCHAIN_DIM == 1000
+    assert cli_run(written(args, tmp_path)) == (2 if error else 0)
+    out, err = capsys.readouterr()
+    assert err == error and (out == "") == bool(error)
+
+
+def test_size_guard_leaves_library_calls_alone():
+    pair = parse(json.dumps(abelian_pair(5)).encode()).obj.to_derpair()
+    assert cohomology_dim("pair", 2, pair) == (400, 0, 400)
+
+
+# ----------------------------------------------------------------------
+# mutated documents
+
+
+# (command, the corpus documents it is fed): mc and cohomology read pairs
+FUZZ_COMMANDS = [
+    (["validate"], [path.stem for path in CORPUS]),
+    (["mc"], [path.stem for path in CORPUS if path.stem.startswith("pair_")]),
+    (["cohomology", "--complex", "pair", "--degree", "1"],
+     [path.stem for path in CORPUS if path.stem.startswith("pair_")]),
+]
+# number literals written into the JSON text as they are
+LITERALS = ["1.0", "-2.00", "1e3", "0.5", "-1e-3", "1e400", "1e5000", "9" * 5000, "-0", "NaN"]
+
+
+class Literal:
+    """A number literal, written into the document text as it is."""
+
+    def __init__(self, text):
+        self.text = text
+
+
+JSON_VALUES = st.one_of(
+    st.integers(-3, 3), st.integers(-(10**40), 10**40), st.sampled_from(["0", "1", "-1/2", "7/3"]),
+    st.sampled_from(LITERALS).map(Literal),
+    st.none(), st.booleans(), st.floats(), st.sampled_from(["x", "", "1/0", "0.5"]),
+    st.lists(st.sampled_from(["0", "1"]), max_size=3), st.just({}),
+)
+
+
+@st.composite
+def mutated_requests(draw):
+    """(command, document bytes): a corpus document with one or two of its
+    fields dropped, added or replaced, sometimes cut short."""
+    command, names = draw(st.sampled_from(FUZZ_COMMANDS))
+    doc = json.loads((REPO / "corpus" / f"{draw(st.sampled_from(names))}.json").read_text())
+    for _ in range(draw(st.integers(1, 2))):
+        node = doc
+        while True:  # a (container, key) somewhere in the document
+            keys = [k for k in node if k != "kind"] if isinstance(node, dict) else range(len(node))
+            key = draw(st.sampled_from(list(keys))) if keys else None
+            child = None if key is None else node[key]
+            if not (isinstance(child, (dict, list)) and child and draw(st.integers(0, 7))):
+                break
+            node = child
+        op = draw(st.sampled_from(["replace", "drop", "extra", "replace"]))
+        if op == "extra" or key is None:
+            value = draw(JSON_VALUES)
+            if isinstance(node, dict):
+                node[draw(st.sampled_from(["extra", "dim", "D", "rho", "mu", "K"]))] = value
+            else:
+                node.append(value)
+        elif op == "drop":
+            del node[key]
+        else:
+            node[key] = draw(JSON_VALUES)
+    literals = []
+
+    def verbatim(value):
+        literals.append(value.text)
+        return f"@{len(literals) - 1}@"
+
+    text = json.dumps(doc, default=verbatim)
+    for k, literal in enumerate(literals):
+        text = text.replace(f'"@{k}@"', literal)
+    data = text.encode()
+    if draw(st.integers(0, 7)) == 0:
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    return command, data
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_requests())
+def test_mutated_documents_exit_0_1_or_2(tmp_path_factory, request_):
+    command, data = request_
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_run([*command, str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if code != 2:
+        assert err == ""
+        return
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    try:
+        parse(data)
+    except ParseError as e:
+        assert str(e).startswith("$"), e
+        assert err == f"error: {path}: {e}\n"
