@@ -245,7 +245,7 @@ class Document:
 def parse(data: bytes) -> Document:
     try:
         raw = _DECODER.decode(data.decode("utf-8"))
-    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, or nested too deep
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ParseError(f"$: not valid JSON ({e})") from None
     if not isinstance(raw, dict):
         raise ParseError("$: expected a JSON object")
