@@ -193,7 +193,7 @@ def test_key_and_shape_checks_are_value_errors_under_optimize():
     script = (
         "from prelieder.cochain import (Cochain, MixedMap, MixedShape, SplitDims, component,\n"
         "    decompose_k0, lift)\n"
-        "dims = SplitDims(1, 1)\n"
+        "dims, dims21 = SplitDims(1, 1), SplitDims(2, 1)\n"
         "g1, v1 = MixedShape(1, 0, 'g'), MixedShape(0, 1, 'v')\n"
         "cases = [\n"
         "    lambda: SplitDims(-1, 0),\n"
@@ -209,7 +209,7 @@ def test_key_and_shape_checks_are_value_errors_under_optimize():
         "    lambda: MixedMap(dims, MixedShape(-1, 0, 'g'), 'g', {((), (), 0): (1,)}),\n"
         "    lambda: MixedMap(dims, g1, 'g', {((), (), 0): (1,)}),\n"
         "    lambda: MixedMap(dims, g1, 'g', {((1,), (), 0): (1,)}),\n"
-        "    lambda: MixedMap(SplitDims(2, 1), MixedShape(2, 0, 'g'), 'g', {((1, 0), (), 0): (1, 0)}),\n"
+        "    lambda: MixedMap(dims21, MixedShape(2, 0, 'g'), 'g', {((1, 0), (), 0): (1, 0)}),\n"
         "    lambda: MixedMap(dims, g1, 'g') + MixedMap(dims, v1, 'g'),\n"
         "    lambda: MixedMap(dims, g1, 'g').to_matrix(),\n"
         "    lambda: component(Cochain(dims, 3), g1, 'g'),\n"

@@ -220,8 +220,8 @@ MALFORMED = [
     ("not-a-json-object", b"[1, 2]", "$: expected a JSON object"),
     ("integer-digits", b'{"kind": "prelie", "dim": 1' + b"0" * 4300 + b', "table": []}',
      "$.dim: integer with more than 4300 digits"),
-    ("integer-exponent", corpus_doc("prelie_shift", (("table", 0, 1, 1), "@")),
-     "$.table[0][1][1]: integer with more than 4300 digits"),
+    ("integer-exponent", b'{"kind": "prelie", "dim": 1, "table": [[[1e4300]]]}',
+     "$.table[0][0][0]: integer with more than 4300 digits"),
     ("nested-too-deep", b"[" * 100000,
      "$: not valid JSON (maximum recursion depth exceeded while decoding a JSON array "
      "from a unicode string)"),
@@ -348,7 +348,7 @@ MALFORMED = [
     "doc,message", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
 )
 def test_parse_error_messages(doc, message):
-    data = doc if isinstance(doc, bytes) else json.dumps(doc).replace('"@"', "1e4300").encode()
+    data = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
     with pytest.raises(ParseError) as info:
         parse(data)
     assert str(info.value) == message
@@ -744,7 +744,8 @@ SIZES = [
     (["cohomology", abelian_pair(5), "--complex", "pair", "--degree", "1"], ""),  # C^2: 400
     (["cohomology", abelian_pair(5), "--complex", "regular", "--degree", "2"], ""),
     (["les", abelian_pair(5), "--max", "1"], ""),
-    (["cohomology", abelian_pair(5), "--complex", "pair", "--degree", "2"], OVER.format("pair", 1250)),
+    (["cohomology", abelian_pair(5), "--complex", "pair", "--degree", "2"],
+     OVER.format("pair", 1250)),
     (["cohomology", abelian_pair(5), "--complex", "prelie", "--degree", "3"],
      OVER.format("prelie", 1125)),
     (["les", abelian_pair(5), "--max", "2"], OVER.format("pair", 1250)),
