@@ -882,9 +882,9 @@ def _cmd_les(args) -> int:
     pair = _valid_pair(args.pair)
     if args.max < 1:
         raise CliError("--max must be at least 1")
-    top = min(args.max, pair.dims.dim_g + 1) + 1  # C^k is zero past degree dim g + 2
+    last = min(args.max + 1, pair.dims.dim_g + 2)  # C^k is zero past k = dim g + 2
     for cid in ("pair", "prelie", "coeffs"):
-        _check_size(cid, pair, range(1, top + 1))
+        _check_size(cid, pair, range(1, last + 1))
     report = les_check(pair, args.max)
     lines = []
     for node in report["nodes"]:
