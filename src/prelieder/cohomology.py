@@ -22,14 +22,15 @@ applied literally at n=1, where they equal -1.
 
 Each formula is written once, as a generator of terms: for one output
 basis key it lists which input value is read (block, arguments, tail)
-and the linear map applied to it. Evaluating the terms on cochains
-gives the operators below; scattering them into columns gives the
-differentials in a single pass (see _assemble), as sparse rows
-{column: Fraction}. Sparse rows are the one form of a differential
-that is kept: ranks, and so cohomology_dim, come from the forward phase
-of the elimination kernel on them; cocycle bases and preimages from its
-reduced rows; coboundaries and the LES maps from sparse products. A
-dense Matrix of d_n is built only when asked for (differential_matrix).
+and the linear map applied to it. One engine reads the generators:
+_assemble scatters the terms into columns, which gives a differential
+in a single pass as sparse rows {column: Fraction}. Sparse rows are the
+one form of a differential: ranks, and so cohomology_dim, come from the
+forward phase of the elimination kernel on them; cocycle bases and
+preimages from its reduced rows; coboundaries, the cochain-level
+operators (huaD and the pieces partial, delta, omega, d_coeff) and the
+LES maps from sparse products. A dense Matrix of d_n is built only
+when asked for (differential_matrix).
 
 The component shapes with a negative wedge size are zero spaces, which
 makes the degree-1 special cases of every complex come out of the
@@ -37,10 +38,10 @@ uniform formulas.
 
 The table COMPLEXES is the one place a complex is defined: per id it
 holds the dimensions read from the structure data, the block layout of
-C^n, the term generators of d and the cochain-level operator. Complex,
-space_dimension and differential_matrix read it, and Complex.coboundary
-and Complex.preimage take and return cochains as lists of blocks, so
-no other module handles coordinates.
+C^n and the term generators of d. Complex, space_dimension and
+differential_matrix read it, and Complex.coboundary, preimage and
+cocycle_basis take and return cochains as lists of blocks, so no other
+module handles coordinates.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from .prelie import (
     PreLieAlgebra,
     RegularPair,
     derivation_cochain,
-    regular_representation,
     structure_cochain,
 )
 from .spaces import normalize_wedge
@@ -133,27 +133,14 @@ class _Action:
 # nonzero (index, entry) pairs).
 
 
-def _apply(dims: SplitDims, shape: MixedShape, target: str, terms, maps) -> MixedMap:
-    """Evaluate a term generator on input maps, one output key at a time."""
-    out = MixedMap(dims, shape, target)
-    tdim = out.target_dim
-    coeffs = {}
-    for key in out.basis_keys():
-        acc = [Fraction(0)] * tdim
-        for src, g_args, v_args, tail, c, cols in terms(key):
-            val = maps[src].eval_local(g_args, v_args, tail)
-            for a, x in enumerate(val):
-                if not x:
-                    continue
-                if cols is None:
-                    acc[a] += c * x
-                else:
-                    cx = c * x
-                    for r, y in cols[a]:
-                        acc[r] += cx * y
-        if any(acc):
-            coeffs[key] = acc
-    return MixedMap(dims, shape, target, coeffs)
+def _apply(maps, specs, terms) -> list:
+    """The output blocks, laid out as specs, of the term generators
+    terms (one per block) at the input maps: their assembled rows times
+    the coordinates of the maps."""
+    dims = maps[0].dims
+    out = [spec + (t,) for spec, t in zip(specs, terms)]
+    rows = _assemble(dims, [(m.shape, m.target) for m in maps], out)[0]
+    return _unflatten(dims, specs, sparse_matvec(rows, _flatten(maps)))
 
 
 def _assemble(dims: SplitDims, in_specs, out_blocks):
@@ -272,13 +259,14 @@ def d_coeff(a: PreLieAlgebra, act_l, act_r, f: MixedMap) -> MixedMap:
     act_l[i], act_r[i] are the action matrices of e_i on the target
     space T; f has shape (m-1, 0, 'g'). Output has shape (m, 0, 'g').
     """
+    return _d_coeff(_Algebra(a), [_columns(x) for x in act_l], [_columns(x) for x in act_r], f)
+
+
+def _d_coeff(alg: _Algebra, lcols, rcols, f: MixedMap) -> MixedMap:
     if not (f.shape.v_wedge == 0 or f.shape.degenerate) or f.shape.tail != "g":
         raise ValueError(f"d_coeff takes Hom(wedge g tensor g, T), got shape {f.shape}")
-    terms = _d_coeff_terms(
-        _Algebra(a), [_columns(x) for x in act_l], [_columns(x) for x in act_r], 0
-    )
-    m = f.shape.g_wedge + 1
-    return _apply(f.dims, MixedShape(m, 0, "g"), f.target, terms, [f])
+    shape = MixedShape(f.shape.g_wedge + 1, 0, "g")
+    return _apply([f], [(shape, f.target)], [_d_coeff_terms(alg, lcols, rcols, 0)])[0]
 
 
 def d_prelie(a: PreLieAlgebra, rep, f: MixedMap) -> MixedMap:
@@ -288,8 +276,8 @@ def d_prelie(a: PreLieAlgebra, rep, f: MixedMap) -> MixedMap:
 
 def d_regular(a: PreLieAlgebra, f: MixedMap) -> MixedMap:
     """Coboundary with regular coefficients (L, R) on g itself."""
-    r = regular_representation(a)
-    return d_coeff(a, r.rho, r.mu, f)
+    alg = _Algebra(a)
+    return _d_coeff(alg, alg.left, alg.right, f)
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +352,8 @@ def _partial_mu_terms(alg: _Algebra, rho: _Action, mu: _Action):
 
 def partial(a: PreLieAlgebra, rep, f_g: MixedMap, f_rho: MixedMap, f_mu: MixedMap):
     """Explicit component formulas for the triple-complex coboundary."""
-    dims = f_g.dims
     n = f_g.shape.arity
-    alg = _Algebra(a)
-    rho, mu = _Action(rep.rho, dims.dim_v), _Action(rep.mu, dims.dim_v)
-    maps = [f_g, f_rho, f_mu]
-    out_g = d_regular(a, f_g)
-    out_rho = _apply(dims, MixedShape(n, 0, "v"), "v", _partial_rho_terms(alg, rho), maps)
-    out_mu = _apply(
-        dims, MixedShape(n - 1, 1, "g"), "v", _partial_mu_terms(alg, rho, mu), maps
-    )
-    return out_g, out_rho, out_mu
+    return tuple(_apply([f_g, f_rho, f_mu], _prelie_specs(n + 1), _prelie_terms(a, rep)))
 
 
 def partial_bracket(p: DerPair, f_g, f_rho, f_mu):
@@ -421,9 +400,8 @@ def delta(D: Matrix, f_g: MixedMap, f_rho: MixedMap, f_mu: MixedMap) -> MixedMap
     (delta f)(x_1..x_n) = sum_i (-1)^(i+1) f_mu(.., D(x_i), x_n)
       + (-1)^(n-2) (f_rho(x_1..x_{n-1}, D(x_n)) - D(f_g(x_1..x_n))).
     """
-    n = f_g.shape.arity
-    shape = MixedShape(n - 1, 0, "g")
-    return _apply(f_g.dims, shape, "v", _delta_terms(D), [f_g, f_rho, f_mu])
+    shape = MixedShape(f_g.shape.arity - 1, 0, "g")
+    return _apply([f_g, f_rho, f_mu], [(shape, "v")], [_delta_terms(D)])[0]
 
 
 def delta_bracket(p: DerPair, f_g, f_rho, f_mu) -> MixedMap:
@@ -457,7 +435,7 @@ def omega(D: Matrix, K: Matrix, f: MixedMap) -> MixedMap:
     K = D, for the module-coefficient complex K is the coefficient map.
     Output has the same shape as f.
     """
-    return _apply(f.dims, f.shape, f.target, _omega_terms(D, K, 0), [f])
+    return _apply([f], [(f.shape, f.target)], [_omega_terms(D, K, 0)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +499,8 @@ class DerPairCochain:
 
 def huaD(p: DerPair, c: DerPairCochain) -> DerPairCochain:
     """(partial f, d_coeff theta + delta f), one degree up."""
-    out_g, out_rho, out_mu = partial(p.algebra, p.rep, c.f_g, c.f_rho, c.f_mu)
-    d_theta = d_prelie(p.algebra, p.rep, c.theta)
-    out_theta = d_theta + delta(p.D, c.f_g, c.f_rho, c.f_mu)
-    return DerPairCochain(c.dims, c.n + 1, out_g, out_rho, out_mu, out_theta)
+    cx = Complex("pair", p)
+    return DerPairCochain(cx.dims, c.n + 1, *cx.coboundary(c.n, c.blocks()))
 
 
 class TwoSlotCochain:
@@ -583,27 +559,15 @@ def _check_target(c: TwoSlotCochain, target: str) -> None:
 def huaD_reg(p: RegularPair, c: TwoSlotCochain) -> TwoSlotCochain:
     """(d f, d theta + omega f) with regular coefficients."""
     _check_target(c, "g")
-    a = p.algebra
-    return TwoSlotCochain(
-        c.dims,
-        c.n + 1,
-        "g",
-        d_regular(a, c.f),
-        d_regular(a, c.theta) + omega(p.D, p.D, c.f),
-    )
+    cx = Complex("regular", p)
+    return TwoSlotCochain(cx.dims, c.n + 1, "g", *cx.coboundary(c.n, c.blocks()))
 
 
 def huaD_rep(p: RegularPair, rep5, c: TwoSlotCochain) -> TwoSlotCochain:
     """(d f, d theta + omega f) with coefficients in (V, K, rho_t, mu_t)."""
     _check_target(c, "v")
-    a = p.algebra
-    return TwoSlotCochain(
-        c.dims,
-        c.n + 1,
-        "v",
-        d_coeff(a, rep5.rho_t, rep5.mu_t, c.f),
-        d_coeff(a, rep5.rho_t, rep5.mu_t, c.theta) + omega(p.D, rep5.K, c.f),
-    )
+    cx = Complex("rep", (p, rep5))
+    return TwoSlotCochain(cx.dims, c.n + 1, "v", *cx.coboundary(c.n, c.blocks()))
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +617,6 @@ class _ComplexKind(NamedTuple):
     dims: Callable  # structure data -> SplitDims
     specs: Callable  # n -> (shape, target) coordinate blocks of C^n
     terms: Callable  # structure data -> one term generator per block of C^(n+1)
-    apply: Callable  # (data, n, blocks of x) -> blocks of d x, on cochains
 
 
 def _coeffs_specs(n: int):
@@ -677,16 +640,18 @@ def _coeffs_terms(p: DerPair):
     return [_d_coeff_terms(_Algebra(p.algebra), *cols, 0)]
 
 
-def _prelie_terms(p: DerPair, theta: bool = False):
-    alg = _Algebra(p.algebra)
-    rho, mu = _Action(p.rep.rho, p.dims.dim_v), _Action(p.rep.mu, p.dims.dim_v)
+def _prelie_terms(a: PreLieAlgebra, rep, D: Matrix | None = None):
+    """The generators of partial's three blocks; given D, also that of
+    the theta block of huaD."""
+    alg = _Algebra(a)
+    rho, mu = _Action(rep.rho, rep.dim_v), _Action(rep.mu, rep.dim_v)
     terms = [
         _d_coeff_terms(alg, alg.left, alg.right, 0),
         _partial_rho_terms(alg, rho),
         _partial_mu_terms(alg, rho, mu),
     ]
-    if theta:
-        terms.append(_sum_terms(_d_coeff_terms(alg, rho.cols, mu.cols, 3), _delta_terms(p.D)))
+    if D is not None:
+        terms.append(_sum_terms(_d_coeff_terms(alg, rho.cols, mu.cols, 3), _delta_terms(D)))
     return terms
 
 
@@ -711,35 +676,22 @@ def _rep_terms(data):
 _pair_dims = attrgetter("dims")
 
 COMPLEXES = {
-    "coeffs": _ComplexKind(
-        _pair_dims,
-        _coeffs_specs,
-        _coeffs_terms,
-        lambda p, n, x: [d_prelie(p.algebra, p.rep, *x)],
-    ),
-    "prelie": _ComplexKind(
-        _pair_dims,
-        _prelie_specs,
-        _prelie_terms,
-        lambda p, n, x: list(partial(p.algebra, p.rep, *x)),
-    ),
+    "coeffs": _ComplexKind(_pair_dims, _coeffs_specs, _coeffs_terms),
+    "prelie": _ComplexKind(_pair_dims, _prelie_specs, lambda p: _prelie_terms(p.algebra, p.rep)),
     "pair": _ComplexKind(
         _pair_dims,
         lambda n: _prelie_specs(n) + _coeffs_specs(n - 1),
-        lambda p: _prelie_terms(p, theta=True),
-        lambda p, n, x: huaD(p, DerPairCochain(p.dims, n, *x)).blocks(),
+        lambda p: _prelie_terms(p.algebra, p.rep, p.D),
     ),
     "regular": _ComplexKind(
         lambda rp: SplitDims(rp.algebra.dim, rp.algebra.dim),
         lambda n: _two_slot_specs("g", n),
         _regular_terms,
-        lambda rp, n, x: huaD_reg(rp, TwoSlotCochain(x[0].dims, n, "g", *x)).blocks(),
     ),
     "rep": _ComplexKind(
         lambda data: SplitDims(data[0].algebra.dim, data[1].dim_v),
         lambda n: _two_slot_specs("v", n),
         _rep_terms,
-        lambda data, n, x: huaD_rep(*data, TwoSlotCochain(x[0].dims, n, "v", *x)).blocks(),
     ),
 }
 
@@ -751,11 +703,6 @@ def _kind(complex_id: str) -> _ComplexKind:
         raise ValueError(f"unknown complex {complex_id!r}") from None
 
 
-def _component_specs(complex_id: str, n: int):
-    """(shape, target) list defining the coordinate blocks of C^n."""
-    return _kind(complex_id).specs(n)
-
-
 def _space_dim(dims: SplitDims, specs) -> int:
     return sum(mixed_space_dim(dims, shape, target) for shape, target in specs)
 
@@ -763,10 +710,6 @@ def _space_dim(dims: SplitDims, specs) -> int:
 def space_dimension(complex_id: str, n: int, data) -> int:
     kind = _kind(complex_id)
     return _space_dim(kind.dims(data), kind.specs(n))
-
-
-def _apply_differential(complex_id: str, n: int, data, maps):
-    return _kind(complex_id).apply(data, n, maps)
 
 
 def _flatten(maps) -> list:
@@ -862,9 +805,10 @@ class Complex:
         return self._ranks[n]
 
     def cocycle_basis(self, n: int) -> list:
+        """A basis of Z^n, each cocycle as its blocks."""
         if n < 1:
             return []
-        return sparse_kernel(*self._rows(n))
+        return [_unflatten(self.dims, self.specs(n), v) for v in sparse_kernel(*self._rows(n))]
 
     def cohomology_dim(self, n: int):
         z = self.dim(n) - self.rank(n)
@@ -947,13 +891,11 @@ def les_check(p: DerPair, n_max: int) -> dict:
         )
         all_exact = all_exact and exact
 
-    z_coeffs = coeffs.cocycle_basis(0)
+    z_coeffs = []  # Z^0(coeffs): C^0 is the zero space
     for n in range(1, n_max + 1):
         delta_n = _assemble(p.dims, prelie.specs(n), [coeffs.specs(n)[0] + (delta_terms,)])[0]
         z_coeffs_prev = z_coeffs
-        z_pair = pair.cocycle_basis(n)
-        z_prelie = prelie.cocycle_basis(n)
-        z_coeffs = coeffs.cocycle_basis(n)
+        z_pair, z_prelie, z_coeffs = (sparse_kernel(*cx._rows(n)) for cx in (pair, prelie, coeffs))
 
         # node H^n(pair): incoming iota from H^{n-1}(coeffs), outgoing p
         rank_in = _induced_rank(pair, n, [iota(n, v) for v in z_coeffs_prev])

@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cochain import MixedMap, MixedShape, SplitDims, lift
-from .cohomology import Complex, DerPairCochain, huaD
+from .cohomology import Complex, DerPairCochain
 from .exact_linalg import Matrix, columns_matrix, combination, vec_add, vec_scale, vec_sub, zero_vec
 from .linfty import LElement
 from .mn_bracket import mn_bracket
@@ -328,11 +328,11 @@ def same_cohomology_class(base: DerPair, d1: DeformationDatum, d2: DeformationDa
     witness satisfies the linear identity exactly; it need not satisfy
     the quadratic equivalence constraints.
     """
+    cx = Complex("pair", base)
     for d in (d1, d2):
-        if not huaD(base, d.cochain()).is_zero():
+        if not all(m.is_zero() for m in cx.coboundary(2, d.cochain().blocks())):
             raise ValueError("input datum is not a 2-cocycle of the pair")
     target = (d1.cochain() - d2.cochain()).blocks()
-    cx = Complex("pair", base)
     x = cx.preimage(2, target)
     if x is None:
         return None

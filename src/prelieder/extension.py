@@ -120,10 +120,14 @@ def _block_derivation(base: RegularPair, r: DerPairRepresentation, xi_col) -> Ma
     return Matrix(dg + dv, dg + dv, rows)
 
 
-def semidirect_product(base: RegularPair, r: DerPairRepresentation) -> RegularPair:
-    """Regular pair on g + V with V an abelian ideal and derivation D + K."""
+def _require_module(base: RegularPair, r: DerPairRepresentation) -> None:
     if not is_derpair_representation(base, r):
         raise ValueError("not a module over the regular pair")
+
+
+def semidirect_product(base: RegularPair, r: DerPairRepresentation) -> RegularPair:
+    """Regular pair on g + V with V an abelian ideal and derivation D + K."""
+    _require_module(base, r)
     dg, dv = base.algebra.dim, r.dim_v
     table = _total_table(base, r, lambda i, j: zero_vec(dv))
     alg = PreLieAlgebra(dg + dv, table)
@@ -266,10 +270,14 @@ def build_extension(
     Refuses non-cocycles: those are exactly the data for which the total
     structure would fail the pair axioms.
     """
-    if not is_derpair_representation(base, r):
-        raise ValueError("not a module over the regular pair")
+    _require_module(base, r)
     if not is_extension_cocycle(base, r, c):
         raise ValueError("(theta, xi) is not a 2-cocycle of the module complex")
+    return _extension(base, r, c)
+
+
+def _extension(base: RegularPair, r: DerPairRepresentation, c: ExtensionCocycle) -> AbelianExtension:
+    """The extension by a cocycle over a module, both already checked."""
     dg, dv = base.algebra.dim, r.dim_v
     table = _total_table(base, r, c.theta_vec)
     alg = PreLieAlgebra(dg + dv, table)
@@ -393,10 +401,10 @@ def classify(
     returned matrix is verified to be a pair isomorphism between
     build_extension(base, r, c1) and build_extension(base, r, c2).
     """
-    for c in (c1, c2):
-        if not is_extension_cocycle(base, r, c):
-            raise ValueError("input is not a 2-cocycle of the module complex")
     cx = Complex("rep", (base, r))
+    for c in (c1, c2):
+        if not all(m.is_zero() for m in cx.coboundary(2, c.two_slot().blocks())):
+            raise ValueError("input is not a 2-cocycle of the module complex")
     x = cx.preimage(2, (c1.two_slot() - c2.two_slot()).blocks())
     if x is None:
         return None
@@ -412,8 +420,8 @@ def classify(
             + [1 if w == u else 0 for w in range(dv)]
         )
     zeta = Matrix(n, n, zeta_rows)
-    ext1 = build_extension(base, r, c1)
-    ext2 = build_extension(base, r, c2)
+    _require_module(base, r)
+    ext1, ext2 = _extension(base, r, c1), _extension(base, r, c2)
     if rank(zeta) != n:
         raise RuntimeError("id + phi is not invertible")
     if not is_morphism(zeta, zeta, ext1.total.to_derpair(), ext2.total.to_derpair()):

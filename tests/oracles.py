@@ -6,14 +6,15 @@ large for it from elimination modulo a large prime, the low-arity bracket
 formulas are the classical closed forms written out by hand, and the
 associator identity characterizes the bracket through its defining
 property. The general composition and left symmetry are walked densely
-over the whole basis.
+over the whole basis, and a differential's term generators are
+evaluated one output key at a time.
 """
 
 from fractions import Fraction
 
 import sympy
 
-from prelieder.cochain import Cochain
+from prelieder.cochain import Cochain, MixedMap
 from prelieder.exact_linalg import Matrix, vec_add, vec_scale, zero_vec
 from prelieder.spaces import unshuffles, wedge_tail_basis
 
@@ -213,3 +214,26 @@ def left_symmetric_reference(dim: int, table) -> bool:
         for j in range(dim)
         for k in range(dim)
     )
+
+
+def apply_terms(dims, shape, target, terms, maps) -> MixedMap:
+    """The output block (shape, target) of a term generator at the input maps.
+
+    Each output basis key is evaluated on its own: every term reads its
+    input value through eval_local, which re-sorts the arguments with
+    their sign, scales it by c and maps it through cols when given.
+    """
+    out = MixedMap(dims, shape, target)
+    coeffs = {}
+    for key in out.basis_keys():
+        acc = [Fraction(0)] * out.target_dim
+        for src, g_args, v_args, tail, c, cols in terms(key):
+            for a, x in enumerate(maps[src].eval_local(g_args, v_args, tail)):
+                if cols is None:
+                    acc[a] += c * x
+                else:
+                    for r, y in cols[a]:
+                        acc[r] += c * x * y
+        if any(acc):
+            coeffs[key] = acc
+    return MixedMap(dims, shape, target, coeffs)

@@ -72,7 +72,7 @@ from prelieder import (
     validate_extension,
 )
 from prelieder.cochain import component_bidegree
-from prelieder.cohomology import _component_specs, _unflatten, _flatten, delta_bracket, partial_bracket
+from prelieder.cohomology import COMPLEXES, _unflatten, _flatten, delta_bracket, partial_bracket
 from prelieder.prelie import pi_component
 
 from conftest import (
@@ -450,7 +450,7 @@ def _structure_datum(p: DerPair) -> DeformationDatum:
 
 
 def _as_pair_cochain(dims: SplitDims, vec) -> DerPairCochain:
-    f_g, f_rho, f_mu, theta = _unflatten(dims, _component_specs("pair", 2), list(vec))
+    f_g, f_rho, f_mu, theta = _unflatten(dims, COMPLEXES["pair"].specs(2), list(vec))
     return DerPairCochain(dims, 2, f_g, f_rho, f_mu, theta)
 
 
@@ -551,7 +551,7 @@ def _cocycles_over(base: RegularPair, r: DerPairRepresentation, count: int = 2) 
     vecs = kernel_basis(differential_matrix("rep", 2, (base, r)))
     out = [ExtensionCocycle.zero(dims)]
     for vec in vecs[:count]:
-        theta, xi = _unflatten(dims, _component_specs("rep", 2), list(vec))
+        theta, xi = _unflatten(dims, COMPLEXES["rep"].specs(2), list(vec))
         out.append(ExtensionCocycle(dims, theta, xi))
     return out
 

@@ -9,14 +9,20 @@ from hypothesis import strategies as st
 import prelieder.cohomology
 import prelieder.exact_linalg
 from prelieder import (
+    DeformationDatum,
     DerPair,
     DerPairCochain,
     DerPairRepresentation,
+    ExtensionCocycle,
     Matrix,
     PreLieAlgebra,
     RegularPair,
     Representation,
     TwoSlotCochain,
+    build_extension,
+    classify,
+    coboundary_cocycle,
+    coboundary_datum,
     cohomology_dim,
     differential_matrix,
     huaD,
@@ -26,6 +32,7 @@ from prelieder import (
     les_check,
     p_project,
     regular_module,
+    same_cohomology_class,
     space_dimension,
 )
 from prelieder.cochain import MixedShape, SplitDims
@@ -34,11 +41,7 @@ from prelieder.cohomology import (
     _Action,
     _Algebra,
     _columns,
-    _apply_differential,
-    _component_specs,
     _flatten,
-    _unflatten,
-    d_coeff,
     d_prelie,
     d_regular,
     delta,
@@ -58,7 +61,7 @@ from conftest import (
     shift_algebra,
     triangular_algebra,
 )
-from oracles import rank_mod_p, sympy_rank
+from oracles import apply_terms, rank_mod_p, sympy_rank
 
 
 def golden_pair() -> DerPair:
@@ -112,8 +115,9 @@ def test_d_squared_zero_derpair_complexes(pair_corpus, cid):
 
 def test_d_squared_zero_regular_and_rep(regular_corpus):
     for rp in regular_corpus[:8]:
-        mod = regular_module(rp)
-        for cid, data in [("regular", rp), ("rep", (rp, mod))]:
+        cases = [("regular", rp)]
+        cases += [("rep", (rp, mod)) for mod in (regular_module(rp), zero_action_module(rp))]
+        for cid, data in cases:
             top = vanishing_degree(cid, data)
             for n in range(1, top + 1):
                 d1 = differential_matrix(cid, n, data)
@@ -186,18 +190,25 @@ def test_d_regular_is_d_prelie_with_left_right(regular_corpus, rng):
 
 
 def test_omega_against_direct_sum_expansion(regular_corpus, rng):
-    # omega with K = D on the regular complex: sum over argument insertions
-    # minus the outer action, checked entrywise on basis keys
+    # omega: sum over argument insertions of D minus the outer action K,
+    # checked entrywise on basis keys; K = D on the regular complex, and
+    # K != D on V = Q^2 for the module-coefficient complex
+    local = Random(13)  # keeps the shared rng's sequence as it was for later tests
+    cases = []
     for rp in regular_corpus[:4]:
         a = rp.algebra
-        dims = SplitDims(a.dim, a.dim)
+        cases.append((rp, rp.D, "g", SplitDims(a.dim, a.dim), rng))
+        mod = zero_action_module(rp)
+        cases.append((rp, mod.K, "v", SplitDims(a.dim, mod.dim_v), local))
+    for rp, K, target, dims, r in cases:
+        a = rp.algebra
         for n in (1, 2):
-            f = random_mixed(rng, dims, MixedShape(n - 1, 0, "g"), "g")
-            out = omega(rp.D, rp.D, f)
+            f = random_mixed(r, dims, MixedShape(n - 1, 0, "g"), target)
+            out = omega(rp.D, K, f)
             sign = -1 if (n % 2 == 1) else 1  # (-1)^(n-2)
             for key in out.basis_keys():
                 gt, vt, tail = key
-                acc = [Fraction(0)] * a.dim
+                acc = [Fraction(0)] * K.rows
                 args = list(gt) + [tail]
                 for pos in range(n):
                     for src in range(a.dim):
@@ -206,11 +217,11 @@ def test_omega_against_direct_sum_expansion(regular_corpus, rng):
                             continue
                         new = args[:pos] + [src] + args[pos + 1 :]
                         v = f.eval_local(tuple(new[:-1]), (), new[-1])
-                        for t in range(a.dim):
+                        for t in range(K.rows):
                             acc[t] += coef * v[t]
                 v = f.eval_local(gt, (), tail)
-                Kv = rp.D.matvec(v)
-                for t in range(a.dim):
+                Kv = K.matvec(v)
+                for t in range(K.rows):
                     acc[t] -= Kv[t]
                 want = tuple(sign * x for x in acc)
                 assert out.eval_local(gt, (), tail) == want
@@ -251,23 +262,29 @@ def zero_action_module(rp: RegularPair) -> DerPairRepresentation:
 
 
 def test_differential_matrix_matches_application(pair_corpus, regular_corpus, rng):
-    cases = [(cid, p, p.dims, rng) for p in pair_corpus[:8] for cid in ("coeffs", "prelie", "pair")]
+    # the assembled rows of d_n against the reference evaluation of the same
+    # term generators, one output key at a time (oracles.apply_terms); from
+    # n = 3 on the generators read wedge arguments out of order
+    cases = [(cid, p, rng) for p in pair_corpus[:8] for cid in ("coeffs", "prelie", "pair")]
     local = Random(12)  # keeps the shared rng's sequence as it was for later tests
+    deeper = Random(14)
     for rp in regular_corpus[:6]:
-        dg = rp.algebra.dim
-        cases.append(("regular", rp, SplitDims(dg, dg), local))
+        cases.append(("regular", rp, local))
         for mod in (regular_module(rp), zero_action_module(rp)):
-            cases.append(("rep", (rp, mod), SplitDims(dg, mod.dim_v), local))
-    for cid, data, dims, r in cases:
-        for n in (1, 2):
-            specs = _component_specs(cid, n)
-            maps = [random_mixed(r, dims, shape, target) for (shape, target) in specs]
-            vec = _flatten(maps)
+            cases.append(("rep", (rp, mod), local))
+    for cid, data, r in cases:
+        cx = Complex(cid, data)
+        for n, rn in ((1, r), (2, r), (3, deeper)):
+            maps = [random_mixed(rn, cx.dims, shape, target) for (shape, target) in cx.specs(n)]
             m = differential_matrix(cid, n, data)
             if m.cols == 0:
                 continue
-            out_maps = _apply_differential(cid, n, data, maps)
-            assert m.matvec(vec) == tuple(_flatten(out_maps)), (cid, n)
+            want = [
+                apply_terms(cx.dims, shape, target, terms, maps)
+                for (shape, target), terms in zip(cx.specs(n + 1), cx._terms)
+            ]
+            assert m.matvec(_flatten(maps)) == tuple(_flatten(want)), (cid, n)
+            assert cx.coboundary(n, maps) == want, (cid, n)
 
 
 def test_coboundary_and_preimage_on_every_complex():
@@ -295,8 +312,8 @@ def test_coboundary_and_preimage_on_every_complex():
         z, b, h = cx.cohomology_dim(2)
         assert h > 0, cid
         outside = 0
-        for vec in cx.cocycle_basis(2):
-            cocycle = _unflatten(cx.dims, cx.specs(2), list(vec))
+        for cocycle in cx.cocycle_basis(2):
+            assert [(m.shape, m.target) for m in cocycle] == cx.specs(2)
             assert all(m.is_zero() for m in cx.coboundary(2, cocycle))
             outside += cx.preimage(2, cocycle) is None
         assert outside >= 1, cid
@@ -449,6 +466,62 @@ def test_les_check_ranks_each_differential_once(pair_corpus, monkeypatch):
     assert les_check(p, 3) == want
     assert kernel_calls[0] == len(requested) > 0
     assert rank_calls[0] > 2 * kernel_calls[0]
+
+
+def test_cocycle_checks_build_the_structure_tables_once(monkeypatch):
+    # same_cohomology_class, build_extension and classify check their
+    # inputs on the one Complex they build: the structure tables (_Algebra)
+    # are built once, and each input cocycle goes through d_2 once
+    p = golden_pair()
+    rp = RegularPair(p.algebra, p.D)
+    mod = regular_module(rp)
+    d = coboundary_datum(p, Matrix(2, 2, [[1, 2], [0, 1]]), Matrix(2, 2, [[0, 1], [1, 0]]))
+    zero = DeformationDatum.zero(p.dims)
+    c1 = ExtensionCocycle(p.dims, *Complex("rep", (rp, mod)).cocycle_basis(2)[-1])
+    shift = coboundary_cocycle(rp, mod, Matrix(2, 2, [[1, 0], [3, -1]]))
+    c2 = ExtensionCocycle(p.dims, c1.theta + shift.theta, c1.xi + shift.xi)
+
+    tables, checks = [0], [0]
+    real_algebra, real_coboundary = prelieder.cohomology._Algebra, Complex.coboundary
+
+    class CountedAlgebra(real_algebra):
+        def __init__(self, a):
+            tables[0] += 1
+            super().__init__(a)
+
+    def coboundary(cx, n, blocks):
+        checks[0] += n == 2
+        return real_coboundary(cx, n, blocks)
+
+    monkeypatch.setattr(prelieder.cohomology, "_Algebra", CountedAlgebra)
+    monkeypatch.setattr(Complex, "coboundary", coboundary)
+
+    def counts(run):
+        tables[0] = checks[0] = 0
+        run()
+        return tables[0], checks[0]
+
+    assert counts(lambda: same_cohomology_class(p, d, zero)) == (1, 2)
+    assert counts(lambda: build_extension(rp, mod, c1)) == (1, 1)
+    assert counts(lambda: classify(rp, mod, c1, c2)) == (1, 2)
+
+
+def test_cochains_over_other_dimensions_are_refused():
+    # a (3,3) cochain given to the differentials of a (2,2) structure is a
+    # ValueError naming the dimensions, not an index error from the tables
+    p = golden_pair()
+    rp = RegularPair(p.algebra, p.D)
+    big, rng = SplitDims(3, 3), Random(41)
+
+    def blocks(cid):
+        return [random_mixed(rng, big, s, t) for s, t in prelieder.cohomology.COMPLEXES[cid].specs(2)]
+
+    with pytest.raises(ValueError, match="pair cochain blocks are not over"):
+        huaD(p, DerPairCochain(big, 2, *blocks("pair")))
+    with pytest.raises(ValueError, match="regular cochain blocks are not over"):
+        huaD_reg(rp, TwoSlotCochain(big, 2, "g", *blocks("regular")))
+    with pytest.raises(ValueError, match="rep cochain blocks are not over"):
+        huaD_rep(rp, regular_module(rp), TwoSlotCochain(big, 2, "v", *blocks("rep")))
 
 
 def _d_squared_is_zero(cx: Complex, n: int) -> bool:

@@ -37,7 +37,7 @@ from prelieder import (
     mc_twisted_check,
     same_cohomology_class,
 )
-from prelieder.cohomology import _component_specs, _flatten, _unflatten
+from prelieder.cohomology import COMPLEXES, _unflatten
 from prelieder.linfty import MCCandidate
 
 from conftest import (
@@ -254,7 +254,7 @@ def test_equivalent_data_share_class(small_pairs):
 def test_class_decision_matches_span_membership():
     p = RegularPair(shift_algebra(), Matrix(2, 2, [[0, 0], [0, 1]])).to_derpair()
     dims = p.dims
-    specs = _component_specs("pair", 2)
+    specs = COMPLEXES["pair"].specs(2)
     d2 = differential_matrix("pair", 2, p)
     d1 = differential_matrix("pair", 1, p)
     d1_cols = [d1.col(j) for j in range(d1.cols)]

@@ -41,7 +41,7 @@ from prelieder import (
     validate_extension,
 )
 from prelieder.cochain import SplitDims
-from prelieder.cohomology import _component_specs, _unflatten
+from prelieder.cohomology import COMPLEXES, _unflatten
 
 from conftest import random_matrix, regular_pairs, shift_algebra
 from oracles import in_span
@@ -79,7 +79,7 @@ def cocycles_over(base, r, count=3):
     vecs = kernel_basis(differential_matrix("rep", 2, (base, r)))
     out = [ExtensionCocycle.zero(dims)]
     for vec in vecs[:count]:
-        theta, xi = _unflatten(dims, _component_specs("rep", 2), list(vec))
+        theta, xi = _unflatten(dims, COMPLEXES["rep"].specs(2), list(vec))
         out.append(ExtensionCocycle(dims, theta, xi))
     return out
 
@@ -378,7 +378,7 @@ def test_shape_checks_are_value_errors_under_optimize():
         "from prelieder import (AbelianExtension, DerPairRepresentation, ExtensionCocycle, Matrix,\n"
         "    PreLieAlgebra, RegularPair, derpair_representation_report)\n"
         "from prelieder.cochain import MixedMap, MixedShape, SplitDims\n"
-        "from prelieder.cohomology import _component_specs, _unflatten\n"
+        "from prelieder.cohomology import COMPLEXES, _unflatten\n"
         "shift = PreLieAlgebra(2, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]])\n"
         "base = RegularPair(shift, Matrix.zeros(2, 2))\n"
         "z1, z2 = Matrix.zeros(1, 1), Matrix.zeros(2, 2)\n"
@@ -404,7 +404,7 @@ def test_shape_checks_are_value_errors_under_optimize():
         "    else:\n"
         "        print('accepted')\n"
         "try:\n"
-        "    _unflatten(dims, _component_specs('rep', 2), [0] * 5)\n"
+        "    _unflatten(dims, COMPLEXES['rep'].specs(2), [0] * 5)\n"
         "except RuntimeError as e:\n"
         "    print(type(e).__name__)\n"
         "else:\n"
