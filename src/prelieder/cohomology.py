@@ -133,11 +133,12 @@ class _Action:
 # nonzero (index, entry) pairs).
 
 
-def _apply(maps, specs, terms) -> list:
+def _apply(name: str, dims: SplitDims, maps, specs, terms) -> list:
     """The output blocks, laid out as specs, of the term generators
     terms (one per block) at the input maps: their assembled rows times
-    the coordinates of the maps."""
-    dims = maps[0].dims
+    the coordinates of the maps, which must be over the structure's dims."""
+    if any(m.dims != dims for m in maps):
+        raise ValueError(f"{name} cochain blocks are not over {dims}")
     out = [spec + (t,) for spec, t in zip(specs, terms)]
     rows = _assemble(dims, [(m.shape, m.target) for m in maps], out)[0]
     return _unflatten(dims, specs, sparse_matvec(rows, _flatten(maps)))
@@ -259,14 +260,15 @@ def d_coeff(a: PreLieAlgebra, act_l, act_r, f: MixedMap) -> MixedMap:
     act_l[i], act_r[i] are the action matrices of e_i on the target
     space T; f has shape (m-1, 0, 'g'). Output has shape (m, 0, 'g').
     """
-    return _d_coeff(_Algebra(a), [_columns(x) for x in act_l], [_columns(x) for x in act_r], f)
+    dims = SplitDims(a.dim, act_l[0].rows if act_l else f.dims.dim_v)
+    return _d_coeff(dims, _Algebra(a), [_columns(x) for x in act_l], [_columns(x) for x in act_r], f)
 
 
-def _d_coeff(alg: _Algebra, lcols, rcols, f: MixedMap) -> MixedMap:
+def _d_coeff(dims: SplitDims, alg: _Algebra, lcols, rcols, f: MixedMap) -> MixedMap:
     if not (f.shape.v_wedge == 0 or f.shape.degenerate) or f.shape.tail != "g":
         raise ValueError(f"d_coeff takes Hom(wedge g tensor g, T), got shape {f.shape}")
     shape = MixedShape(f.shape.g_wedge + 1, 0, "g")
-    return _apply([f], [(shape, f.target)], [_d_coeff_terms(alg, lcols, rcols, 0)])[0]
+    return _apply("d_coeff", dims, [f], [(shape, f.target)], [_d_coeff_terms(alg, lcols, rcols, 0)])[0]
 
 
 def d_prelie(a: PreLieAlgebra, rep, f: MixedMap) -> MixedMap:
@@ -277,7 +279,7 @@ def d_prelie(a: PreLieAlgebra, rep, f: MixedMap) -> MixedMap:
 def d_regular(a: PreLieAlgebra, f: MixedMap) -> MixedMap:
     """Coboundary with regular coefficients (L, R) on g itself."""
     alg = _Algebra(a)
-    return _d_coeff(alg, alg.left, alg.right, f)
+    return _d_coeff(SplitDims(a.dim, a.dim), alg, alg.left, alg.right, f)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +355,9 @@ def _partial_mu_terms(alg: _Algebra, rho: _Action, mu: _Action):
 def partial(a: PreLieAlgebra, rep, f_g: MixedMap, f_rho: MixedMap, f_mu: MixedMap):
     """Explicit component formulas for the triple-complex coboundary."""
     n = f_g.shape.arity
-    return tuple(_apply([f_g, f_rho, f_mu], _prelie_specs(n + 1), _prelie_terms(a, rep)))
+    dims = SplitDims(a.dim, rep.dim_v)
+    maps = [f_g, f_rho, f_mu]
+    return tuple(_apply("partial", dims, maps, _prelie_specs(n + 1), _prelie_terms(a, rep)))
 
 
 def partial_bracket(p: DerPair, f_g, f_rho, f_mu):
@@ -401,7 +405,8 @@ def delta(D: Matrix, f_g: MixedMap, f_rho: MixedMap, f_mu: MixedMap) -> MixedMap
       + (-1)^(n-2) (f_rho(x_1..x_{n-1}, D(x_n)) - D(f_g(x_1..x_n))).
     """
     shape = MixedShape(f_g.shape.arity - 1, 0, "g")
-    return _apply([f_g, f_rho, f_mu], [(shape, "v")], [_delta_terms(D)])[0]
+    dims = SplitDims(D.cols, D.rows)
+    return _apply("delta", dims, [f_g, f_rho, f_mu], [(shape, "v")], [_delta_terms(D)])[0]
 
 
 def delta_bracket(p: DerPair, f_g, f_rho, f_mu) -> MixedMap:
@@ -435,7 +440,8 @@ def omega(D: Matrix, K: Matrix, f: MixedMap) -> MixedMap:
     K = D, for the module-coefficient complex K is the coefficient map.
     Output has the same shape as f.
     """
-    return _apply([f], [(f.shape, f.target)], [_omega_terms(D, K, 0)])[0]
+    dims = SplitDims(D.cols, K.rows)
+    return _apply("omega", dims, [f], [(f.shape, f.target)], [_omega_terms(D, K, 0)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -856,11 +862,11 @@ def les_check(p: DerPair, n_max: int) -> dict:
 
     The inclusion theta -> (0, 0, 0, theta) fills the last block of the
     pair complex and the projection (f, theta) -> f keeps the leading
-    prelie blocks, so both act on coordinates as index slices; delta
-    acts through its sparse rows.
+    prelie blocks, so both act on coordinates as index slices. delta_n
+    is the block of d_n(pair) from the prelie columns to the theta rows,
+    so it is read off the pair's rows rather than assembled again.
     """
     pair, prelie, coeffs = Complex("pair", p), Complex("prelie", p), Complex("coeffs", p)
-    delta_terms = _delta_terms(p.D)
 
     def iota(n, v):  # coeffs C^(n-1) -> pair C^n
         return (Fraction(0),) * (pair.dim(n) - len(v)) + tuple(v)
@@ -893,7 +899,9 @@ def les_check(p: DerPair, n_max: int) -> dict:
 
     z_coeffs = []  # Z^0(coeffs): C^0 is the zero space
     for n in range(1, n_max + 1):
-        delta_n = _assemble(p.dims, prelie.specs(n), [coeffs.specs(n)[0] + (delta_terms,)])[0]
+        rows, cut = pair._rows(n)[0], prelie.dim(n)
+        theta_rows = rows[len(rows) - coeffs.dim(n) :]
+        delta_n = [{j: x for j, x in row.items() if j < cut} for row in theta_rows]
         z_coeffs_prev = z_coeffs
         z_pair, z_prelie, z_coeffs = (sparse_kernel(*cx._rows(n)) for cx in (pair, prelie, coeffs))
 

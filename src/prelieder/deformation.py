@@ -21,8 +21,11 @@ a linear space. A valid datum is a 2-cocycle of the pair complex.
 
 Equivalence of two data d1 (primed) and d2 is witnessed by a pair of
 matrices (N, S) making (Id + tN, Id + tS) a morphism from the
-d1-deformed pair to the d2-deformed pair; expanding in t gives eleven
-identities, tagged equi-deformation-1 .. equi-deformation-11. Equivalent
+d1-deformed pair to the d2-deformed pair. The t, t^2 and t^3 parts of
+the four morphism identities (product, rho, mu, D; the last has no t^3
+part) are eleven identities, tagged equi-deformation-1 ..
+equi-deformation-11; they are read off the identities at t = 1, 2, 3
+rather than written out. Equivalent
 data differ by the coboundary of (N, S), so they share a cohomology
 class in degree 2.
 """
@@ -33,16 +36,19 @@ from fractions import Fraction
 
 from .cochain import MixedMap, MixedShape, SplitDims, lift
 from .cohomology import Complex, DerPairCochain
-from .exact_linalg import Matrix, columns_matrix, combination, vec_add, vec_scale, vec_sub, zero_vec
+from .exact_linalg import Matrix, columns_matrix, vec_add, vec_scale, vec_sub
 from .linfty import LElement
 from .mn_bracket import mn_bracket
 from .prelie import (
     DerPair,
     PreLieAlgebra,
     Representation,
-    basis_vec,
     derivation_cochain,
+    left_action_map,
+    morphism_sides,
+    right_action_map,
     structure_cochain,
+    table_map,
 )
 
 
@@ -74,30 +80,11 @@ class DeformationDatum:
     def from_matrices(dims: SplitDims, omega_table, sigma_mats, tau_mats, dhat: Matrix) -> "DeformationDatum":
         """omega_table[i][j] = omega(e_i, e_j) as a g-vector; sigma_mats[i]
         acts on V as sigma(e_i); tau_mats[j] sends u to tau(u, e_j)."""
-        dg, dv = dims.dim_g, dims.dim_v
-        om = {}
-        for i in range(dg):
-            for j in range(dg):
-                v = tuple(Fraction(x) for x in omega_table[i][j])
-                if any(x != 0 for x in v):
-                    om[((i,), (), j)] = v
-        sg = {}
-        for i in range(dg):
-            for u in range(dv):
-                v = sigma_mats[i].col(u)
-                if any(x != 0 for x in v):
-                    sg[((i,), (), u)] = v
-        ta = {}
-        for j in range(dg):
-            for u in range(dv):
-                v = tau_mats[j].col(u)
-                if any(x != 0 for x in v):
-                    ta[((), (u,), j)] = v
         return DeformationDatum(
             dims,
-            MixedMap(dims, MixedShape(1, 0, "g"), "g", om),
-            MixedMap(dims, MixedShape(1, 0, "v"), "v", sg),
-            MixedMap(dims, MixedShape(0, 1, "g"), "v", ta),
+            table_map(dims, omega_table, "g"),
+            left_action_map(dims, sigma_mats),
+            right_action_map(dims, tau_mats),
             MixedMap.from_matrix(dims, "g", "v", dhat),
         )
 
@@ -209,103 +196,45 @@ def deformation_cocycle(base: DerPair, d: DeformationDatum) -> DerPairCochain:
 
 EQUIVALENCE_TAGS = tuple(f"equi-deformation-{k}" for k in range(1, 12))
 
+# Row k reads the t^(k+1) part of a polynomial p with p(0) = 0 and degree
+# at most 3 off (p(1), p(2), p(3)): the inverse of the matrix (t^k) with
+# t = 1, 2, 3 and k = 1, 2, 3.
+_T_PARTS = (
+    (Fraction(3), Fraction(-3, 2), Fraction(1, 3)),
+    (Fraction(-5, 2), Fraction(2), Fraction(-1, 2)),
+    (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 6)),
+)
+
 
 def is_equivalence(base: DerPair, d1: DeformationDatum, d2: DeformationDatum, w: EquivalenceWitness) -> dict:
     """Check the eleven identities making (Id+tN, Id+tS) a morphism.
 
     Source structure is deformed by d1 (the primed datum), target by d2.
-    Tags equi-deformation-1..3 are the t, t^2, t^3 parts of the product
-    identity, 4..6 the left-action parts, 7..9 the right-action parts,
-    10..11 the derivation parts.
+    The two sides of each morphism identity (prelie.morphism_sides) differ
+    by a polynomial in t of degree at most 3 without constant term, so
+    its values at t = 1, 2, 3 give its t, t^2 and t^3 parts: tags
+    equi-deformation-1..3 are those of the product identity, 4..6 of the
+    left action, 7..9 of the right action and 10..11 of the derivation,
+    whose t^3 part vanishes.
     """
     dims = base.dims
     dg, dv = dims.dim_g, dims.dim_v
-    a = base.algebra
-    N, S = w.N, w.S
-    if N.rows != dg or S.rows != dv:
+    if w.N.rows != dg or w.S.rows != dv:
         raise ValueError(f"N must be {dg} x {dg} and S {dv} x {dv}")
-    rho, mu, D = base.rep.rho, base.rep.mu, base.D
-    failed = set()
-
-    def prod_vec(vx, vy):
-        out = zero_vec(dg)
-        for i, ci in enumerate(vx):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(vy):
-                if cj != 0:
-                    out = vec_add(out, vec_scale(ci * cj, a.prod_basis(i, j)))
-        return out
-
-    def omega_of(d, vx, vy):
-        out = zero_vec(dg)
-        for i, ci in enumerate(vx):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(vy):
-                if cj != 0:
-                    out = vec_add(out, vec_scale(ci * cj, d.omega_vec(i, j)))
-        return out
-
-    for i in range(dg):
-        ei = basis_vec(dg, i)
-        ni = N.col(i)
-        for j in range(dg):
-            ej = basis_vec(dg, j)
-            nj = N.col(j)
-            # 1: omega'(x,y) - omega(x,y) = N(x).y + x.N(y) - N(x.y)
-            lhs = vec_sub(d1.omega_vec(i, j), d2.omega_vec(i, j))
-            rhs = vec_add(prod_vec(ni, ej), prod_vec(ei, nj))
-            rhs = vec_sub(rhs, N.matvec(a.prod_basis(i, j)))
-            if lhs != rhs:
-                failed.add(1)
-            # 2: N(omega'(x,y)) = N(x).N(y) + omega(x, N(y)) + omega(N(x), y)
-            lhs = N.matvec(d1.omega_vec(i, j))
-            rhs = vec_add(prod_vec(ni, nj), omega_of(d2, ei, nj))
-            rhs = vec_add(rhs, omega_of(d2, ni, ej))
-            if lhs != rhs:
-                failed.add(2)
-            # 3: omega(N(x), N(y)) = 0
-            if any(x != 0 for x in omega_of(d2, ni, nj)):
-                failed.add(3)
-
-    for i in range(dg):
-        ni = N.col(i)
-        rho_n = combination(ni, rho, dv, dv)
-        mu_n = combination(ni, mu, dv, dv)
-        sig_n = combination(ni, [d2.sigma_mat(k) for k in range(dg)], dv, dv)
-        tau_n = combination(ni, [d2.tau_mat(k) for k in range(dg)], dv, dv)
-        s1, s2 = d1.sigma_mat(i), d2.sigma_mat(i)
-        t1, t2 = d1.tau_mat(i), d2.tau_mat(i)
-        # 4: sigma'(x) - sigma(x) = rho(N x) + rho(x) S - S rho(x)
-        if s1 - s2 != rho_n + rho[i] * S - S * rho[i]:
-            failed.add(4)
-        # 5: S sigma'(x) = sigma(N x) + sigma(x) S + rho(N x) S
-        if S * s1 != sig_n + s2 * S + rho_n * S:
-            failed.add(5)
-        # 6: sigma(N x) S = 0
-        if not (sig_n * S).is_zero():
-            failed.add(6)
-        # 7: tau'(., y) - tau(., y) = mu(N y) + mu(y) S - S mu(y)
-        if t1 - t2 != mu_n + mu[i] * S - S * mu[i]:
-            failed.add(7)
-        # 8: S tau'(u, y) = tau(S u, y) + tau(u, N y) + mu(N y) S u
-        if S * t1 != t2 * S + tau_n + mu_n * S:
-            failed.add(8)
-        # 9: tau(S u, N y) = 0
-        if not (tau_n * S).is_zero():
-            failed.add(9)
-
-    dh1, dh2 = d1.dhat_mat(), d2.dhat_mat()
-    # 10: dhat'(x) - dhat(x) = D(N(x)) - S(D(x))
-    if dh1 - dh2 != D * N - S * D:
-        failed.add(10)
-    # 11: S(dhat'(x)) = dhat(N(x))
-    if S * dh1 != dh2 * N:
-        failed.add(11)
-
-    tags = [f"equi-deformation-{k}" for k in sorted(failed)]
-    return {"ok": not tags, "failed": tags}
+    if d1.dims != dims or d2.dims != dims:
+        raise ValueError(f"data over {d1.dims} and {d2.dims}, base pair over {dims}")
+    defects = []
+    for t in (1, 2, 3):
+        f_g = Matrix.identity(dg) + w.N.scale(t)
+        f_v = Matrix.identity(dv) + w.S.scale(t)
+        src, dst = deformed_pair(base, d1, t), deformed_pair(base, d2, t)
+        defects.append([vec_sub(lhs, rhs) for lhs, rhs in morphism_sides(f_g, f_v, src, dst)])
+    failed = []
+    for k, values in enumerate(zip(*defects)):  # product, rho, mu, D at t = 1, 2, 3
+        for power, row in enumerate(_T_PARTS[: 2 if k == 3 else 3]):
+            if any(sum(c * x for c, x in zip(row, xs)) for xs in zip(*values)):
+                failed.append(EQUIVALENCE_TAGS[3 * k + power])
+    return {"ok": not failed, "failed": failed}
 
 
 def _degree_one(dims: SplitDims, N: Matrix, S: Matrix) -> list:

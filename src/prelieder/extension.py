@@ -33,6 +33,7 @@ from .prelie import (
     is_regular_pair,
     regular_representation,
     representation_report,
+    table_map,
 )
 
 
@@ -151,16 +152,8 @@ class ExtensionCocycle:
 
     @staticmethod
     def from_matrices(dims: SplitDims, theta_table, xi: Matrix) -> "ExtensionCocycle":
-        th = {}
-        for i in range(dims.dim_g):
-            for j in range(dims.dim_g):
-                v = tuple(Fraction(x) for x in theta_table[i][j])
-                if any(x != 0 for x in v):
-                    th[((i,), (), j)] = v
         return ExtensionCocycle(
-            dims,
-            MixedMap(dims, MixedShape(1, 0, "g"), "v", th),
-            MixedMap.from_matrix(dims, "g", "v", xi),
+            dims, table_map(dims, theta_table, "v"), MixedMap.from_matrix(dims, "g", "v", xi)
         )
 
     @staticmethod

@@ -38,14 +38,7 @@ from .cochain import (
 )
 from .exact_linalg import Matrix
 from .mn_bracket import mn_bracket
-from .prelie import (
-    PreLieAlgebra,
-    Representation,
-    d_component,
-    mu_component,
-    pi_component,
-    rho_component,
-)
+from .prelie import DerPair, PreLieAlgebra, Representation, d_component, structure_cochain
 
 
 def _sign(k: int) -> int:
@@ -170,13 +163,8 @@ class MCCandidate:
 
     def element(self) -> LElement:
         """(s^{-1}(pi + rho + mu), D) as a degree-0 element."""
-        r = Representation(self.dims.dim_v, self.rho, self.mu)
-        m = (
-            lift(pi_component(self.algebra, self.dims))
-            + lift(rho_component(r, self.dims))
-            + lift(mu_component(r, self.dims))
-        )
-        return LElement(self.dims, 0, m, d_component(self.D, self.dims))
+        p = DerPair(self.algebra, Representation(self.dims.dim_v, self.rho, self.mu), self.D)
+        return LElement(self.dims, 0, structure_cochain(p), d_component(self.D, self.dims))
 
 
 def mc_residual(x: LElement) -> LElement:

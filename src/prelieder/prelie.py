@@ -16,7 +16,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from .cochain import Cochain, MixedMap, MixedShape, SplitDims, lift
-from .exact_linalg import Matrix, combination, frac, vec_add, vec_scale, vec_sub, zero_vec
+from .exact_linalg import Matrix, columns_matrix, combination, frac, vec_add, vec_scale, vec_sub, zero_vec
 
 
 class PreLieAlgebra:
@@ -243,67 +243,88 @@ def is_regular_pair(p: RegularPair) -> bool:
     return is_prelie(p.algebra) and is_derivation(p.to_derpair())
 
 
-def is_morphism(f_g: Matrix, f_v: Matrix, src: DerPair, dst: DerPair) -> bool:
-    """Pre-Lie morphism on g plus the three intertwining identities."""
+def _entries(mats) -> tuple:
+    """The entries of the matrices, row by row, one matrix after another."""
+    return tuple(x for m in mats for row in m.entries for x in row)
+
+
+def morphism_sides(f_g: Matrix, f_v: Matrix, src: DerPair, dst: DerPair) -> tuple:
+    """Both sides of the four identities making (f_g, f_V) a morphism
+    src -> dst, on every basis element, each side as one tuple:
+
+      product   f_g(x.y)     and  f_g(x).f_g(y)
+      rho       f_V rho(x)   and  rho'(f_g x) f_V
+      mu        f_V mu(x)    and  mu'(f_g x) f_V
+      D         f_V D        and  D' f_g
+    """
     a1, a2 = src.algebra, dst.algebra
     if f_g.rows != a2.dim or f_g.cols != a1.dim:
         raise ValueError(f"f_g must be {a2.dim} x {a1.dim}")
     if f_v.rows != dst.rep.dim_v or f_v.cols != src.rep.dim_v:
         raise ValueError(f"f_V must be {dst.rep.dim_v} x {src.rep.dim_v}")
-    for i in range(a1.dim):
-        for j in range(a1.dim):
-            # f_g(x.y) = f_g(x).f_g(y)
-            if f_g.matvec(a1.prod_basis(i, j)) != a2.prod(f_g.col(i), f_g.col(j)):
-                return False
     dv = dst.rep.dim_v
-    for i in range(a1.dim):
-        fi = f_g.col(i)
-        rho2 = combination(fi, dst.rep.rho, dv, dv)
-        mu2 = combination(fi, dst.rep.mu, dv, dv)
-        # f_V . rho(x) = rho'(f_g x) . f_V, same for mu
-        if f_v * src.rep.rho[i] != rho2 * f_v:
-            return False
-        if f_v * src.rep.mu[i] != mu2 * f_v:
-            return False
-    # f_V . D = D' . f_g
-    if f_v * src.D != dst.D * f_g:
-        return False
-    return True
+    cols = [f_g.col(i) for i in range(a1.dim)]
+    pairs = [(i, j) for i in range(a1.dim) for j in range(a1.dim)]
+    prods = columns_matrix([a1.prod_basis(i, j) for i, j in pairs], a1.dim)
+    images = columns_matrix([a2.prod(cols[i], cols[j]) for i, j in pairs], a2.dim)
+    return (
+        (_entries([f_g * prods]), _entries([images])),
+        (
+            _entries(f_v * m for m in src.rep.rho),
+            _entries(combination(c, dst.rep.rho, dv, dv) * f_v for c in cols),
+        ),
+        (
+            _entries(f_v * m for m in src.rep.mu),
+            _entries(combination(c, dst.rep.mu, dv, dv) * f_v for c in cols),
+        ),
+        (_entries([f_v * src.D]), _entries([dst.D * f_g])),
+    )
+
+
+def is_morphism(f_g: Matrix, f_v: Matrix, src: DerPair, dst: DerPair) -> bool:
+    """Pre-Lie morphism on g plus the three intertwining identities."""
+    return all(lhs == rhs for lhs, rhs in morphism_sides(f_g, f_v, src, dst))
 
 
 # Component maps for the bracket path. The split space is g + V with g
 # indices first; pi, rho, mu all lift to bidegree 1|0 and D to 1|-1.
+# The three converters take raw data: table[i][j] is the value on
+# (e_i, e_j), and mats[i] is the action of e_i on V.
 
-def pi_component(a: PreLieAlgebra, dims: SplitDims) -> MixedMap:
-    coeffs = {}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            coeffs[((i,), (), j)] = a.prod_basis(i, j)
-    return MixedMap(dims, MixedShape(1, 0, "g"), "g", coeffs)
+def table_map(dims: SplitDims, table, target: str) -> MixedMap:
+    """The map g x g -> target with (e_i, e_j) -> table[i][j]."""
+    r = range(dims.dim_g)
+    coeffs = {((i,), (), j): table[i][j] for i in r for j in r}
+    return MixedMap(dims, MixedShape(1, 0, "g"), target, coeffs)
 
 
-def rho_component(r: Representation, dims: SplitDims) -> MixedMap:
-    coeffs = {}
-    for i in range(r.dim_g):
-        for u in range(r.dim_v):
-            coeffs[((i,), (), u)] = r.rho[i].col(u)
+def left_action_map(dims: SplitDims, mats) -> MixedMap:
+    """The map g x V -> V with (e_i, e_u) -> mats[i] e_u."""
+    coeffs = {((i,), (), u): mats[i].col(u) for i in range(dims.dim_g) for u in range(dims.dim_v)}
     return MixedMap(dims, MixedShape(1, 0, "v"), "v", coeffs)
 
 
-def mu_component(r: Representation, dims: SplitDims) -> MixedMap:
-    coeffs = {}
-    for j in range(r.dim_g):
-        for u in range(r.dim_v):
-            # source is V tensor g: wedge slot u, tail j, value mu(e_j)e_u
-            coeffs[((), (u,), j)] = r.mu[j].col(u)
+def right_action_map(dims: SplitDims, mats) -> MixedMap:
+    """The map V x g -> V with (e_u, e_j) -> mats[j] e_u: the source is
+    V tensor g, so u is the wedge slot and j the tail."""
+    coeffs = {((), (u,), j): mats[j].col(u) for j in range(dims.dim_g) for u in range(dims.dim_v)}
     return MixedMap(dims, MixedShape(0, 1, "g"), "v", coeffs)
 
 
+def pi_component(a: PreLieAlgebra, dims: SplitDims) -> MixedMap:
+    return table_map(dims, a.table, "g")
+
+
+def rho_component(r: Representation, dims: SplitDims) -> MixedMap:
+    return left_action_map(dims, r.rho)
+
+
+def mu_component(r: Representation, dims: SplitDims) -> MixedMap:
+    return right_action_map(dims, r.mu)
+
+
 def d_component(D: Matrix, dims: SplitDims) -> MixedMap:
-    coeffs = {}
-    for j in range(D.cols):
-        coeffs[((), (), j)] = D.col(j)
-    return MixedMap(dims, MixedShape(0, 0, "g"), "v", coeffs)
+    return MixedMap.from_matrix(dims, "g", "v", D)
 
 
 def structure_cochain(p: DerPair) -> Cochain:

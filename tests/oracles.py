@@ -6,8 +6,9 @@ large for it from elimination modulo a large prime, the low-arity bracket
 formulas are the classical closed forms written out by hand, and the
 associator identity characterizes the bracket through its defining
 property. The general composition and left symmetry are walked densely
-over the whole basis, and a differential's term generators are
-evaluated one output key at a time.
+over the whole basis, a differential's term generators are evaluated
+one output key at a time, and the eleven equivalence identities are
+written out one by one.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from fractions import Fraction
 import sympy
 
 from prelieder.cochain import Cochain, MixedMap
-from prelieder.exact_linalg import Matrix, vec_add, vec_scale, zero_vec
+from prelieder.exact_linalg import Matrix, combination, vec_add, vec_scale, vec_sub, zero_vec
 from prelieder.spaces import unshuffles, wedge_tail_basis
 
 
@@ -237,3 +238,88 @@ def apply_terms(dims, shape, target, terms, maps) -> MixedMap:
         if any(acc):
             coeffs[key] = acc
     return MixedMap(dims, shape, target, coeffs)
+
+
+def equivalence_reference(base, d1, d2, w) -> dict:
+    """The eleven equi-deformation identities, each expanded by hand.
+
+    They are the t, t^2, t^3 parts of (Id + tN, Id + tS) being a morphism
+    from the d1-deformed pair to the d2-deformed pair: 1..3 of the
+    product identity, 4..6 of rho, 7..9 of mu, 10..11 of D.
+    """
+    dg, dv = base.dims.dim_g, base.dims.dim_v
+    a = base.algebra
+    N, S = w.N, w.S
+    rho, mu, D = base.rep.rho, base.rep.mu, base.D
+    failed = set()
+
+    def bilinear(value, vx, vy):
+        out = zero_vec(dg)
+        for i, ci in enumerate(vx):
+            for j, cj in enumerate(vy):
+                if ci * cj:
+                    out = vec_add(out, vec_scale(ci * cj, value(i, j)))
+        return out
+
+    def prod_vec(vx, vy):
+        return bilinear(a.prod_basis, vx, vy)
+
+    def omega_of(d, vx, vy):
+        return bilinear(d.omega_vec, vx, vy)
+
+    for i in range(dg):
+        ei = unit(dg, i)
+        ni = N.col(i)
+        for j in range(dg):
+            ej = unit(dg, j)
+            nj = N.col(j)
+            # 1: omega'(x,y) - omega(x,y) = N(x).y + x.N(y) - N(x.y)
+            lhs = vec_sub(d1.omega_vec(i, j), d2.omega_vec(i, j))
+            rhs = vec_add(prod_vec(ni, ej), prod_vec(ei, nj))
+            if lhs != vec_sub(rhs, N.matvec(a.prod_basis(i, j))):
+                failed.add(1)
+            # 2: N(omega'(x,y)) = N(x).N(y) + omega(x, N(y)) + omega(N(x), y)
+            rhs = vec_add(prod_vec(ni, nj), omega_of(d2, ei, nj))
+            if N.matvec(d1.omega_vec(i, j)) != vec_add(rhs, omega_of(d2, ni, ej)):
+                failed.add(2)
+            # 3: omega(N(x), N(y)) = 0
+            if any(omega_of(d2, ni, nj)):
+                failed.add(3)
+
+    for i in range(dg):
+        ni = N.col(i)
+        rho_n = combination(ni, rho, dv, dv)
+        mu_n = combination(ni, mu, dv, dv)
+        sig_n = combination(ni, [d2.sigma_mat(k) for k in range(dg)], dv, dv)
+        tau_n = combination(ni, [d2.tau_mat(k) for k in range(dg)], dv, dv)
+        s1, s2 = d1.sigma_mat(i), d2.sigma_mat(i)
+        t1, t2 = d1.tau_mat(i), d2.tau_mat(i)
+        # 4: sigma'(x) - sigma(x) = rho(N x) + rho(x) S - S rho(x)
+        if s1 - s2 != rho_n + rho[i] * S - S * rho[i]:
+            failed.add(4)
+        # 5: S sigma'(x) = sigma(N x) + sigma(x) S + rho(N x) S
+        if S * s1 != sig_n + s2 * S + rho_n * S:
+            failed.add(5)
+        # 6: sigma(N x) S = 0
+        if not (sig_n * S).is_zero():
+            failed.add(6)
+        # 7: tau'(., y) - tau(., y) = mu(N y) + mu(y) S - S mu(y)
+        if t1 - t2 != mu_n + mu[i] * S - S * mu[i]:
+            failed.add(7)
+        # 8: S tau'(u, y) = tau(S u, y) + tau(u, N y) + mu(N y) S u
+        if S * t1 != t2 * S + tau_n + mu_n * S:
+            failed.add(8)
+        # 9: tau(S u, N y) = 0
+        if not (tau_n * S).is_zero():
+            failed.add(9)
+
+    dh1, dh2 = d1.dhat_mat(), d2.dhat_mat()
+    # 10: dhat'(x) - dhat(x) = D(N(x)) - S(D(x))
+    if dh1 - dh2 != D * N - S * D:
+        failed.add(10)
+    # 11: S(dhat'(x)) = dhat(N(x))
+    if S * dh1 != dh2 * N:
+        failed.add(11)
+
+    tags = [f"equi-deformation-{k}" for k in sorted(failed)]
+    return {"ok": not tags, "failed": tags}

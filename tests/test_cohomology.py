@@ -42,6 +42,7 @@ from prelieder.cohomology import (
     _Algebra,
     _columns,
     _flatten,
+    d_coeff,
     d_prelie,
     d_regular,
     delta,
@@ -468,6 +469,30 @@ def test_les_check_ranks_each_differential_once(pair_corpus, monkeypatch):
     assert rank_calls[0] > 2 * kernel_calls[0]
 
 
+def test_les_check_assembles_only_the_differentials_it_holds(pair_corpus, monkeypatch):
+    # delta_n is the block of the pair differential from the prelie columns
+    # to the theta rows, so les_check assembles nothing beyond the
+    # differentials its three complexes keep
+    made, calls = [], [0]
+    real_init, real_assemble = Complex.__init__, prelieder.cohomology._assemble
+
+    def init(self, complex_id, data):
+        made.append(self)
+        real_init(self, complex_id, data)
+
+    def assemble(*args):
+        calls[0] += 1
+        return real_assemble(*args)
+
+    p = next(p for p in pair_corpus if (p.dims.dim_g, p.dims.dim_v) == (3, 2))
+    want = les_check(p, 4)
+    monkeypatch.setattr(Complex, "__init__", init)
+    monkeypatch.setattr(prelieder.cohomology, "_assemble", assemble)
+    assert les_check(p, 4) == want
+    assert sorted(cx._id for cx in made) == ["coeffs", "pair", "prelie"]
+    assert calls[0] == sum(len(cx._sparse) for cx in made) > 0
+
+
 def test_cocycle_checks_build_the_structure_tables_once(monkeypatch):
     # same_cohomology_class, build_extension and classify check their
     # inputs on the one Complex they build: the structure tables (_Algebra)
@@ -522,6 +547,20 @@ def test_cochains_over_other_dimensions_are_refused():
         huaD_reg(rp, TwoSlotCochain(big, 2, "g", *blocks("regular")))
     with pytest.raises(ValueError, match="rep cochain blocks are not over"):
         huaD_rep(rp, regular_module(rp), TwoSlotCochain(big, 2, "v", *blocks("rep")))
+    # the cochain-level pieces of the differentials refuse them the same way
+    f_g, f_rho, f_mu, theta = blocks("pair")
+    reg = blocks("regular")[0]
+    cases = [
+        ("partial", lambda: partial(p.algebra, p.rep, f_g, f_rho, f_mu)),
+        ("delta", lambda: delta(p.D, f_g, f_rho, f_mu)),
+        ("omega", lambda: omega(rp.D, rp.D, reg)),
+        ("d_coeff", lambda: d_coeff(p.algebra, p.rep.rho, p.rep.mu, theta)),
+        ("d_coeff", lambda: d_prelie(p.algebra, p.rep, theta)),
+        ("d_coeff", lambda: d_regular(p.algebra, reg)),
+    ]
+    for name, call in cases:
+        with pytest.raises(ValueError, match=rf"{name} cochain blocks are not over SplitDims\(g=2, v=2\)"):
+            call()
 
 
 def _d_squared_is_zero(cx: Complex, n: int) -> bool:

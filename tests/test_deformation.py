@@ -14,11 +14,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prelieder import (
     DeformationDatum,
     DerPair,
     EquivalenceWitness,
+    ExtensionCocycle,
     Matrix,
     MixedMap,
     MixedShape,
@@ -38,16 +41,18 @@ from prelieder import (
     same_cohomology_class,
 )
 from prelieder.cohomology import COMPLEXES, _unflatten
+from prelieder.deformation import EQUIVALENCE_TAGS
 from prelieder.linfty import MCCandidate
 
 from conftest import (
     corpus_pairs,
     derivation_space,
     random_matrix,
+    rational,
     shift_algebra,
     zero_representation,
 )
-from oracles import in_span
+from oracles import equivalence_reference, in_span
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +104,18 @@ def test_from_matrices_round_trip():
     assert d.cochain().n == 2
     assert d.lelement().degree == 0
     assert DeformationDatum.zero(dims).cochain().is_zero()
+
+
+def test_from_matrices_refuses_floats():
+    # the tables go through MixedMap, which takes int, str and Fraction
+    dims = SplitDims(1, 1)
+    one, z = Matrix.identity(1), Matrix.zeros(1, 1)
+    with pytest.raises(TypeError):
+        DeformationDatum.from_matrices(dims, [[[0.5]]], [one], [one], z)
+    with pytest.raises(TypeError):
+        ExtensionCocycle.from_matrices(dims, [[[0.25]]], z)
+    half = DeformationDatum.from_matrices(dims, [[["1/2"]]], [one], [one], z)
+    assert half.omega_vec(0, 0) == (Fraction(1, 2),)
 
 
 def test_validator_iff_deformed_pair_valid(small_pairs):
@@ -240,6 +257,61 @@ def test_equivalence_identities_on_shift_witness():
     assert "equi-deformation-10" in is_equivalence(p, tweaked(dhat=bump_dhat), zero, w)["failed"]
 
 
+def _sparse_matrix(rng, rows: int, cols: int, density: float) -> Matrix:
+    return Matrix(
+        rows, cols, [[rational(rng) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def _sparse_datum(rng, dims: SplitDims, density: float) -> DeformationDatum:
+    dg, dv = dims.dim_g, dims.dim_v
+    table = [
+        [[rational(rng) if rng.random() < density else 0 for _ in range(dg)] for _ in range(dg)]
+        for _ in range(dg)
+    ]
+    return DeformationDatum.from_matrices(
+        dims,
+        table,
+        [_sparse_matrix(rng, dv, dv, density) for _ in range(dg)],
+        [_sparse_matrix(rng, dv, dv, density) for _ in range(dg)],
+        _sparse_matrix(rng, dv, dg, density),
+    )
+
+
+def _plus(d: DeformationDatum, e: DeformationDatum) -> DeformationDatum:
+    return DeformationDatum(d.dims, d.omega + e.omega, d.sigma + e.sigma, d.tau + e.tau, d.dhat + e.dhat)
+
+
+def test_equivalence_tags_match_the_hand_expansion(pair_corpus):
+    # is_equivalence reads the eleven tags off the morphism identities at
+    # t = 1, 2, 3; the reference writes each identity out by hand. d1 is
+    # d2 moved by the coboundary of (N, S), which the linear tags accept,
+    # and sometimes pushed off it; sparse data let each tag pass and fail
+    pairs = [p for p in pair_corpus if p.dims.dim_v <= 2]
+    assert (3, 2) in {(p.dims.dim_g, p.dims.dim_v) for p in pairs}
+    seen = {tag: set() for tag in EQUIVALENCE_TAGS}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(pairs), st.integers(0, 2**32 - 1))
+    def check(p, seed):
+        rng = random.Random(seed)
+        dg, dv = p.dims.dim_g, p.dims.dim_v
+        N = _sparse_matrix(rng, dg, dg, rng.choice((0, 0.2, 0.5)))
+        S = _sparse_matrix(rng, dv, dv, rng.choice((0, 0.3, 0.6)))
+        d2 = _sparse_datum(rng, p.dims, rng.choice((0, 0.1, 0.3)))
+        d1 = _plus(d2, coboundary_datum(p, N, S))
+        if rng.random() < 0.5:
+            d1 = _plus(d1, _sparse_datum(rng, p.dims, 0.1))
+        w = EquivalenceWitness(N, S)
+        got = is_equivalence(p, d1, d2, w)
+        assert got == equivalence_reference(p, d1, d2, w)
+        for tag in EQUIVALENCE_TAGS:
+            seen[tag].add(tag in got["failed"])
+
+    check()
+    assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+
+
 def test_equivalent_data_share_class(small_pairs):
     rng = random.Random(4)
     for p in small_pairs[:6]:
@@ -332,10 +404,10 @@ def test_same_class_requires_cocycles(small_pairs):
 
 def test_shape_checks_are_value_errors_under_optimize():
     # python -O strips assert statements; the shape checks of data,
-    # witnesses and the equation checkers must not be asserts
+    # witnesses, the equation checkers and is_morphism must not be asserts
     script = (
         "from prelieder import (DeformationDatum, EquivalenceWitness, Matrix, PreLieAlgebra,\n"
-        "    RegularPair, SplitDims, is_equivalence, is_infinitesimal_deformation)\n"
+        "    RegularPair, SplitDims, is_equivalence, is_infinitesimal_deformation, is_morphism)\n"
         "dims = SplitDims(2, 1)\n"
         "z = DeformationDatum.zero(dims)\n"
         "om, sg, ta, dh = z.omega, z.sigma, z.tau, z.dhat\n"
@@ -352,6 +424,10 @@ def test_shape_checks_are_value_errors_under_optimize():
         "    lambda: is_infinitesimal_deformation(base, z),\n"
         "    lambda: is_equivalence(base, wide, wide,\n"
         "        EquivalenceWitness(Matrix.zeros(1, 1), Matrix.zeros(2, 2))),\n"
+        "    lambda: is_equivalence(base, wide, z,\n"
+        "        EquivalenceWitness(Matrix.zeros(2, 2), Matrix.zeros(1, 1))),\n"
+        "    lambda: is_morphism(Matrix.zeros(1, 2), Matrix.identity(1), base, base),\n"
+        "    lambda: is_morphism(Matrix.identity(2), Matrix.zeros(2, 1), base, base),\n"
         "]\n"
         "for bad in cases:\n"
         "    try:\n"
@@ -367,4 +443,4 @@ def test_shape_checks_are_value_errors_under_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["ValueError"] * 8
+    assert out.stdout.split() == ["ValueError"] * 11

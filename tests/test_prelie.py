@@ -22,7 +22,7 @@ from prelieder import (
     subadjacent_lie,
 )
 from prelieder.cochain import bidegree_of, theta_component
-from prelieder.prelie import bracket_vec
+from prelieder.prelie import bracket_vec, morphism_sides
 
 from conftest import (
     ALGEBRAS,
@@ -33,6 +33,7 @@ from conftest import (
     idempotent_line,
     random_matrix,
     rational,
+    rebased_pair,
     shift_algebra,
     triangular_algebra,
     unipotent,
@@ -204,6 +205,47 @@ def test_is_morphism_identity_and_conjugation():
     # a non-equivariant map is rejected
     bad = Matrix(3, 3, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     assert not is_morphism(bad, bad, p, p)
+
+
+def test_is_morphism_checks_each_identity(pair_corpus):
+    # a rebased copy is isomorphic to its pair through the change of basis;
+    # disturbing one structure map of the target breaks exactly the
+    # identity that reads it (product, rho, mu, D in morphism_sides order)
+    rng = Random(46)
+    p = next(
+        q
+        for q in pair_corpus
+        if q.algebra.dim >= 2
+        and not q.D.is_zero()
+        and any(not m.is_zero() for m in q.rep.rho + q.rep.mu)
+    )
+    dg, dv = p.dims.dim_g, p.dims.dim_v
+    t, t_inv = unipotent(rng, dg)
+    s, s_inv = unipotent(rng, dv)
+    q = rebased_pair(p, t, t_inv, s, s_inv)
+    assert q.algebra != p.algebra
+    assert is_morphism(t, s, q, p)
+    assert is_morphism(t_inv, s_inv, p, q)
+
+    def unit(rows, cols):
+        return Matrix(rows, cols, [[int(r == c == 0) for c in range(cols)] for r in range(rows)])
+
+    def bump(mats):
+        return [mats[0] + unit(dv, dv)] + list(mats[1:])
+
+    table = [[list(p.algebra.prod_basis(i, j)) for j in range(dg)] for i in range(dg)]
+    table[0][1][0] += 1
+    rho, mu = p.rep.rho, p.rep.mu
+    broken = [
+        DerPair(PreLieAlgebra(dg, table), p.rep, p.D),
+        DerPair(p.algebra, Representation(dv, bump(rho), mu), p.D),
+        DerPair(p.algebra, Representation(dv, rho, bump(mu)), p.D),
+        DerPair(p.algebra, p.rep, p.D + unit(dv, dg)),
+    ]
+    for k, dst in enumerate(broken):
+        assert not is_morphism(t, s, q, dst)
+        holds = [lhs == rhs for lhs, rhs in morphism_sides(t, s, q, dst)]
+        assert holds == [j != k for j in range(4)]
 
 
 def test_structure_cochain_bidegree_and_content():
