@@ -87,9 +87,6 @@ class Cochain:
             if any(x != 0 for x in v):
                 self.coeffs[(wedge, tail)] = v
 
-    def copy(self) -> "Cochain":
-        return Cochain(self.dims, self.arity, dict(self.coeffs))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -136,9 +133,6 @@ class Cochain:
         if val is None:
             return zero_vec(self.dims.total)
         return vec_scale(sign, val)
-
-    def entries(self):
-        return self.coeffs.items()
 
 
 class MixedShape:
@@ -300,10 +294,6 @@ class MixedMap:
             ((self.shape.g_wedge, self.shape.v_wedge), self.shape.tail),
             (self.dims.dim_g, self.dims.dim_v),
         )
-
-
-def zero_mixed(dims: SplitDims, shape: MixedShape, target: str) -> MixedMap:
-    return MixedMap(dims, shape, target)
 
 
 def mixed_space_dim(dims: SplitDims, shape: MixedShape, target: str) -> int:

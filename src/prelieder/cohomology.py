@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress
-from operator import attrgetter
+from operator import add, attrgetter, sub
 from typing import Callable, NamedTuple
 
 from .cochain import (
@@ -61,6 +61,7 @@ from .cochain import (
     theta_component,
 )
 from .exact_linalg import Matrix, sparse_kernel, sparse_matvec, sparse_rank, sparse_solve, zero_vec
+from .linfty import LElement
 from .mn_bracket import mn_bracket
 from .prelie import (
     DerPair,
@@ -261,6 +262,9 @@ def d_coeff(a: PreLieAlgebra, act_l, act_r, f: MixedMap) -> MixedMap:
     space T; f has shape (m-1, 0, 'g'). Output has shape (m, 0, 'g').
     """
     dims = SplitDims(a.dim, act_l[0].rows if act_l else f.dims.dim_v)
+    t = dims.dim_g if f.target == "g" else dims.dim_v
+    if not len(act_l) == len(act_r) == a.dim or any(m.rows != t or m.cols != t for m in (*act_l, *act_r)):
+        raise ValueError(f"d_coeff needs {a.dim} action matrices of size {t} x {t} on each side")
     return _d_coeff(dims, _Algebra(a), [_columns(x) for x in act_l], [_columns(x) for x in act_r], f)
 
 
@@ -448,16 +452,78 @@ def omega(D: Matrix, K: Matrix, f: MixedMap) -> MixedMap:
 # cochain containers and the full differentials
 
 
-def _check_layout(name: str, n: int, blocks, specs) -> None:
-    """ValueError unless n >= 1 and the blocks have the degree-n layout specs."""
+def _check_layout(name: str, dims: SplitDims, n: int, blocks, specs) -> None:
+    """ValueError unless n >= 1 and the blocks are over dims with the degree-n layout specs."""
     if n < 1:
         raise ValueError(f"{name} cochain degree must be at least 1, got {n}")
     got = [(m.shape, m.target) for m in blocks]
     if got != specs:
         raise ValueError(f"{name} cochain blocks {got} do not have the degree-{n} layout {specs}")
+    if any(m.dims != dims for m in blocks):
+        raise ValueError(f"{name} cochain blocks are not over {dims}")
 
 
-class DerPairCochain:
+def _zero_blocks(complex_id: str, dims: SplitDims, n: int) -> list:
+    """The blocks of the zero cochain of C^n."""
+    return [MixedMap(dims, *spec) for spec in COMPLEXES[complex_id].specs(n)]
+
+
+def _slot(i: int):
+    return property(lambda self: self._blocks[i])
+
+
+class _BlockCochain:
+    """A cochain in C^n of the complex complex_id, held as its blocks.
+
+    The blocks are checked against the degree-n layout of COMPLEXES and
+    against dims. Equality compares the complex, dims, n and blocks, not
+    the class; +, - and scale act blockwise and return the class of the
+    left operand. Subclasses give the constructors and the slot names.
+    """
+
+    def __init__(self, complex_id: str, dims: SplitDims, n: int, blocks):
+        _check_layout(complex_id, dims, n, blocks, COMPLEXES[complex_id].specs(n))
+        self.complex_id = complex_id
+        self.dims = dims
+        self.n = n
+        self._blocks = list(blocks)
+
+    def blocks(self) -> list:
+        return list(self._blocks)
+
+    def is_zero(self) -> bool:
+        return all(m.is_zero() for m in self._blocks)
+
+    def _space(self) -> tuple:
+        return self.complex_id, self.dims, self.n
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, _BlockCochain)
+            and self._space() == other._space()
+            and self._blocks == other._blocks
+        )
+
+    def _blockwise(self, op, *others):
+        """A copy of self with blocks op(own block, the others' blocks)."""
+        if any(not isinstance(o, _BlockCochain) or o._space() != self._space() for o in others):
+            raise ValueError("cannot combine cochains of different complexes, dimensions or degrees")
+        blocks = [op(*ms) for ms in zip(self._blocks, *(o._blocks for o in others))]
+        out = object.__new__(type(self))
+        out.__dict__.update(vars(self), _blocks=blocks)
+        return out
+
+    def __add__(self, other):
+        return self._blockwise(add, other)
+
+    def __sub__(self, other):
+        return self._blockwise(sub, other)
+
+    def scale(self, c):
+        return self._blockwise(lambda m: m.scale(c))
+
+
+class DerPairCochain(_BlockCochain):
     """Element of the pair complex: (f_g, f_rho, f_mu, theta) at degree n.
 
     At n = 1 the f_mu and theta slots are the zero space (negative wedge
@@ -465,42 +531,19 @@ class DerPairCochain:
     the blocks of the "pair" entry of COMPLEXES, in that order.
     """
 
+    f_g, f_rho, f_mu, theta = map(_slot, range(4))
+
     def __init__(self, dims: SplitDims, n: int, f_g, f_rho, f_mu, theta):
-        _check_layout("pair", n, [f_g, f_rho, f_mu, theta], COMPLEXES["pair"].specs(n))
-        self.dims = dims
-        self.n = n
-        self.f_g = f_g
-        self.f_rho = f_rho
-        self.f_mu = f_mu
-        self.theta = theta
+        super().__init__("pair", dims, n, [f_g, f_rho, f_mu, theta])
 
     @staticmethod
     def zero(dims: SplitDims, n: int) -> "DerPairCochain":
-        specs = COMPLEXES["pair"].specs(n)
-        return DerPairCochain(dims, n, *(MixedMap(dims, *spec) for spec in specs))
+        return DerPairCochain(dims, n, *_zero_blocks("pair", dims, n))
 
-    def blocks(self) -> list:
-        return [self.f_g, self.f_rho, self.f_mu, self.theta]
-
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.blocks())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DerPairCochain)
-            and (self.dims, self.n) == (other.dims, other.n)
-            and self.blocks() == other.blocks()
-        )
-
-    def __add__(self, other):
-        sums = (a + b for a, b in zip(self.blocks(), other.blocks()))
-        return DerPairCochain(self.dims, self.n, *sums)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return DerPairCochain(self.dims, self.n, *(m.scale(c) for m in self.blocks()))
+    def lelement(self) -> LElement:
+        """(s^{-1}(f_g+f_rho+f_mu), theta), an element of degree n - 2."""
+        shifted = lift(self.f_g) + lift(self.f_rho) + lift(self.f_mu)
+        return LElement(self.dims, self.n - 2, shifted, self.theta)
 
 
 def huaD(p: DerPair, c: DerPairCochain) -> DerPairCochain:
@@ -509,69 +552,41 @@ def huaD(p: DerPair, c: DerPairCochain) -> DerPairCochain:
     return DerPairCochain(cx.dims, c.n + 1, *cx.coboundary(c.n, c.blocks()))
 
 
-class TwoSlotCochain:
+def _two_slot_id(target: str) -> str:
+    """The complex of the two-slot cochains with values in target."""
+    if target not in ("g", "v"):
+        raise ValueError(f"target must be 'g' or 'v', got {target!r}")
+    return "regular" if target == "g" else "rep"
+
+
+class TwoSlotCochain(_BlockCochain):
     """(f, theta) element of the regular or module-coefficient complex.
 
     f has shape (n-1, 0, 'g'), theta (n-2, 0, 'g'), both valued in the
-    same target ('g' for the regular complex, 'v' for coefficients in a
-    module).
+    same target: 'g' for the regular complex, 'v' for the rep complex
+    (coefficients in a module).
     """
 
+    f, theta = map(_slot, range(2))
+    target = property(lambda self: self.f.target)
+
     def __init__(self, dims: SplitDims, n: int, target: str, f, theta):
-        _check_layout("two-slot", n, [f, theta], _two_slot_specs(target, n))
-        self.dims = dims
-        self.n = n
-        self.target = target
-        self.f = f
-        self.theta = theta
+        super().__init__(_two_slot_id(target), dims, n, [f, theta])
 
     @staticmethod
     def zero(dims: SplitDims, n: int, target: str) -> "TwoSlotCochain":
-        f, theta = (MixedMap(dims, *spec) for spec in _two_slot_specs(target, n))
-        return TwoSlotCochain(dims, n, target, f, theta)
-
-    def blocks(self) -> list:
-        return [self.f, self.theta]
-
-    def is_zero(self) -> bool:
-        return self.f.is_zero() and self.theta.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwoSlotCochain)
-            and (self.dims, self.n, self.target) == (other.dims, other.n, other.target)
-            and self.blocks() == other.blocks()
-        )
-
-    def __add__(self, other):
-        return TwoSlotCochain(
-            self.dims, self.n, self.target, self.f + other.f, self.theta + other.theta
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return TwoSlotCochain(
-            self.dims, self.n, self.target, self.f.scale(c), self.theta.scale(c)
-        )
-
-
-def _check_target(c: TwoSlotCochain, target: str) -> None:
-    if c.target != target:
-        raise ValueError(f"this complex takes {target}-valued cochains, got {c.target}-valued")
+        return TwoSlotCochain(dims, n, target, *_zero_blocks(_two_slot_id(target), dims, n))
 
 
 def huaD_reg(p: RegularPair, c: TwoSlotCochain) -> TwoSlotCochain:
     """(d f, d theta + omega f) with regular coefficients."""
-    _check_target(c, "g")
     cx = Complex("regular", p)
     return TwoSlotCochain(cx.dims, c.n + 1, "g", *cx.coboundary(c.n, c.blocks()))
 
 
-def huaD_rep(p: RegularPair, rep5, c: TwoSlotCochain) -> TwoSlotCochain:
-    """(d f, d theta + omega f) with coefficients in (V, K, rho_t, mu_t)."""
-    _check_target(c, "v")
+def huaD_rep(p: RegularPair, rep5, c) -> TwoSlotCochain:
+    """(d f, d theta + omega f) with coefficients in (V, K, rho_t, mu_t);
+    c is any rep cochain, an ExtensionCocycle included."""
     cx = Complex("rep", (p, rep5))
     return TwoSlotCochain(cx.dims, c.n + 1, "v", *cx.coboundary(c.n, c.blocks()))
 
@@ -591,7 +606,8 @@ def i_embed(c: TwoSlotCochain) -> DerPairCochain:
     The f_mu slot places the V argument in the last wedge position of f;
     the alternating sign from re-sorting is produced by eval_local.
     """
-    _check_target(c, "g")
+    if c.complex_id != "regular":
+        raise ValueError(f"only regular cochains embed, got a {c.complex_id} cochain")
     _check_square(c.dims)
     dims, n = c.dims, c.n
     f = c.f
@@ -673,6 +689,13 @@ def _regular_terms(rp: RegularPair):
     return _two_slot_terms(alg, alg.left, alg.right, rp.D, rp.D)
 
 
+def _rep_dims(data) -> SplitDims:
+    rp, rep5 = data
+    if rep5.dim_g != rp.algebra.dim:
+        raise ValueError(f"module over dim g = {rep5.dim_g}, base pair has dim g = {rp.algebra.dim}")
+    return SplitDims(rp.algebra.dim, rep5.dim_v)
+
+
 def _rep_terms(data):
     rp, rep5 = data
     lcols, rcols = ([_columns(m) for m in mats] for mats in (rep5.rho_t, rep5.mu_t))
@@ -695,7 +718,7 @@ COMPLEXES = {
         _regular_terms,
     ),
     "rep": _ComplexKind(
-        lambda data: SplitDims(data[0].algebra.dim, data[1].dim_v),
+        _rep_dims,
         lambda n: _two_slot_specs("v", n),
         _rep_terms,
     ),
@@ -781,9 +804,7 @@ class Complex:
 
     def _coords(self, n: int, blocks) -> list:
         """Coordinates of the cochain with the given blocks, checked to lie in C^n."""
-        _check_layout(self._id, n, blocks, self.specs(n))
-        if any(m.dims != self.dims for m in blocks):
-            raise ValueError(f"{self._id} cochain blocks are not over {self.dims}")
+        _check_layout(self._id, self.dims, n, blocks, self.specs(n))
         return _flatten(blocks)
 
     def d(self, n: int) -> Matrix:

@@ -34,10 +34,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochain import MixedMap, MixedShape, SplitDims, lift
-from .cohomology import Complex, DerPairCochain
+from .cochain import MixedMap, SplitDims, lift
+from .cohomology import Complex, DerPairCochain, _slot, _zero_blocks
 from .exact_linalg import Matrix, columns_matrix, vec_add, vec_scale, vec_sub
-from .linfty import LElement
 from .mn_bracket import mn_bracket
 from .prelie import (
     DerPair,
@@ -52,29 +51,18 @@ from .prelie import (
 )
 
 
-class DeformationDatum:
-    """(omega, sigma, tau, dhat) stored as degree-2 component maps.
+class DeformationDatum(DerPairCochain):
+    """(omega, sigma, tau, dhat): a degree-2 cochain of the pair complex.
 
-    omega: g x g -> g, sigma: g x V -> V, tau: V x g -> V, dhat: g -> V.
-    Nothing is validated at construction.
+    omega: g x g -> g, sigma: g x V -> V, tau: V x g -> V, dhat: g -> V
+    name its blocks f_g, f_rho, f_mu and theta. Only the layout is
+    checked at construction, not the deformation equations.
     """
 
+    omega, sigma, tau, dhat = map(_slot, range(4))
+
     def __init__(self, dims: SplitDims, omega: MixedMap, sigma: MixedMap, tau: MixedMap, dhat: MixedMap):
-        self.dims = dims
-        self.omega = omega
-        self.sigma = sigma
-        self.tau = tau
-        self.dhat = dhat
-        if omega.shape != MixedShape(1, 0, "g") or omega.target != "g":
-            raise ValueError("omega must be a g-valued map on g x g")
-        if sigma.shape != MixedShape(1, 0, "v") or sigma.target != "v":
-            raise ValueError("sigma must be a V-valued map on g x V")
-        if tau.shape != MixedShape(0, 1, "g") or tau.target != "v":
-            raise ValueError("tau must be a V-valued map on V x g")
-        if dhat.shape != MixedShape(0, 0, "g") or dhat.target != "v":
-            raise ValueError("dhat must be a V-valued map on g")
-        if any(m.dims != dims for m in (omega, sigma, tau, dhat)):
-            raise ValueError(f"omega, sigma, tau and dhat must be over {dims}")
+        super().__init__(dims, 2, omega, sigma, tau, dhat)
 
     @staticmethod
     def from_matrices(dims: SplitDims, omega_table, sigma_mats, tau_mats, dhat: Matrix) -> "DeformationDatum":
@@ -90,21 +78,7 @@ class DeformationDatum:
 
     @staticmethod
     def zero(dims: SplitDims) -> "DeformationDatum":
-        return DeformationDatum(
-            dims,
-            MixedMap(dims, MixedShape(1, 0, "g"), "g"),
-            MixedMap(dims, MixedShape(1, 0, "v"), "v"),
-            MixedMap(dims, MixedShape(0, 1, "g"), "v"),
-            MixedMap(dims, MixedShape(0, 0, "g"), "v"),
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DeformationDatum)
-            and self.dims == other.dims
-            and (self.omega, self.sigma, self.tau, self.dhat)
-            == (other.omega, other.sigma, other.tau, other.dhat)
-        )
+        return DeformationDatum(dims, *_zero_blocks("pair", dims, 2))
 
     # matrix views, used by the equation-by-equation validators
     def omega_vec(self, i: int, j: int):
@@ -120,14 +94,6 @@ class DeformationDatum:
 
     def dhat_mat(self) -> Matrix:
         return self.dhat.to_matrix()
-
-    def cochain(self) -> DerPairCochain:
-        return DerPairCochain(self.dims, 2, self.omega, self.sigma, self.tau, self.dhat)
-
-    def lelement(self) -> LElement:
-        """(s^{-1}(omega+sigma+tau), dhat) as a degree-0 element."""
-        sh = lift(self.omega) + lift(self.sigma) + lift(self.tau)
-        return LElement(self.dims, 0, sh, self.dhat)
 
 
 class EquivalenceWitness:
@@ -168,12 +134,9 @@ def deformed_pair(base: DerPair, d: DeformationDatum, t: Fraction) -> DerPair:
     dims = base.dims
     dg = dims.dim_g
     a = base.algebra
-    table = []
-    for i in range(dg):
-        row = []
-        for j in range(dg):
-            row.append(list(vec_add(a.prod_basis(i, j), vec_scale(t, d.omega_vec(i, j)))))
-        table.append(row)
+    table = [
+        [vec_add(a.prod_basis(i, j), vec_scale(t, d.omega_vec(i, j))) for j in range(dg)] for i in range(dg)
+    ]
     alg = PreLieAlgebra(dg, table)
     rho = [base.rep.rho[i] + d.sigma_mat(i).scale(t) for i in range(dg)]
     mu = [base.rep.mu[j] + d.tau_mat(j).scale(t) for j in range(dg)]
@@ -183,7 +146,8 @@ def deformed_pair(base: DerPair, d: DeformationDatum, t: Fraction) -> DerPair:
 
 
 def deformation_cocycle(base: DerPair, d: DeformationDatum) -> DerPairCochain:
-    """The datum as a degree-2 element of the pair complex.
+    """The datum itself, a degree-2 cochain of the pair complex, once
+    checked to be a valid deformation.
 
     Raises when the datum is not a valid deformation; validity forces
     the cocycle condition, which callers can confirm with huaD.
@@ -191,7 +155,7 @@ def deformation_cocycle(base: DerPair, d: DeformationDatum) -> DerPairCochain:
     res = is_infinitesimal_deformation(base, d)
     if not res["ok"]:
         raise ValueError(f"not an infinitesimal deformation: {res['failed']}")
-    return d.cochain()
+    return d
 
 
 EQUIVALENCE_TAGS = tuple(f"equi-deformation-{k}" for k in range(1, 12))
@@ -239,9 +203,8 @@ def is_equivalence(base: DerPair, d1: DeformationDatum, d2: DeformationDatum, w:
 
 def _degree_one(dims: SplitDims, N: Matrix, S: Matrix) -> list:
     """(N, S) as the blocks of a pair 1-cochain; f_mu and theta are zero spaces."""
-    zero = DerPairCochain.zero(dims, 1)
     n_map, s_map = MixedMap.from_matrix(dims, "g", "g", N), MixedMap.from_matrix(dims, "v", "v", S)
-    return [n_map, s_map, zero.f_mu, zero.theta]
+    return [n_map, s_map, *_zero_blocks("pair", dims, 1)[2:]]
 
 
 def coboundary_datum(base: DerPair, N: Matrix, S: Matrix) -> DeformationDatum:
@@ -259,9 +222,9 @@ def same_cohomology_class(base: DerPair, d1: DeformationDatum, d2: DeformationDa
     """
     cx = Complex("pair", base)
     for d in (d1, d2):
-        if not all(m.is_zero() for m in cx.coboundary(2, d.cochain().blocks())):
+        if not all(m.is_zero() for m in cx.coboundary(2, d.blocks())):
             raise ValueError("input datum is not a 2-cocycle of the pair")
-    target = (d1.cochain() - d2.cochain()).blocks()
+    target = (d1 - d2).blocks()
     x = cx.preimage(2, target)
     if x is None:
         return None

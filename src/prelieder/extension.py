@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochain import MixedMap, MixedShape, SplitDims
-from .cohomology import Complex, TwoSlotCochain, huaD_rep
-from .exact_linalg import Matrix, columns_matrix, combination, rank, solve, zero_vec
+from .cochain import MixedMap, SplitDims
+from .cohomology import Complex, _BlockCochain, _slot, _zero_blocks, huaD_rep
+from .exact_linalg import Matrix, columns_matrix, combination, rank, solve, vec_sub, zero_vec
 from .prelie import (
     PreLieAlgebra,
     RegularPair,
@@ -136,19 +136,15 @@ def semidirect_product(base: RegularPair, r: DerPairRepresentation) -> RegularPa
     return RegularPair(alg, D)
 
 
-class ExtensionCocycle:
-    """(theta, xi): degree-2 element of the module-coefficient complex."""
+class ExtensionCocycle(_BlockCochain):
+    """(theta, xi): a degree-2 cochain of the rep (module-coefficient)
+    complex. theta: g x g -> V and xi: g -> V are its two blocks, the f
+    and theta of a two-slot cochain."""
+
+    theta, xi = map(_slot, range(2))
 
     def __init__(self, dims: SplitDims, theta: MixedMap, xi: MixedMap):
-        self.dims = dims
-        self.theta = theta
-        self.xi = xi
-        if theta.shape != MixedShape(1, 0, "g") or theta.target != "v":
-            raise ValueError("theta must be a V-valued map on g tensor g")
-        if xi.shape != MixedShape(0, 0, "g") or xi.target != "v":
-            raise ValueError("xi must be a V-valued map on g")
-        if theta.dims != dims or xi.dims != dims:
-            raise ValueError(f"theta and xi must be over {dims}")
+        super().__init__("rep", dims, 2, [theta, xi])
 
     @staticmethod
     def from_matrices(dims: SplitDims, theta_table, xi: Matrix) -> "ExtensionCocycle":
@@ -158,32 +154,11 @@ class ExtensionCocycle:
 
     @staticmethod
     def zero(dims: SplitDims) -> "ExtensionCocycle":
-        return ExtensionCocycle(
-            dims,
-            MixedMap(dims, MixedShape(1, 0, "g"), "v"),
-            MixedMap(dims, MixedShape(0, 0, "g"), "v"),
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionCocycle)
-            and self.dims == other.dims
-            and self.theta == other.theta
-            and self.xi == other.xi
-        )
-
-    def theta_vec(self, i: int, j: int):
-        return self.theta.eval_local((i,), (), j)
-
-    def xi_mat(self) -> Matrix:
-        return self.xi.to_matrix()
-
-    def two_slot(self) -> TwoSlotCochain:
-        return TwoSlotCochain(self.dims, 2, "v", self.theta, self.xi)
+        return ExtensionCocycle(dims, *_zero_blocks("rep", dims, 2))
 
 
 def is_extension_cocycle(base: RegularPair, r: DerPairRepresentation, c: ExtensionCocycle) -> bool:
-    return huaD_rep(base, r, c.two_slot()).is_zero()
+    return huaD_rep(base, r, c).is_zero()
 
 
 class AbelianExtension:
@@ -272,10 +247,9 @@ def build_extension(
 def _extension(base: RegularPair, r: DerPairRepresentation, c: ExtensionCocycle) -> AbelianExtension:
     """The extension by a cocycle over a module, both already checked."""
     dg, dv = base.algebra.dim, r.dim_v
-    table = _total_table(base, r, c.theta_vec)
+    table = _total_table(base, r, lambda i, j: c.theta.eval_local((i,), (), j))
     alg = PreLieAlgebra(dg + dv, table)
-    xi = c.xi_mat()
-    D = _block_derivation(base, r, lambda j: xi.col(j))
+    D = _block_derivation(base, r, c.xi.to_matrix().col)
     total = RegularPair(alg, D)
     iota = Matrix(
         dg + dv, dv, [[1 if i == dg + u else 0 for u in range(dv)] for i in range(dg + dv)]
@@ -319,12 +293,7 @@ def induced_base(ext: AbelianExtension, s: Matrix) -> RegularPair:
     """The quotient structure pulled through a section (independent of it)."""
     a = ext.total.algebra
     dg = ext.dim_g
-    table = []
-    for i in range(dg):
-        row = []
-        for j in range(dg):
-            row.append(list(ext.proj.matvec(a.prod(s.col(i), s.col(j)))))
-        table.append(row)
+    table = [[ext.proj.matvec(a.prod(s.col(i), s.col(j))) for j in range(dg)] for i in range(dg)]
     alg = PreLieAlgebra(dg, table)
     D = ext.proj * ext.total.D * s
     return RegularPair(alg, D)
@@ -357,28 +326,22 @@ def extract_cocycle(ext: AbelianExtension, s: Matrix):
     K = columns_matrix(kcols, dv)
     r = DerPairRepresentation(dv, K, rho_t, mu_t)
 
-    theta_table = []
-    for i in range(dg):
-        row = []
-        for j in range(dg):
-            prod = a.prod(s.col(i), s.col(j))
-            sxy = s.matvec(base.algebra.prod_basis(i, j))
-            row.append(_v_part(ext, tuple(x - y for x, y in zip(prod, sxy))))
-        theta_table.append(row)
-    xi_cols = []
-    for j in range(dg):
-        dsx = ext.total.D.matvec(s.col(j))
-        sdx = s.matvec(base.D.col(j))
-        xi_cols.append(_v_part(ext, tuple(x - y for x, y in zip(dsx, sdx))))
-    xi = columns_matrix(xi_cols, dv)
-    return ExtensionCocycle.from_matrices(dims, theta_table, xi), r
+    theta_table = [
+        [_v_part(ext, vec_sub(a.prod(s.col(i), s.col(j)), s.matvec(base.algebra.prod_basis(i, j))))
+         for j in range(dg)]
+        for i in range(dg)
+    ]
+    xi_cols = [
+        _v_part(ext, vec_sub(ext.total.D.matvec(s.col(j)), s.matvec(base.D.col(j)))) for j in range(dg)
+    ]
+    return ExtensionCocycle.from_matrices(dims, theta_table, columns_matrix(xi_cols, dv)), r
 
 
 def coboundary_cocycle(base: RegularPair, r: DerPairRepresentation, phi: Matrix) -> ExtensionCocycle:
     """Degree-1 coboundary of phi: g -> V in the module complex."""
     cx = Complex("rep", (base, r))
     phi_map = MixedMap.from_matrix(cx.dims, "g", "v", phi)
-    zero_theta = TwoSlotCochain.zero(cx.dims, 1, "v").theta  # the zero space at n = 1
+    zero_theta = _zero_blocks("rep", cx.dims, 1)[1]  # the zero space at n = 1
     return ExtensionCocycle(cx.dims, *cx.coboundary(1, [phi_map, zero_theta]))
 
 
@@ -396,22 +359,15 @@ def classify(
     """
     cx = Complex("rep", (base, r))
     for c in (c1, c2):
-        if not all(m.is_zero() for m in cx.coboundary(2, c.two_slot().blocks())):
+        if not all(m.is_zero() for m in cx.coboundary(2, c.blocks())):
             raise ValueError("input is not a 2-cocycle of the module complex")
-    x = cx.preimage(2, (c1.two_slot() - c2.two_slot()).blocks())
+    x = cx.preimage(2, (c1 - c2).blocks())
     if x is None:
         return None
-    phi = x[0].to_matrix()
-    dg, dv = cx.dims.dim_g, cx.dims.dim_v
-    n = dg + dv
-    zeta_rows = []
-    for i in range(dg):
-        zeta_rows.append([1 if j == i else 0 for j in range(n)])
-    for u in range(dv):
-        zeta_rows.append(
-            [phi.entries[u][j] for j in range(dg)]
-            + [1 if w == u else 0 for w in range(dv)]
-        )
+    dg, n = cx.dims.dim_g, cx.dims.total
+    zeta_rows = [list(row) for row in Matrix.identity(n).entries]
+    for u, row in enumerate(x[0].to_matrix().entries):  # phi: g -> V below the diagonal
+        zeta_rows[dg + u][:dg] = row
     zeta = Matrix(n, n, zeta_rows)
     _require_module(base, r)
     ext1, ext2 = _extension(base, r, c1), _extension(base, r, c2)

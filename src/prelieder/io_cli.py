@@ -116,7 +116,10 @@ def parse_scalar(x, path: str) -> Fraction:
     if isinstance(x, str):
         if not _RATIONAL.fullmatch(x):
             raise ParseError(f"{path}: invalid rational {x!r}")
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ValueError:  # past int_max_str_digits; the pattern excludes every other failure
+            raise ParseError(f"{path}: rational with a part of more than {_MAX_DIGITS} digits") from None
     n = _integer(x, path)
     if n is None:
         name = "float" if isinstance(x, Decimal) else type(x).__name__
@@ -125,7 +128,11 @@ def parse_scalar(x, path: str) -> Fraction:
 
 
 def emit_scalar(f: Fraction) -> str:
-    return str(f)
+    try:
+        return str(f)
+    except ValueError:  # a part past int_max_str_digits, which Decimal still writes
+        num, den = (str(Decimal(k)) for k in (f.numerator, f.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def _expect_dict(obj, path, keys):
@@ -803,7 +810,7 @@ def _load_ext_cocycle(path: str, base, module) -> ExtensionCocycle:
         raise CliError(f"{path}: expected a two-slot cochain of degree 2 with target v")
     if c.dims != SplitDims(base.algebra.dim, module.dim_v):
         raise CliError(f"{path}: dimensions do not match base and module")
-    return ExtensionCocycle(c.dims, c.f, c.theta)
+    return ExtensionCocycle(c.dims, *c.blocks())
 
 
 def _cmd_ext_build(args) -> int:
@@ -845,7 +852,7 @@ def _cmd_ext_extract(args) -> int:
     payload = {
         "command": "ext-extract",
         "ok": True,
-        "cocycle": _emit_cochain_doc(cocycle.two_slot()),
+        "cocycle": _emit_cochain_doc(TwoSlotCochain(cocycle.dims, 2, "v", *cocycle.blocks())),
         "module": {
             **_emit_action(module.dim_v, module.rho_t, module.mu_t),
             "K": emit_matrix(module.K),
@@ -882,9 +889,11 @@ def _cmd_les(args) -> int:
     pair = _valid_pair(args.pair)
     if args.max < 1:
         raise CliError("--max must be at least 1")
-    last = min(args.max + 1, pair.dims.dim_g + 2)  # C^k is zero past k = dim g + 2
+    top = pair.dims.dim_g + 2  # C^k is zero past k = dim g + 2
     for cid in ("pair", "prelie", "coeffs"):
-        _check_size(cid, pair, range(1, last + 1))
+        _check_size(cid, pair, range(1, min(args.max + 1, top) + 1))
+    if args.max > top:
+        raise CliError(f"--max must be at most dim g + 2 = {top}: every cochain space past it is zero")
     report = les_check(pair, args.max)
     lines = []
     for node in report["nodes"]:

@@ -439,19 +439,14 @@ def test_criterion_06_long_exact_sequence():
 # criterion 7
 
 
-def _datum_of_cochain(dims: SplitDims, c: DerPairCochain) -> DeformationDatum:
-    return DeformationDatum(dims, c.f_g, c.f_rho, c.f_mu, c.theta)
-
-
 def _structure_datum(p: DerPair) -> DeformationDatum:
     dg = p.algebra.dim
     table = [[p.algebra.prod_basis(i, j) for j in range(dg)] for i in range(dg)]
     return DeformationDatum.from_matrices(p.dims, table, list(p.rep.rho), list(p.rep.mu), p.D)
 
 
-def _as_pair_cochain(dims: SplitDims, vec) -> DerPairCochain:
-    f_g, f_rho, f_mu, theta = _unflatten(dims, COMPLEXES["pair"].specs(2), list(vec))
-    return DerPairCochain(dims, 2, f_g, f_rho, f_mu, theta)
+def _as_datum(dims: SplitDims, vec) -> DeformationDatum:
+    return DeformationDatum(dims, *_unflatten(dims, COMPLEXES["pair"].specs(2), list(vec)))
 
 
 def _dhat_only(p: DerPair, K: Matrix) -> DeformationDatum:
@@ -476,7 +471,7 @@ def test_criterion_07_deformations():
     valid_seen = 0
     for p in small:
         cands = [DeformationDatum.zero(p.dims), _structure_datum(p)]
-        cands.append(_datum_of_cochain(p.dims, _structure_datum(p).cochain().scale(Fraction(-1, 2))))
+        cands.append(_structure_datum(p).scale(Fraction(-1, 2)))
         for K in derivation_space(p.algebra, p.rep.rho, p.rep.mu, p.rep.dim_v)[:2]:
             cands.append(_dhat_only(p, K))
         for _ in range(2):
@@ -508,7 +503,7 @@ def test_criterion_07_deformations():
             for N, S in witnesses:
                 w = EquivalenceWitness(N, S)
                 shift = coboundary_datum(p, N, S)
-                d1 = _datum_of_cochain(p.dims, d2.cochain() + shift.cochain())
+                d1 = d2 + shift
                 if not is_infinitesimal_deformation(p, d1)["ok"]:
                     continue
                 if not is_equivalence(p, d1, d2, w)["ok"]:
@@ -524,7 +519,7 @@ def test_criterion_07_deformations():
         cols = [d1m.col(j) for j in range(d1m.cols)]
         zero = DeformationDatum.zero(p.dims)
         for vec in kernel_basis(differential_matrix("pair", 2, p)):
-            d = _datum_of_cochain(p.dims, _as_pair_cochain(p.dims, vec))
+            d = _as_datum(p.dims, vec)
             w = same_cohomology_class(p, d, zero)
             if in_span(cols, list(vec)):
                 assert w is not None

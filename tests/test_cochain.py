@@ -22,7 +22,6 @@ from prelieder.cochain import (
     lift,
     mixed_space_dim,
     theta_component,
-    zero_mixed,
 )
 from prelieder.spaces import perm_sign
 
@@ -107,7 +106,7 @@ def test_lift_component_round_trip():
 
 def test_lift_of_degenerate_shape_is_zero():
     dims = SplitDims(2, 1)
-    m = zero_mixed(dims, MixedShape(-1, 0, "g"), "g")
+    m = MixedMap(dims, MixedShape(-1, 0, "g"), "g")
     assert lift(m).is_zero()
 
 

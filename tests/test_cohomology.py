@@ -15,6 +15,7 @@ from prelieder import (
     DerPairRepresentation,
     ExtensionCocycle,
     Matrix,
+    MixedMap,
     PreLieAlgebra,
     RegularPair,
     Representation,
@@ -561,6 +562,66 @@ def test_cochains_over_other_dimensions_are_refused():
     for name, call in cases:
         with pytest.raises(ValueError, match=rf"{name} cochain blocks are not over SplitDims\(g=2, v=2\)"):
             call()
+    # action matrices that do not act on the target of f: 1 x 1 matrices
+    # (a module of dim 1) against a g-valued f over SplitDims(2, 1)
+    one = [Matrix.zeros(1, 1)] * 2
+    f = random_mixed(rng, SplitDims(2, 1), MixedShape(1, 0, "g"), "g")
+    with pytest.raises(ValueError, match="d_coeff needs 2 action matrices of size 2 x 2"):
+        d_coeff(shift_algebra(), one, one, f)
+    # a module over another dim g than the pair's, either way round
+    rp3 = RegularPair(triangular_algebra(), Matrix.zeros(3, 3))
+    calls = [
+        lambda: cohomology_dim("rep", 2, (rp, regular_module(rp3))),
+        lambda: cohomology_dim("rep", 2, (rp3, regular_module(rp))),
+        lambda: space_dimension("rep", 2, (rp, regular_module(rp3))),
+        lambda: huaD_rep(rp, regular_module(rp3), TwoSlotCochain.zero(SplitDims(2, 3), 2, "v")),
+        lambda: coboundary_cocycle(rp, regular_module(rp3), Matrix.zeros(3, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="module over dim g = [23], base pair has dim g = [23]"):
+            call()
+
+
+def test_containers_act_blockwise_and_share_one_equality():
+    # the four cochain containers share one base: +, - and scale act
+    # blockwise and keep the class of the left operand, zero has the zero
+    # blocks of its layout, and a deformation datum or an extension
+    # cocycle is the pair or rep 2-cochain with the same blocks
+    rng, dims, c = Random(61), SplitDims(2, 1), Fraction(-3, 2)
+
+    def blocks(cid, n):
+        return [random_mixed(rng, dims, s, t) for s, t in prelieder.cohomology.COMPLEXES[cid].specs(n)]
+
+    containers = [  # (complex id, degree, constructor from blocks, zero)
+        ("pair", 3, lambda b: DerPairCochain(dims, 3, *b), DerPairCochain.zero(dims, 3)),
+        ("pair", 1, lambda b: DerPairCochain(dims, 1, *b), DerPairCochain.zero(dims, 1)),
+        ("regular", 2, lambda b: TwoSlotCochain(dims, 2, "g", *b), TwoSlotCochain.zero(dims, 2, "g")),
+        ("rep", 3, lambda b: TwoSlotCochain(dims, 3, "v", *b), TwoSlotCochain.zero(dims, 3, "v")),
+        ("pair", 2, lambda b: DeformationDatum(dims, *b), DeformationDatum.zero(dims)),
+        ("rep", 2, lambda b: ExtensionCocycle(dims, *b), ExtensionCocycle.zero(dims)),
+    ]
+    for cid, n, make, zero in containers:
+        xb, yb = blocks(cid, n), blocks(cid, n)
+        x, y = make(xb), make(yb)
+        for got, want in (
+            (x + y, [a + b for a, b in zip(xb, yb)]),
+            (x - y, [a - b for a, b in zip(xb, yb)]),
+            (x.scale(c), [a.scale(c) for a in xb]),
+        ):
+            assert type(got) is type(x) and got.blocks() == want and (got.dims, got.n) == (dims, n)
+        assert type(zero) is type(x) and zero.is_zero() and not x.is_zero()
+        assert zero.blocks() == [MixedMap(dims, *spec) for spec in prelieder.cohomology.COMPLEXES[cid].specs(n)]
+
+    d = DeformationDatum(dims, *blocks("pair", 2))
+    pair = DerPairCochain(dims, 2, *d.blocks())
+    assert d == pair and pair == d
+    assert type(d + pair) is DeformationDatum and type(pair - d) is DerPairCochain
+    e = ExtensionCocycle(dims, *blocks("rep", 2))
+    rep = TwoSlotCochain(dims, 2, "v", *e.blocks())
+    assert e == rep and rep == e and type(e - rep) is ExtensionCocycle
+    assert e != TwoSlotCochain(dims, 2, "g", *blocks("regular", 2))
+    with pytest.raises(ValueError, match="cannot combine cochains"):
+        d + e
 
 
 def _d_squared_is_zero(cx: Complex, n: int) -> bool:

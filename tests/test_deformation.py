@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from prelieder import (
     DeformationDatum,
     DerPair,
+    DerPairCochain,
     EquivalenceWitness,
     ExtensionCocycle,
     Matrix,
@@ -76,10 +77,6 @@ def rand_datum(rng, dims) -> DeformationDatum:
     return DeformationDatum.from_matrices(dims, table, sig, tau, dh)
 
 
-def datum_of_cochain(dims, c) -> DeformationDatum:
-    return DeformationDatum(dims, c.f_g, c.f_rho, c.f_mu, c.theta)
-
-
 def structure_datum(p: DerPair) -> DeformationDatum:
     """The structure itself as a datum; deforming scales everything by 1+t."""
     dg = p.algebra.dim
@@ -101,9 +98,9 @@ def test_from_matrices_round_trip():
         d.dhat_mat(),
     )
     assert d == e
-    assert d.cochain().n == 2
+    assert d.n == 2
     assert d.lelement().degree == 0
-    assert DeformationDatum.zero(dims).cochain().is_zero()
+    assert DeformationDatum.zero(dims).is_zero()
 
 
 def test_from_matrices_refuses_floats():
@@ -159,7 +156,7 @@ def test_valid_datum_is_cocycle(small_pairs):
             if not is_infinitesimal_deformation(p, d)["ok"]:
                 continue
             c = deformation_cocycle(p, d)
-            assert c == d.cochain()
+            assert c == DerPairCochain(p.dims, 2, *d.blocks())
             assert huaD(p, c).is_zero()
 
 
@@ -190,7 +187,7 @@ def test_coboundary_datum_is_cocycle_but_maybe_not_deformation(small_pairs):
             N = random_matrix(rng, p.algebra.dim, p.algebra.dim)
             S = random_matrix(rng, p.rep.dim_v, p.rep.dim_v)
             d = coboundary_datum(p, N, S)
-            assert huaD(p, d.cochain()).is_zero()
+            assert huaD(p, d).is_zero()
             failed = is_infinitesimal_deformation(p, d)["failed"]
             assert set(failed) <= {"deformation-2", "deformation-4"}
             quadratic_failures += bool(failed)
@@ -338,7 +335,7 @@ def test_class_decision_matches_span_membership():
     assert len(cocycles) == z
     outside = 0
     for vec in cocycles:
-        d = datum_of_cochain(dims, _as_cochain(dims, specs, vec))
+        d = _as_datum(dims, specs, vec)
         w = same_cohomology_class(p, d, zero)
         expected = in_span(d1_cols, list(vec))
         assert (w is not None) == expected
@@ -350,12 +347,12 @@ def test_class_decision_matches_span_membership():
 
     # distinct classes stay distinct after shifting both by one coboundary
     non_triv = next(
-        datum_of_cochain(dims, _as_cochain(dims, specs, v))
+        _as_datum(dims, specs, v)
         for v in cocycles
         if not in_span(d1_cols, list(v))
     )
     shift_by = coboundary_datum(p, Matrix(2, 2, [[1, 0], [0, 0]]), Matrix.zeros(2, 2))
-    moved = datum_of_cochain(dims, (non_triv.cochain() + shift_by.cochain()))
+    moved = non_triv + shift_by
     assert same_cohomology_class(p, non_triv, moved) is not None
     assert same_cohomology_class(p, non_triv, zero) is None
 
@@ -378,11 +375,8 @@ def test_same_class_certificate_survives_a_failed_coboundary_check(monkeypatch):
         same_cohomology_class(p, d, zero)
 
 
-def _as_cochain(dims, specs, vec):
-    from prelieder import DerPairCochain
-
-    f_g, f_rho, f_mu, theta = _unflatten(dims, specs, list(vec))
-    return DerPairCochain(dims, 2, f_g, f_rho, f_mu, theta)
+def _as_datum(dims, specs, vec) -> DeformationDatum:
+    return DeformationDatum(dims, *_unflatten(dims, specs, list(vec)))
 
 
 def test_same_class_requires_cocycles(small_pairs):
@@ -392,7 +386,7 @@ def test_same_class_requires_cocycles(small_pairs):
     bad = None
     for _ in range(20):
         cand = rand_datum(rng, p.dims)
-        if not huaD(p, cand.cochain()).is_zero():
+        if not huaD(p, cand).is_zero():
             bad = cand
             break
     assert bad is not None
@@ -406,7 +400,7 @@ def test_shape_checks_are_value_errors_under_optimize():
     # python -O strips assert statements; the shape checks of data,
     # witnesses, the equation checkers and is_morphism must not be asserts
     script = (
-        "from prelieder import (DeformationDatum, EquivalenceWitness, Matrix, PreLieAlgebra,\n"
+        "from prelieder import (DeformationDatum, DerPairCochain, EquivalenceWitness, Matrix, PreLieAlgebra,\n"
         "    RegularPair, SplitDims, is_equivalence, is_infinitesimal_deformation, is_morphism)\n"
         "dims = SplitDims(2, 1)\n"
         "z = DeformationDatum.zero(dims)\n"
@@ -420,6 +414,7 @@ def test_shape_checks_are_value_errors_under_optimize():
         "    lambda: DeformationDatum(dims, om, sg, sg, dh),\n"
         "    lambda: DeformationDatum(dims, om, sg, ta, ta),\n"
         "    lambda: DeformationDatum(dims, om, sg, ta, wide.dhat),\n"
+        "    lambda: DerPairCochain(dims, 2, *DerPairCochain.zero(SplitDims(2, 2), 2).blocks()),\n"
         "    lambda: EquivalenceWitness(Matrix.zeros(2, 1), Matrix.zeros(1, 1)),\n"
         "    lambda: is_infinitesimal_deformation(base, z),\n"
         "    lambda: is_equivalence(base, wide, wide,\n"
@@ -443,4 +438,4 @@ def test_shape_checks_are_value_errors_under_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["ValueError"] * 11
+    assert out.stdout.split() == ["ValueError"] * 12

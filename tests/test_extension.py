@@ -376,7 +376,7 @@ def test_shape_checks_are_value_errors_under_optimize():
     # extension cocycles and extensions must not be asserts
     script = (
         "from prelieder import (AbelianExtension, DerPairRepresentation, ExtensionCocycle, Matrix,\n"
-        "    PreLieAlgebra, RegularPair, derpair_representation_report)\n"
+        "    PreLieAlgebra, RegularPair, TwoSlotCochain, derpair_representation_report)\n"
         "from prelieder.cochain import MixedMap, MixedShape, SplitDims\n"
         "from prelieder.cohomology import COMPLEXES, _unflatten\n"
         "shift = PreLieAlgebra(2, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]])\n"
@@ -393,6 +393,7 @@ def test_shape_checks_are_value_errors_under_optimize():
         "    lambda: ExtensionCocycle(dims, xi, xi),\n"
         "    lambda: ExtensionCocycle(dims, theta, theta),\n"
         "    lambda: ExtensionCocycle(SplitDims(2, 2), theta, xi),\n"
+        "    lambda: TwoSlotCochain(SplitDims(2, 2), 2, 'v', theta, xi),\n"
         "    lambda: AbelianExtension(base, Matrix(3, 1, [[0], [0], [1]]), Matrix(1, 2, [[1, 0]])),\n"
         "    lambda: AbelianExtension(base, Matrix(2, 1, [[0], [1]]), Matrix(2, 2, [[1, 0], [0, 1]])),\n"
         "]\n"
@@ -416,4 +417,4 @@ def test_shape_checks_are_value_errors_under_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["ValueError"] * 9 + ["RuntimeError"]
+    assert out.stdout.split() == ["ValueError"] * 10 + ["RuntimeError"]

@@ -33,7 +33,7 @@ from prelieder import (
     parse_scalar,
     validate_document,
 )
-from prelieder.io_cli import DOCUMENTS, MAX_COCHAIN_DIM, _build_parser
+from prelieder.io_cli import DOCUMENTS, MAX_COCHAIN_DIM, _build_parser, emit_scalar
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = sorted((REPO / "corpus").glob("*.json"))
@@ -66,6 +66,21 @@ def test_scalar_parsing_and_canonical_form():
         parse_scalar(True, "$")
     with pytest.raises(ParseError, match="invalid rational"):
         parse_scalar("", "$")
+
+
+def test_scalars_past_the_digit_limit(tmp_path, capsys):
+    # str() refuses integers past int_max_str_digits (4300): results are
+    # still written exactly, and rational strings past it are refused
+    assert emit_scalar(Fraction(-(10**4400), 3)) == "-1" + "0" * 4400 + "/3"
+    assert emit_scalar(Fraction(10**4400)) == "1" + "0" * 4400
+    with pytest.raises(ParseError, match=re.escape("$.x: rational with a part of more than 4300 digits")):
+        parse_scalar("1/" + "7" * 4301, "$.x")
+    # a 4299-digit constant parses, and the mc residual holds numbers twice as long
+    table = [[["0", "0"], ["9" * 4299, "0"]], [["0", "0"], ["0", "0"]]]
+    pair = {"kind": "derpair", "algebra": {"dim": 2, "table": table}, "D": [["1", "2"], ["3", "4"]]}
+    assert cli_run(written(["mc", pair, "--json"], tmp_path)) in (0, 1)
+    out, err = capsys.readouterr()
+    assert err == "" and max(map(len, re.findall("[0-9]+", out))) > 4300
 
 
 # (string, accepted): the parser and the schema's rational pattern agree on each
@@ -671,6 +686,8 @@ USAGE_ERRORS = [
      "section has the wrong shape"),
     (["validate", corpus_doc("prelie_shift", (("dim",), 0), (("table",), []))],
      "{argv[1]}: $.dim: must be positive"),
+    (["les", corpus_path("pair_shift"), "--max", "5"],
+     "--max must be at most dim g + 2 = 4: every cochain space past it is zero"),
 ]
 
 

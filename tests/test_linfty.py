@@ -60,11 +60,6 @@ def rand_elem(rng, dims, d):
     return LElement(dims, d, m, h)
 
 
-def elem_of(c: DerPairCochain) -> LElement:
-    m = lift(c.f_g) + lift(c.f_rho) + lift(c.f_mu)
-    return LElement(c.dims, c.n - 2, m, c.theta)
-
-
 @pytest.fixture(scope="module")
 def small_pairs():
     return [
@@ -251,8 +246,8 @@ def test_twisted_differential_is_pair_coboundary(small_pairs):
                 random_mixed(rng, dims, MixedShape(n - 2, 1, "g"), "v"),
                 random_mixed(rng, dims, MixedShape(n - 2, 0, "g"), "v"),
             )
-            got = t["l1"](elem_of(c))
-            want = elem_of(huaD(p, c)).scale(sgn(n - 2))
+            got = t["l1"](c.lelement())
+            want = huaD(p, c).lelement().scale(sgn(n - 2))
             assert got == want
             checked += not got.is_zero()
     assert checked >= 10
