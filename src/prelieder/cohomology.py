@@ -22,15 +22,21 @@ applied literally at n=1, where they equal -1.
 
 Each formula is written once, as a generator of terms: for one output
 basis key it lists which input value is read (block, arguments, tail)
-and the linear map applied to it. One engine reads the generators:
-_assemble scatters the terms into columns, which gives a differential
-in a single pass as sparse rows {column: Fraction}. Sparse rows are the
-one form of a differential: ranks, and so cohomology_dim, come from the
-forward phase of the elimination kernel on them; cocycle bases and
-preimages from its reduced rows; coboundaries, the cochain-level
-operators (huaD and the pieces partial, delta, omega, d_coeff) and the
-LES maps from sparse products. A dense Matrix of d_n is built only
-when asked for (differential_matrix).
+and the linear map applied to it. Every entry of a differential is a
+sum of signs times one structure constant each, so it is linear in the
+constants. The generators read the constants scaled once by L, the lcm
+of their denominators (_scale), as ints. One engine reads the
+generators: _assemble scatters the terms into columns, which gives L
+times a differential in a single pass as sparse integer rows
+{column: int}, in plain int arithmetic. Sparse rows are the one form of
+a differential: ranks, and so cohomology_dim, come from the forward
+phase of the elimination kernel on them, and cocycle bases from its
+reduced rows, neither of which a nonzero factor changes; preimages
+solve against the right-hand side times L; coboundaries, the
+cochain-level operators (huaD and the pieces partial, delta, omega,
+d_coeff) and the LES maps are sparse products, divided by L where the
+value itself is returned. A dense Matrix of d_n is built only when
+asked for (differential_matrix).
 
 The component shapes with a negative wedge size are zero spaces, which
 makes the degree-1 special cases of every complex come out of the
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress
+from math import lcm
 from operator import add, attrgetter, sub
 from typing import Callable, NamedTuple
 
@@ -81,13 +88,24 @@ def _drop(t, i):
     return t[:i] + t[i + 1 :]
 
 
-def _nonzero(vec) -> tuple:
-    return tuple(compress(enumerate(vec), vec))
+def _scale(mats, a: PreLieAlgebra | None = None) -> int:
+    """L, the lcm of the denominators of the entries of mats and of the
+    structure constants of a: the least factor that makes them all ints."""
+    tables = [m.entries for m in mats]
+    if a is not None:
+        tables.extend(a.table)
+    return lcm(*{x.denominator for t in tables for row in t for x in row})
 
 
-def _columns(m: Matrix) -> tuple:
-    """The columns of m, each as its nonzero (row, entry) pairs."""
-    return tuple(map(_nonzero, zip(*m.entries))) if m.rows else ((),) * m.cols
+def _nonzero(vec, scale: int) -> tuple:
+    """The nonzero (index, scale * entry) pairs of vec, as ints; scale
+    must clear the denominators of vec."""
+    return tuple((k, x.numerator * (scale // x.denominator)) for k, x in compress(enumerate(vec), vec))
+
+
+def _columns(m: Matrix, scale: int) -> tuple:
+    """The columns of scale * m, each as its nonzero (row, int) pairs."""
+    return tuple(_nonzero(c, scale) for c in zip(*m.entries)) if m.rows else ((),) * m.cols
 
 
 def _difference(x, y) -> tuple:
@@ -99,28 +117,29 @@ def _difference(x, y) -> tuple:
 
 
 class _Algebra:
-    """Structure constants of g in the form the term generators read.
+    """Structure constants of g, times scale, in the form the term
+    generators read.
 
-    Built from the nonzero constants alone: left[i][u] = e_i.e_u is
-    column u of L_(e_i) and right[i][u] = e_u.e_i that of R_(e_i).
+    Built from the nonzero constants alone, as ints: left[i][u] = e_i.e_u
+    is column u of L_(e_i) and right[i][u] = e_u.e_i that of R_(e_i).
     """
 
-    def __init__(self, a: PreLieAlgebra):
+    def __init__(self, a: PreLieAlgebra, scale: int):
         r = range(a.dim)
-        self.prod = self.left = p = [[_nonzero(a.table[i][j]) for j in r] for i in r]
+        self.prod = self.left = p = [[_nonzero(a.table[i][j], scale) for j in r] for i in r]
         self.right = [[p[u][i] for u in r] for i in r]
         self.bracket = [[_difference(p[i][j], p[j][i]) for j in r] for i in r]
 
 
 class _Action:
-    """An action x -> act[x] of g on V, as sparse columns.
+    """An action x -> act[x] of g on V, times scale, as sparse int columns.
 
     cols[x][w] is act[x] e_w; at[u][x] is act[x] e_u (the map
     x -> act(x) u).
     """
 
-    def __init__(self, mats, dim_v: int):
-        self.cols = [_columns(m) for m in mats]
+    def __init__(self, mats, dim_v: int, scale: int):
+        self.cols = [_columns(m, scale) for m in mats]
         self.at = [tuple(c[u] for c in self.cols) for u in range(dim_v)]
 
 
@@ -131,18 +150,27 @@ class _Action:
 # (g_args; v_args; tail), with alternating signs, and add c times the
 # value to the output, after mapping it through cols when cols is not
 # None (cols[a] is the image of the a-th target basis vector, as its
-# nonzero (index, entry) pairs).
+# nonzero (index, entry) pairs). Either c is a sign and cols holds
+# structure constants, or cols is None and c is a sign times one
+# constant: each term is linear in the constants, so constants scaled by
+# L give L times the map. The generators read the constants as ints.
 
 
-def _apply(name: str, dims: SplitDims, maps, specs, terms) -> list:
+def _apply(name: str, dims: SplitDims, maps, specs, scale: int, terms) -> list:
     """The output blocks, laid out as specs, of the term generators
-    terms (one per block) at the input maps: their assembled rows times
-    the coordinates of the maps, which must be over the structure's dims."""
+    terms (one per block, reading the constants times scale) at the
+    input maps, which must be over the structure's dims: their assembled
+    rows times the coordinates of the maps, divided by scale."""
     if any(m.dims != dims for m in maps):
         raise ValueError(f"{name} cochain blocks are not over {dims}")
     out = [spec + (t,) for spec, t in zip(specs, terms)]
     rows = _assemble(dims, [(m.shape, m.target) for m in maps], out)[0]
-    return _unflatten(dims, specs, sparse_matvec(rows, _flatten(maps)))
+    return _unflatten(dims, specs, _unscale(sparse_matvec(rows, _flatten(maps)), scale))
+
+
+def _unscale(vec, scale: int):
+    """vec over scale, the value of a map from its rows times scale."""
+    return vec if scale == 1 else [x / scale for x in vec]
 
 
 def _assemble(dims: SplitDims, in_specs, out_blocks):
@@ -153,7 +181,8 @@ def _assemble(dims: SplitDims, in_specs, out_blocks):
     key scatters its contribution into the columns of the input basis
     elements it reads, so the cost is rows times terms, not that times
     the number of columns. Returns (rows, ncols) with each row a
-    {column: Fraction} dict; entries that cancel are dropped.
+    {column: int} dict when the terms read int constants, as every
+    generator here does; entries that cancel are dropped.
     """
     index = []
     ncols = 0
@@ -200,12 +229,17 @@ def _assemble(dims: SplitDims, in_specs, out_blocks):
 
 
 def _times(c, col):
-    """c times a sparse column; a sign costs no Fraction product."""
+    """c times a sparse column of structure constants, for a sign c.
+
+    Any other c would make the entry quadratic in the constants, which
+    scaling them by L would scale by L^2: the rows of L d would be wrong
+    and so every rank read off them.
+    """
     if c == 1:
         return col
     if c == -1:
         return [(r, -y) for r, y in col]
-    return [(r, c * y) for r, y in col]
+    raise RuntimeError(f"a term with a column map has coefficient {c}, not a sign")
 
 
 def _scatter(row: dict, j: int, x) -> None:
@@ -265,14 +299,17 @@ def d_coeff(a: PreLieAlgebra, act_l, act_r, f: MixedMap) -> MixedMap:
     t = dims.dim_g if f.target == "g" else dims.dim_v
     if not len(act_l) == len(act_r) == a.dim or any(m.rows != t or m.cols != t for m in (*act_l, *act_r)):
         raise ValueError(f"d_coeff needs {a.dim} action matrices of size {t} x {t} on each side")
-    return _d_coeff(dims, _Algebra(a), [_columns(x) for x in act_l], [_columns(x) for x in act_r], f)
+    scale = _scale([*act_l, *act_r], a)
+    lcols, rcols = ([_columns(x, scale) for x in act] for act in (act_l, act_r))
+    return _d_coeff(dims, scale, _Algebra(a, scale), lcols, rcols, f)
 
 
-def _d_coeff(dims: SplitDims, alg: _Algebra, lcols, rcols, f: MixedMap) -> MixedMap:
+def _d_coeff(dims: SplitDims, scale: int, alg: _Algebra, lcols, rcols, f: MixedMap) -> MixedMap:
     if not (f.shape.v_wedge == 0 or f.shape.degenerate) or f.shape.tail != "g":
         raise ValueError(f"d_coeff takes Hom(wedge g tensor g, T), got shape {f.shape}")
     shape = MixedShape(f.shape.g_wedge + 1, 0, "g")
-    return _apply("d_coeff", dims, [f], [(shape, f.target)], [_d_coeff_terms(alg, lcols, rcols, 0)])[0]
+    terms = [_d_coeff_terms(alg, lcols, rcols, 0)]
+    return _apply("d_coeff", dims, [f], [(shape, f.target)], scale, terms)[0]
 
 
 def d_prelie(a: PreLieAlgebra, rep, f: MixedMap) -> MixedMap:
@@ -282,8 +319,9 @@ def d_prelie(a: PreLieAlgebra, rep, f: MixedMap) -> MixedMap:
 
 def d_regular(a: PreLieAlgebra, f: MixedMap) -> MixedMap:
     """Coboundary with regular coefficients (L, R) on g itself."""
-    alg = _Algebra(a)
-    return _d_coeff(SplitDims(a.dim, a.dim), alg, alg.left, alg.right, f)
+    scale = _scale([], a)
+    alg = _Algebra(a, scale)
+    return _d_coeff(SplitDims(a.dim, a.dim), scale, alg, alg.left, alg.right, f)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +399,7 @@ def partial(a: PreLieAlgebra, rep, f_g: MixedMap, f_rho: MixedMap, f_mu: MixedMa
     n = f_g.shape.arity
     dims = SplitDims(a.dim, rep.dim_v)
     maps = [f_g, f_rho, f_mu]
-    return tuple(_apply("partial", dims, maps, _prelie_specs(n + 1), _prelie_terms(a, rep)))
+    return tuple(_apply("partial", dims, maps, _prelie_specs(n + 1), *_prelie_terms(a, rep)))
 
 
 def partial_bracket(p: DerPair, f_g, f_rho, f_mu):
@@ -382,9 +420,9 @@ def partial_bracket(p: DerPair, f_g, f_rho, f_mu):
 # delta and omega
 
 
-def _delta_terms(D: Matrix):
-    """delta reads the triple blocks f_g, f_rho, f_mu = 0, 1, 2."""
-    dcols = _columns(D)
+def _delta_terms(dcols):
+    """delta reads the triple blocks f_g, f_rho, f_mu = 0, 1, 2; dcols
+    are the columns of D."""
 
     def terms(key):
         xs, _, t = key
@@ -410,7 +448,9 @@ def delta(D: Matrix, f_g: MixedMap, f_rho: MixedMap, f_mu: MixedMap) -> MixedMap
     """
     shape = MixedShape(f_g.shape.arity - 1, 0, "g")
     dims = SplitDims(D.cols, D.rows)
-    return _apply("delta", dims, [f_g, f_rho, f_mu], [(shape, "v")], [_delta_terms(D)])[0]
+    scale = _scale([D])
+    terms = [_delta_terms(_columns(D, scale))]
+    return _apply("delta", dims, [f_g, f_rho, f_mu], [(shape, "v")], scale, terms)[0]
 
 
 def delta_bracket(p: DerPair, f_g, f_rho, f_mu) -> MixedMap:
@@ -421,8 +461,8 @@ def delta_bracket(p: DerPair, f_g, f_rho, f_mu) -> MixedMap:
     return theta_component(br)
 
 
-def _omega_terms(D: Matrix, K: Matrix, src: int):
-    dcols, kcols = _columns(D), _columns(K)
+def _omega_terms(dcols, kcols, src: int):
+    """omega of block src; dcols and kcols are the columns of D and K."""
 
     def terms(key):
         xs, _, t = key
@@ -445,7 +485,9 @@ def omega(D: Matrix, K: Matrix, f: MixedMap) -> MixedMap:
     Output has the same shape as f.
     """
     dims = SplitDims(D.cols, K.rows)
-    return _apply("omega", dims, [f], [(f.shape, f.target)], [_omega_terms(D, K, 0)])[0]
+    scale = _scale([D, K])
+    terms = [_omega_terms(_columns(D, scale), _columns(K, scale), 0)]
+    return _apply("omega", dims, [f], [(f.shape, f.target)], scale, terms)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +680,9 @@ def p_project(c: DerPairCochain) -> TwoSlotCochain:
 class _ComplexKind(NamedTuple):
     dims: Callable  # structure data -> SplitDims
     specs: Callable  # n -> (shape, target) coordinate blocks of C^n
-    terms: Callable  # structure data -> one term generator per block of C^(n+1)
+    # structure data -> (L, one term generator per block of C^(n+1)), the
+    # generators reading the constants times L as ints
+    terms: Callable
 
 
 def _coeffs_specs(n: int):
@@ -658,35 +702,40 @@ def _two_slot_specs(target: str, n: int):
 
 
 def _coeffs_terms(p: DerPair):
-    cols = [[_columns(m) for m in mats] for mats in (p.rep.rho, p.rep.mu)]
-    return [_d_coeff_terms(_Algebra(p.algebra), *cols, 0)]
+    rho, mu = p.rep.rho, p.rep.mu
+    scale = _scale([*rho, *mu], p.algebra)
+    lcols, rcols = ([_columns(m, scale) for m in mats] for mats in (rho, mu))
+    return scale, [_d_coeff_terms(_Algebra(p.algebra, scale), lcols, rcols, 0)]
 
 
 def _prelie_terms(a: PreLieAlgebra, rep, D: Matrix | None = None):
-    """The generators of partial's three blocks; given D, also that of
-    the theta block of huaD."""
-    alg = _Algebra(a)
-    rho, mu = _Action(rep.rho, rep.dim_v), _Action(rep.mu, rep.dim_v)
+    """(L, the generators of partial's three blocks); given D, also that
+    of the theta block of huaD."""
+    scale = _scale([*rep.rho, *rep.mu, *([] if D is None else [D])], a)
+    alg = _Algebra(a, scale)
+    rho, mu = _Action(rep.rho, rep.dim_v, scale), _Action(rep.mu, rep.dim_v, scale)
     terms = [
         _d_coeff_terms(alg, alg.left, alg.right, 0),
         _partial_rho_terms(alg, rho),
         _partial_mu_terms(alg, rho, mu),
     ]
     if D is not None:
-        terms.append(_sum_terms(_d_coeff_terms(alg, rho.cols, mu.cols, 3), _delta_terms(D)))
-    return terms
+        theta = _d_coeff_terms(alg, rho.cols, mu.cols, 3)
+        terms.append(_sum_terms(theta, _delta_terms(_columns(D, scale))))
+    return scale, terms
 
 
-def _two_slot_terms(alg: _Algebra, lcols, rcols, D: Matrix, K: Matrix):
+def _two_slot_terms(alg: _Algebra, lcols, rcols, dcols, kcols):
     return [
         _d_coeff_terms(alg, lcols, rcols, 0),
-        _sum_terms(_d_coeff_terms(alg, lcols, rcols, 1), _omega_terms(D, K, 0)),
+        _sum_terms(_d_coeff_terms(alg, lcols, rcols, 1), _omega_terms(dcols, kcols, 0)),
     ]
 
 
 def _regular_terms(rp: RegularPair):
-    alg = _Algebra(rp.algebra)
-    return _two_slot_terms(alg, alg.left, alg.right, rp.D, rp.D)
+    scale = _scale([rp.D], rp.algebra)
+    alg, dcols = _Algebra(rp.algebra, scale), _columns(rp.D, scale)
+    return scale, _two_slot_terms(alg, alg.left, alg.right, dcols, dcols)
 
 
 def _rep_dims(data) -> SplitDims:
@@ -698,8 +747,10 @@ def _rep_dims(data) -> SplitDims:
 
 def _rep_terms(data):
     rp, rep5 = data
-    lcols, rcols = ([_columns(m) for m in mats] for mats in (rep5.rho_t, rep5.mu_t))
-    return _two_slot_terms(_Algebra(rp.algebra), lcols, rcols, rp.D, rep5.K)
+    mats = (rep5.rho_t, rep5.mu_t, (rp.D, rep5.K))
+    scale = _scale(chain.from_iterable(mats), rp.algebra)
+    lcols, rcols, (dcols, kcols) = ([_columns(m, scale) for m in x] for x in mats)
+    return scale, _two_slot_terms(_Algebra(rp.algebra, scale), lcols, rcols, dcols, kcols)
 
 
 _pair_dims = attrgetter("dims")
@@ -772,20 +823,22 @@ class Complex:
     """One cochain complex (complex id, structure data), memoized by degree.
 
     It holds the block layout of each C^n and assembles each d_n at most
-    once, as sparse rows, the one form of d_n it keeps. Each rank is
-    read off the forward phase of an elimination of a copy of those
-    rows, once per degree and kept; cocycle bases and preimages come off
-    the reduced rows of both phases, and coboundaries are sparse
-    products. C^n is the zero space for n < 1. Cochains go in and out as
-    lists of blocks in the layout order, so callers never handle
-    coordinates.
+    once, as the sparse integer rows of L d_n, the one form of d_n it
+    keeps; L (_scale) is the lcm of the denominators of the structure
+    constants the complex reads. Each rank is read off the forward phase
+    of an elimination of a copy of those rows, once per degree and kept;
+    cocycle bases come off the reduced rows of both phases, and
+    preimages off those of the rows augmented by L times the right-hand
+    side. Coboundaries are sparse products over L. C^n is the zero space
+    for n < 1. Cochains go in and out as lists of blocks in the layout
+    order, so callers never handle coordinates.
     """
 
     def __init__(self, complex_id: str, data):
         self._id = complex_id
         self._kind = kind = _kind(complex_id)
         self.dims = kind.dims(data)
-        self._terms = kind.terms(data)
+        self._scale, self._terms = kind.terms(data)
         self._sparse = {}
         self._ranks = {}
 
@@ -796,7 +849,7 @@ class Complex:
         return _space_dim(self.dims, self.specs(n))
 
     def _rows(self, n: int):
-        """(rows, ncols) of d: C^n -> C^(n+1), rows as {column: Fraction}."""
+        """(rows, ncols) of L d: C^n -> C^(n+1), rows as {column: int}."""
         if n not in self._sparse:
             out = [spec + (terms,) for spec, terms in zip(self.specs(n + 1), self._terms)]
             self._sparse[n] = _assemble(self.dims, self.specs(n), out)
@@ -811,17 +864,20 @@ class Complex:
         """Matrix of d: C^n -> C^(n+1) in enumerate_basis coordinates, built
         on each call."""
         rows, ncols = self._rows(n)
-        return Matrix.from_sparse(len(rows), ncols, rows)
+        L = self._scale
+        return Matrix.from_sparse(len(rows), ncols, [{k: Fraction(x, L) for k, x in r.items()} for r in rows])
 
     def coboundary(self, n: int, blocks) -> list:
         """The blocks of d_n x, for x given by its blocks in C^n."""
         y = sparse_matvec(self._rows(n)[0], self._coords(n, blocks))
-        return _unflatten(self.dims, self.specs(n + 1), y)
+        return _unflatten(self.dims, self.specs(n + 1), _unscale(y, self._scale))
 
     def preimage(self, n: int, blocks):
         """Blocks of some x in C^(n-1) with d_(n-1) x = y, for y given by its
-        blocks in C^n; None when y is not in B^n."""
-        x = sparse_solve(*self._rows(n - 1), self._coords(n, blocks))
+        blocks in C^n; None when y is not in B^n. The rows are those of
+        L d_(n-1), so x solves them against L y."""
+        y = [self._scale * c for c in self._coords(n, blocks)]
+        x = sparse_solve(*self._rows(n - 1), y)
         return None if x is None else _unflatten(self.dims, self.specs(n - 1), x)
 
     def rank(self, n: int) -> int:
@@ -832,7 +888,8 @@ class Complex:
         return self._ranks[n]
 
     def cocycle_basis(self, n: int) -> list:
-        """A basis of Z^n, each cocycle as its blocks."""
+        """A basis of Z^n, each cocycle as its blocks; L d_n has the same
+        kernel and the same reduced rows as d_n."""
         if n < 1:
             return []
         return [_unflatten(self.dims, self.specs(n), v) for v in sparse_kernel(*self._rows(n))]
@@ -863,7 +920,9 @@ def _induced_rank(cx: Complex, n: int, images) -> int:
     """Rank of the map a set of n-cocycles spans in H^n(cx).
 
     That is dim(span(images) + B^n) - dim B^n, one elimination of the
-    columns of d_(n-1) together with the images.
+    columns of d_(n-1) together with the images. The columns are those
+    of L d_(n-1), which span B^n as well, and images may come with any
+    nonzero factor: the rank is the same.
     """
     rows, ncols = cx._rows(n - 1)
     columns = [{} for _ in range(ncols)]
@@ -885,7 +944,10 @@ def les_check(p: DerPair, n_max: int) -> dict:
     pair complex and the projection (f, theta) -> f keeps the leading
     prelie blocks, so both act on coordinates as index slices. delta_n
     is the block of d_n(pair) from the prelie columns to the theta rows,
-    so it is read off the pair's rows rather than assembled again.
+    so it is read off the pair's rows rather than assembled again. Those
+    rows are L d_n with the pair's L, so delta_n here is L times the
+    map; it only enters ranks of induced maps and zero tests in H^n,
+    where a nonzero factor changes nothing (_induced_rank).
     """
     pair, prelie, coeffs = Complex("pair", p), Complex("prelie", p), Complex("coeffs", p)
 

@@ -131,18 +131,27 @@ def is_infinitesimal_deformation(base: DerPair, d: DeformationDatum) -> dict:
 
 def deformed_pair(base: DerPair, d: DeformationDatum, t: Fraction) -> DerPair:
     """The structure at parameter value t; valid for all t iff d deforms base."""
+    return _deformation(base, d)(t)
+
+
+def _deformation(base: DerPair, d: DeformationDatum):
+    """t -> the structure deformed by d at parameter value t. The maps of
+    d are read once, here, and only scaled by t on each call."""
     dims = base.dims
-    dg = dims.dim_g
+    r = range(dims.dim_g)
     a = base.algebra
-    table = [
-        [vec_add(a.prod_basis(i, j), vec_scale(t, d.omega_vec(i, j))) for j in range(dg)] for i in range(dg)
-    ]
-    alg = PreLieAlgebra(dg, table)
-    rho = [base.rep.rho[i] + d.sigma_mat(i).scale(t) for i in range(dg)]
-    mu = [base.rep.mu[j] + d.tau_mat(j).scale(t) for j in range(dg)]
-    rep = Representation(dims.dim_v, rho, mu)
-    D = base.D + d.dhat_mat().scale(t)
-    return DerPair(alg, rep, D)
+    omega = [[d.omega_vec(i, j) for j in r] for i in r]
+    sigma, tau = [d.sigma_mat(i) for i in r], [d.tau_mat(j) for j in r]
+    dhat = d.dhat_mat()
+
+    def at(t) -> DerPair:
+        table = [[vec_add(a.prod_basis(i, j), vec_scale(t, omega[i][j])) for j in r] for i in r]
+        rho = [base.rep.rho[i] + sigma[i].scale(t) for i in r]
+        mu = [base.rep.mu[j] + tau[j].scale(t) for j in r]
+        rep = Representation(dims.dim_v, rho, mu)
+        return DerPair(PreLieAlgebra(dims.dim_g, table), rep, base.D + dhat.scale(t))
+
+    return at
 
 
 def deformation_cocycle(base: DerPair, d: DeformationDatum) -> DerPairCochain:
@@ -188,10 +197,11 @@ def is_equivalence(base: DerPair, d1: DeformationDatum, d2: DeformationDatum, w:
     if d1.dims != dims or d2.dims != dims:
         raise ValueError(f"data over {d1.dims} and {d2.dims}, base pair over {dims}")
     defects = []
+    deform1, deform2 = _deformation(base, d1), _deformation(base, d2)
     for t in (1, 2, 3):
         f_g = Matrix.identity(dg) + w.N.scale(t)
         f_v = Matrix.identity(dv) + w.S.scale(t)
-        src, dst = deformed_pair(base, d1, t), deformed_pair(base, d2, t)
+        src, dst = deform1(t), deform2(t)
         defects.append([vec_sub(lhs, rhs) for lhs, rhs in morphism_sides(f_g, f_v, src, dst)])
     failed = []
     for k, values in enumerate(zip(*defects)):  # product, rho, mu, D at t = 1, 2, 3

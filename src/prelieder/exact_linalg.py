@@ -8,7 +8,8 @@ The working form of a matrix is a list of sparse rows, {column: entry}
 with zeros absent; differential matrices are mostly zeros. There is
 one elimination kernel on such rows, and it is fraction-free: its entry
 copy (_copy) turns each row into a primitive integer row (denominators
-cleared, content divided out), and every step combines two integer
+cleared, content divided out; the rows of a differential come as ints
+and only lose their content), and every step combines two integer
 rows and divides the content out again, so coefficients stay as small
 as the rows' own proportions allow and no Fraction arithmetic runs. It
 has two phases: _forward picks the pivots and clears below them, _back
@@ -34,6 +35,7 @@ from math import gcd, lcm
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _FRACTION = frozenset([Fraction])
+_INT = frozenset([int])
 
 
 def frac(x) -> Fraction:
@@ -190,17 +192,21 @@ def _sparse_rows(m: Matrix) -> list:
 def _copy(rows) -> list:
     """Primitive integer copies of the rows, empty ones left out.
 
-    Entries may be int or Fraction, zeros included. Each row is cleared
-    of its denominators (times their lcm) and divided by its content,
-    which leaves its span and its nonzero pattern as they were.
+    Entries may be int or Fraction, zeros included. A row of ints, as
+    the differentials are assembled, is only divided by its content;
+    any other row is first cleared of its denominators (times their
+    lcm). Neither changes its span or its nonzero pattern.
     """
     out = []
     for row in rows:
         if not row:
             continue
-        ratios = [x.as_integer_ratio() for x in row.values()]
-        den = lcm(*[d for _, d in ratios])
-        row = {k: n * (den // d) for k, (n, d) in zip(row, ratios) if n}
+        if _INT.issuperset(map(type, row.values())):  # checked in C
+            row = {k: x for k, x in row.items() if x}
+        else:
+            ratios = [x.as_integer_ratio() for x in row.values()]
+            den = lcm(*[d for _, d in ratios])
+            row = {k: n * (den // d) for k, (n, d) in zip(row, ratios) if n}
         if row:
             _divide_content(row)
             out.append(row)

@@ -87,10 +87,13 @@ class ParseError(Exception):
 # scalar, matrix and table helpers
 
 
-# The "rational" pattern of docs/document.schema.json: an optional minus,
-# ASCII digits and an optional nonzero denominator, with surrounding
-# whitespace. Fraction alone would also take "+1", "0.5", "1e3" and "1_0".
-_RATIONAL = re.compile(r"\s*-?[0-9]+(/0*[1-9][0-9]*)?\s*")
+# The "rational" pattern of docs/document.schema.json, but for its digit
+# bound: an optional minus, ASCII digits and an optional nonzero
+# denominator, with surrounding whitespace. The groups are the sign and
+# the numerator and denominator past their leading zeros (no numerator
+# group for zero). Fraction alone would also take "+1", "0.5", "1e3"
+# and "1_0".
+_RATIONAL = re.compile(r"\s*(-?)(?:0*([1-9][0-9]*)|0+)(?:/0*([1-9][0-9]*))?\s*")
 
 
 # parse reads every JSON number as a Decimal, exactly from its text. One that
@@ -114,12 +117,14 @@ def _integer(x, path: str):
 
 def parse_scalar(x, path: str) -> Fraction:
     if isinstance(x, str):
-        if not _RATIONAL.fullmatch(x):
+        m = _RATIONAL.fullmatch(x)
+        if not m:
             raise ParseError(f"{path}: invalid rational {x!r}")
-        try:
-            return Fraction(x)
-        except ValueError:  # past int_max_str_digits; the pattern excludes every other failure
-            raise ParseError(f"{path}: rational with a part of more than {_MAX_DIGITS} digits") from None
+        sign, num, den = m.groups("")
+        # the schema's bound, on the digits past the leading zeros
+        if max(len(num), len(den)) > _MAX_DIGITS:
+            raise ParseError(f"{path}: rational with a part of more than {_MAX_DIGITS} digits")
+        return Fraction(int(sign + (num or "0")), int(den or "1"))
     n = _integer(x, path)
     if n is None:
         name = "float" if isinstance(x, Decimal) else type(x).__name__

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -41,8 +42,10 @@ from prelieder.cohomology import (
     Complex,
     _Action,
     _Algebra,
+    _assemble,
     _columns,
     _flatten,
+    _scale,
     d_coeff,
     d_prelie,
     d_regular,
@@ -60,6 +63,7 @@ from conftest import (
     idempotent_line,
     random_derivation,
     random_mixed,
+    rebased_pair,
     shift_algebra,
     triangular_algebra,
 )
@@ -263,10 +267,29 @@ def zero_action_module(rp: RegularPair) -> DerPairRepresentation:
     return DerPairRepresentation(2, Matrix(2, 2, [[2, 1], [0, -1]]), zero, zero)
 
 
+def diagonal_rebase(p: DerPair) -> DerPair:
+    """p in the bases s_i e_i of g and of V, s = 1/7, 3/11, -5/13: the
+    constants get coprime denominators, so L > 1 for every complex."""
+    s = [Fraction(1, 7), Fraction(3, 11), Fraction(-5, 13)]
+
+    def diag(n, power):
+        return Matrix(n, n, [[s[i] ** power if i == j else 0 for j in range(n)] for i in range(n)])
+
+    g, v = p.algebra.dim, p.rep.dim_v
+    return rebased_pair(p, diag(g, 1), diag(g, -1), diag(v, 1), diag(v, -1))
+
+
+def _int_rows(cx: Complex, n: int) -> bool:
+    """Every entry of the assembled rows of L d_n is an int."""
+    return all(type(x) is int for row in cx._rows(n)[0] for x in row.values())
+
+
 def test_differential_matrix_matches_application(pair_corpus, regular_corpus, rng):
     # the assembled rows of d_n against the reference evaluation of the same
     # term generators, one output key at a time (oracles.apply_terms); from
-    # n = 3 on the generators read wedge arguments out of order
+    # n = 3 on the generators read wedge arguments out of order. The
+    # generators read the constants times L, so the reference is divided by
+    # L; the rows are ints, and preimages of the values come back to them
     cases = [(cid, p, rng) for p in pair_corpus[:8] for cid in ("coeffs", "prelie", "pair")]
     local = Random(12)  # keeps the shared rng's sequence as it was for later tests
     deeper = Random(14)
@@ -274,6 +297,13 @@ def test_differential_matrix_matches_application(pair_corpus, regular_corpus, rn
         cases.append(("regular", rp, local))
         for mod in (regular_module(rp), zero_action_module(rp)):
             cases.append(("rep", (rp, mod), local))
+    scaled = Random(16)
+    p = diagonal_rebase(next(p for p in pair_corpus if (p.dims.dim_g, p.dims.dim_v) == (3, 2)))
+    q = diagonal_rebase(next(rp for rp in regular_corpus if rp.algebra.dim == 3).to_derpair())
+    rq = RegularPair(q.algebra, q.D)
+    cases += [("pair", p, scaled), ("rep", (rq, regular_module(rq)), scaled)]
+    for cid, data, _ in cases[-2:]:
+        assert Complex(cid, data)._scale % (7 * 11 * 13) == 0, cid
     for cid, data, r in cases:
         cx = Complex(cid, data)
         for n, rn in ((1, r), (2, r), (3, deeper)):
@@ -281,12 +311,30 @@ def test_differential_matrix_matches_application(pair_corpus, regular_corpus, rn
             m = differential_matrix(cid, n, data)
             if m.cols == 0:
                 continue
+            assert _int_rows(cx, n), (cid, n)
             want = [
-                apply_terms(cx.dims, shape, target, terms, maps)
+                apply_terms(cx.dims, shape, target, terms, maps).scale(Fraction(1, cx._scale))
                 for (shape, target), terms in zip(cx.specs(n + 1), cx._terms)
             ]
             assert m.matvec(_flatten(maps)) == tuple(_flatten(want)), (cid, n)
             assert cx.coboundary(n, maps) == want, (cid, n)
+            assert cx.coboundary(n, cx.preimage(n + 1, want)) == want, (cid, n)
+
+
+def test_assemble_refuses_a_column_map_with_a_coefficient_other_than_a_sign():
+    # a column map holds structure constants times L; a coefficient other
+    # than a sign on it would make an entry quadratic in the constants,
+    # scaled by L^2, and every rank read off the rows wrong
+    dims, shape = SplitDims(1, 1), MixedShape(0, 0, "g")
+    identity = (((0, 1),),)
+
+    def terms(c):
+        return [(shape, "g", lambda key: [(0, (), (), key[2], c, identity)])]
+
+    assert _assemble(dims, [(shape, "g")], terms(-1)) == ([{0: -1}], 1)
+    for c in (2, Fraction(1, 2), 0):
+        with pytest.raises(RuntimeError, match="not a sign"):
+            _assemble(dims, [(shape, "g")], terms(c))
 
 
 def test_coboundary_and_preimage_on_every_complex():
@@ -364,30 +412,47 @@ def _dense_columns(m: Matrix) -> tuple:
 def test_structure_tables_match_the_dense_derivation(data):
     # the tables the term engine reads, built from the nonzero constants,
     # hold the (index, entry) pairs that left_mult, right_mult, bracket_vec
-    # and Matrix.col give, in the same order and as Fractions
+    # and Matrix.col give, in the same order, each entry times L as an int;
+    # L is the lcm of the denominators of the constants
     dim = data.draw(st.integers(0, 4))
     a = PreLieAlgebra(dim, data.draw(sparse_tables((dim, dim, dim))))
-    alg, r = _Algebra(a), range(dim)
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    mats = [Matrix(rows, cols, data.draw(sparse_tables((rows, cols)))) for _ in range(dim)]
+    r = range(dim)
+
+    def lcm_of_denominators(entries):
+        out = 1
+        for x in entries:
+            out = out * x.denominator // gcd(out, x.denominator)
+        return out
+
+    constants = [x for i in r for j in r for x in a.prod_basis(i, j)]
+    entries = [x for m in mats for row in m.entries for x in row]
+    assert _scale([], a) == lcm_of_denominators(constants)
+    assert _scale(mats) == lcm_of_denominators(entries)
+    L = _scale(mats, a)
+    assert L == lcm_of_denominators(constants + entries)
+
+    def unscaled(table):
+        assert all(type(c) is int for row in table for pairs in row for _, c in pairs)
+        return [[tuple((k, Fraction(c, L)) for k, c in pairs) for pairs in row] for row in table]
 
     def nonzero(vec):
         return tuple((k, c) for k, c in enumerate(vec) if c)
 
-    assert alg.prod == [[nonzero(a.prod_basis(i, j)) for j in r] for i in r]
-    assert alg.bracket == [[nonzero(bracket_vec(a, i, j)) for j in r] for i in r]
-    assert alg.left == [list(_dense_columns(a.left_mult(i))) for i in r]
-    assert alg.right == [list(_dense_columns(a.right_mult(i))) for i in r]
-    for table in (alg.prod, alg.bracket, alg.left, alg.right):
-        assert all(type(c) is Fraction for row in table for pairs in row for _, c in pairs)
+    alg = _Algebra(a, L)
+    assert unscaled(alg.prod) == [[nonzero(a.prod_basis(i, j)) for j in r] for i in r]
+    assert unscaled(alg.bracket) == [[nonzero(bracket_vec(a, i, j)) for j in r] for i in r]
+    assert unscaled(alg.left) == [list(_dense_columns(a.left_mult(i))) for i in r]
+    assert unscaled(alg.right) == [list(_dense_columns(a.right_mult(i))) for i in r]
 
     # the columns of the matrices the caller holds (rho, mu, D, K), zero
     # rows or columns included
-    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
-    mats = [Matrix(rows, cols, data.draw(sparse_tables((rows, cols)))) for _ in r]
-    assert [_columns(m) for m in mats] == [_dense_columns(m) for m in mats]
+    assert unscaled([_columns(m, L) for m in mats]) == [list(_dense_columns(m)) for m in mats]
     if rows == cols:
-        act = _Action(mats, rows)
-        assert act.cols == [_dense_columns(m) for m in mats]
-        assert act.at == [tuple(_dense_columns(m)[u] for m in mats) for u in range(rows)]
+        act = _Action(mats, rows, L)
+        assert unscaled(act.cols) == [list(_dense_columns(m)) for m in mats]
+        assert unscaled(act.at) == [[_dense_columns(m)[u] for m in mats] for u in range(rows)]
 
 
 def test_cohomology_dim_builds_no_dense_matrix(pair_corpus, regular_corpus, monkeypatch):
@@ -511,9 +576,9 @@ def test_cocycle_checks_build_the_structure_tables_once(monkeypatch):
     real_algebra, real_coboundary = prelieder.cohomology._Algebra, Complex.coboundary
 
     class CountedAlgebra(real_algebra):
-        def __init__(self, a):
+        def __init__(self, a, scale):
             tables[0] += 1
-            super().__init__(a)
+            super().__init__(a, scale)
 
     def coboundary(cx, n, blocks):
         checks[0] += n == 2
@@ -661,6 +726,34 @@ def test_dense_4_4_pair_complex_within_budget():
     assert zbh == [orig.cohomology_dim(n) for n in degrees]
     assert _nnz(cx, 3) > 2 * _nnz(orig, 3)
     for n in degrees:
+        assert _int_rows(cx, n), n
+        assert cx.rank(n) == rank_mod_p(*cx._rows(n)), n
+        assert _d_squared_is_zero(cx, n), n
+
+
+_UNITS = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]]  # E11, E12, E22 on column vectors
+
+
+def test_dense_5_2_pair_complex_within_budget():
+    # the (5,2) pair: tri+shift, the triangular units acting on Q^2 and the
+    # shift summand by zero, mu = 0, under integer unipotent basis changes
+    rng = Random(5)
+    a = direct_sum(triangular_algebra(), shift_algebra())
+    rho = [Matrix(2, 2, e) for e in _UNITS] + [Matrix.zeros(2, 2)] * 2
+    rep = Representation(2, rho, [Matrix.zeros(2, 2)] * 5)
+    sparse = DerPair(a, rep, random_derivation(a, rep.rho, rep.mu, 2, rng))
+    cx = Complex("pair", dense_copy(rng, sparse))
+    degrees = range(1, 8)
+    t0 = time.perf_counter()
+    zbh = [cx.cohomology_dim(n) for n in degrees]
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, f"dense (5,2) pair complex took {elapsed:.1f}s, budget 5s"
+    assert [cx.dim(n) for n in range(1, 9)] == [29, 175, 440, 590, 445, 179, 30, 0]
+    orig = Complex("pair", sparse)
+    assert zbh == [orig.cohomology_dim(n) for n in degrees]
+    assert _nnz(cx, 3) > 2 * _nnz(orig, 3)
+    for n in degrees:
+        assert _int_rows(cx, n), n
         assert cx.rank(n) == rank_mod_p(*cx._rows(n)), n
         assert _d_squared_is_zero(cx, n), n
 
@@ -669,12 +762,12 @@ def test_dense_3_2_pair_complex_matches_sympy():
     # upper triangular 2x2 matrices acting on column vectors, mu = 0
     rng = Random(3)
     a = triangular_algebra()
-    units = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]]
-    rep = Representation(2, [Matrix(2, 2, e) for e in units], [Matrix.zeros(2, 2)] * 3)
+    rep = Representation(2, [Matrix(2, 2, e) for e in _UNITS], [Matrix.zeros(2, 2)] * 3)
     p = DerPair(a, rep, random_derivation(a, rep.rho, rep.mu, 2, rng))
     cx = Complex("pair", dense_copy(rng, p))
     n = 1
     while cx.dim(n):
+        assert _int_rows(cx, n), n
         assert cx.rank(n) == sympy_rank(cx.d(n)) == rank_mod_p(*cx._rows(n)), n
         assert cx.cohomology_dim(n) == Complex("pair", p).cohomology_dim(n), n
         n += 1

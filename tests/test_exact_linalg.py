@@ -279,6 +279,10 @@ def test_sparse_rank_takes_explicit_zeros_and_cancelling_rows():
     # int entries: row 1 is row 0 over 3, which a float pivot inverse 1 / 3 misses
     assert sparse_rank([{0: 3, 1: 5}, {0: 1, 1: Fraction(5, 3)}], 2) == 1
     assert sparse_rank([], 5) == 0
+    # rows of ints, as differentials are assembled: only the zeros and the
+    # content go, and explicit zeros are no pivots either
+    assert _copy([{0: 4, 1: 0, 2: -6}, {1: 0}, {}, {3: -7}]) == [{0: 2, 2: -3}, {3: -1}]
+    assert sparse_rank([{0: 0, 2: 1}, {0: 0, 1: 3}, {0: 0}, {}], 3) == 2
 
 
 def test_shape_errors_are_value_errors():
@@ -354,6 +358,17 @@ def test_shape_and_float_checks_survive_optimize():
         "        print(type(e).__name__)\n"
         "    else:\n"
         "        print('accepted')\n"
+        "# a column map of structure constants with a coefficient other than a sign\n"
+        "from prelieder.cochain import MixedShape\n"
+        "from prelieder.cohomology import _assemble\n"
+        "shape = MixedShape(0, 0, 'g')\n"
+        "term = lambda key: [(0, (), (), key[2], 2, (((0, 1),),))]\n"
+        "try:\n"
+        "    _assemble(SplitDims(1, 1), [(shape, 'g')], [(shape, 'g', term)])\n"
+        "except RuntimeError as e:\n"
+        "    print(type(e).__name__)\n"
+        "else:\n"
+        "    print('accepted')\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -361,7 +376,7 @@ def test_shape_and_float_checks_survive_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["ValueError", "TypeError"] + ["ValueError"] * 6
+    assert out.stdout.split() == ["ValueError", "TypeError"] + ["ValueError"] * 6 + ["RuntimeError"]
 
 
 def test_empty_shapes():

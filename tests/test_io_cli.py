@@ -126,6 +126,39 @@ def test_rational_pattern_matches_parse_scalar():
                 parse(data)
 
 
+# (string, value or None when refused): the schema bounds numerator and
+# denominator to 4300 digits past their leading zeros, as the parser does
+DIGIT_BOUND = [
+    ("9" * 4300, 10**4300 - 1),
+    ("-" + "9" * 4300, 1 - 10**4300),
+    ("0" * 4301 + "1", 1),
+    ("0" * 5000, 0),
+    ("1/" + "9" * 4300, Fraction(1, 10**4300 - 1)),
+    ("1/" + "0" * 4301 + "1", 1),
+    ("9" * 4301, None),
+    ("-" + "0" * 10 + "9" * 4301, None),
+    ("1/" + "9" * 4301, None),
+    ("1/" + "0" * 10 + "9" * 4301, None),
+]
+
+
+def test_rational_pattern_has_the_parser_digit_bound(tmp_path, capsys):
+    schema = json.loads((REPO / "docs" / "document.schema.json").read_text())
+    rational = Draft202012Validator(schema["$defs"]["rational"])
+    for text, value in DIGIT_BOUND:
+        assert rational.is_valid(text) == (value is not None), text[:12]
+        if value is not None:
+            assert parse_scalar(text, "$") == value, text[:12]
+        else:
+            with pytest.raises(ParseError, match=re.escape("$.x: rational with a part of more than 4300 digits")):
+                parse_scalar(text, "$.x")
+    # a refused part is a malformed document: exit 2, with its path
+    for text in ("9" * 4301, "1/" + "9" * 4301):
+        doc = corpus_doc("prelie_shift", (("table", 0, 1, 1), text))
+        assert cli_run(written(["validate", doc], tmp_path)) == 2
+        assert "$.table[0][1][1]: rational with a part of more than 4300 digits" in capsys.readouterr().err
+
+
 def test_integral_numbers_are_integers_everywhere():
     # dimensions and indices follow the same rule as scalars
     data = (REPO / "corpus" / "pair_shift.json").read_bytes()
