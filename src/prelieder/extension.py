@@ -23,16 +23,18 @@ from fractions import Fraction
 
 from .cochain import MixedMap, SplitDims
 from .cohomology import Complex, _BlockCochain, _slot, _zero_blocks, huaD_rep
-from .exact_linalg import Matrix, columns_matrix, combination, rank, solve, vec_sub, zero_vec
+from .exact_linalg import Matrix, columns_matrix, rank, solve, vec_sub, zero_vec
 from .prelie import (
+    REP_AXIOM_TAGS,
     PreLieAlgebra,
     RegularPair,
     Representation,
+    axiom_brackets,
     basis_vec,
+    failed_axioms,
     is_morphism,
     is_regular_pair,
     regular_representation,
-    representation_report,
     table_map,
 )
 
@@ -66,24 +68,16 @@ def regular_module(base: RegularPair) -> DerPairRepresentation:
     return DerPairRepresentation(r.dim_v, base.D, r.rho, r.mu)
 
 
-REP_TAGS = ("rep-axiom-1", "rep-axiom-2", "extension-rep-1", "extension-rep-2")
+REP_TAGS = REP_AXIOM_TAGS + ("extension-rep-1", "extension-rep-2")
 
 
 def derpair_representation_report(base: RegularPair, r: DerPairRepresentation) -> dict:
-    """Per-equation validation of a module over a regular pair."""
+    """Per-equation validation of a module over a regular pair, read off
+    [m, m] and [m, Delta] on g + V, Delta being D on g and K on V."""
     a = base.algebra
     if r.dim_g != a.dim:
         raise ValueError(f"module over dim g = {r.dim_g}, base pair has dim g = {a.dim}")
-    failed = list(representation_report(a, r.plain())["failed"])
-    for i in range(a.dim):
-        rho_d = combination(base.D.col(i), r.rho_t, r.dim_v, r.dim_v)
-        mu_d = combination(base.D.col(i), r.mu_t, r.dim_v, r.dim_v)
-        if r.K * r.rho_t[i] != r.rho_t[i] * r.K + rho_d:
-            if "extension-rep-1" not in failed:
-                failed.append("extension-rep-1")
-        if r.K * r.mu_t[i] != r.mu_t[i] * r.K + mu_d:
-            if "extension-rep-2" not in failed:
-                failed.append("extension-rep-2")
+    failed = failed_axioms(axiom_brackets(a, r.plain(), base.D, r.K), REP_TAGS)
     return {"ok": not failed, "failed": failed}
 
 

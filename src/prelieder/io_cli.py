@@ -72,10 +72,10 @@ from .prelie import (
     PreLieAlgebra,
     RegularPair,
     Representation,
-    is_derivation,
-    is_prelie,
+    axiom_brackets,
+    failed_axioms,
     is_regular_pair,
-    representation_report,
+    pair_failures,
 )
 
 
@@ -284,7 +284,7 @@ def _parse_prelie(raw, path) -> PreLieAlgebra:
 
 
 def _failed_prelie(a: PreLieAlgebra) -> list:
-    return [] if is_prelie(a) else ["prelie-left-symmetry"]
+    return failed_axioms(axiom_brackets(a))
 
 
 def _parse_representation(raw, path):
@@ -307,7 +307,7 @@ def _emit_representation_doc(obj) -> dict:
 
 def _failed_representation(obj) -> list:
     a, rep, K = obj
-    return _failed_prelie(a) + representation_report(a, rep)["failed"]
+    return failed_axioms(axiom_brackets(a, rep))
 
 
 def _parse_derivation(raw, path) -> Matrix:
@@ -346,15 +346,6 @@ def _emit_derpair_doc(p) -> dict:
 def _as_pair(p) -> DerPair:
     """The pair, with the action (L, R) of a regular pair made explicit."""
     return p.to_derpair() if isinstance(p, RegularPair) else p
-
-
-def _failed_derpair(p) -> list:
-    failed = _failed_prelie(p.algebra)
-    if isinstance(p, DerPair):
-        failed += representation_report(p.algebra, p.rep)["failed"]
-    if not is_derivation(_as_pair(p)):
-        failed.append("derivation-axiom")
-    return failed
 
 
 def _parse_dims(raw, path, min_v=1) -> SplitDims:
@@ -561,7 +552,7 @@ DOCUMENTS = {
         _parse_representation, _emit_representation_doc, _failed_representation
     ),
     "derivation": _DocumentKind(_parse_derivation, _emit_derivation_doc, _no_equations),
-    "derpair": _DocumentKind(_parse_derpair, _emit_derpair_doc, _failed_derpair),
+    "derpair": _DocumentKind(_parse_derpair, _emit_derpair_doc, pair_failures),
     "cochain": _DocumentKind(_parse_cochain, _emit_cochain_doc, _no_equations),
     "deformation": _DocumentKind(_parse_deformation, _emit_deformation_doc, _no_equations),
     "extension": _DocumentKind(_parse_extension, _emit_extension_doc, _failed_extension),
@@ -696,7 +687,6 @@ def _cmd_cohomology(args) -> int:
         module = _load_module(args.rep)
         if module.dim_g != regp.algebra.dim:
             raise CliError("module and pair dimensions do not match")
-        rep_report = derpair_representation_report(regp, module)
         if not is_regular_pair(regp):
             _print(
                 args,
@@ -704,6 +694,7 @@ def _cmd_cohomology(args) -> int:
                 ["input is not a valid pair"],
             )
             return 1
+        rep_report = derpair_representation_report(regp, module)
         if not rep_report["ok"]:
             _print(
                 args,

@@ -8,15 +8,20 @@ mu(y)mu(x) - mu(x.y) = mu(y)rho(x) - rho(x)mu(y), and a derivation is a
 linear D: g -> V with D(x.y) = rho(x)D(y) + mu(y)D(x). Constructors
 accept arbitrary structure constants; validity is always a separate
 query so deformation candidates can be represented before they hold.
+
+Every one of these axioms, and the two that make (K, rho, mu) a module
+over a regular pair, is the vanishing of one component of a matching
+bracket of the structure cochain m = pi + rho + mu (the table AXIOMS),
+so each validator computes the brackets and reads its tags off them.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 
-from .cochain import Cochain, MixedMap, MixedShape, SplitDims, lift
+from .cochain import Cochain, MixedMap, MixedShape, SplitDims, component, lift
 from .exact_linalg import Matrix, columns_matrix, combination, frac, vec_add, vec_scale, vec_sub, zero_vec
+from .mn_bracket import mn_bracket
 
 
 class PreLieAlgebra:
@@ -127,37 +132,6 @@ class RegularPair:
         return DerPair(self.algebra, regular_representation(self.algebra), self.D)
 
 
-def is_prelie(a: PreLieAlgebra) -> bool:
-    """Left symmetry of the associator on all basis triples.
-
-    Reads only the nonzero structure constants. Both sides agree
-    trivially when i = j and swap when i > j, so only i < j is checked.
-    """
-    n = a.dim
-    nz = [
-        [[(m, c) for m, c in enumerate(a.prod_basis(i, j)) if c] for j in range(n)]
-        for i in range(n)
-    ]
-
-    def associator(i, j, k):
-        # (e_i.e_j).e_k - e_i.(e_j.e_k), without its zero components
-        out = defaultdict(int)
-        for m, c in nz[i][j]:
-            for r, d in nz[m][k]:
-                out[r] += c * d
-        for m, c in nz[j][k]:
-            for r, d in nz[i][m]:
-                out[r] -= c * d
-        return {r: v for r, v in out.items() if v}
-
-    return all(
-        associator(i, j, k) == associator(j, i, k)
-        for i in range(n)
-        for j in range(i + 1, n)
-        for k in range(n)
-    )
-
-
 def basis_vec(dim: int, i: int):
     return tuple(Fraction(1) if t == i else Fraction(0) for t in range(dim))
 
@@ -174,40 +148,6 @@ def subadjacent_lie(a: PreLieAlgebra):
     )
 
 
-def bracket_vec(a: PreLieAlgebra, i: int, j: int):
-    """[e_i, e_j] = e_i.e_j - e_j.e_i without the validity gate."""
-    return vec_sub(a.prod_basis(i, j), a.prod_basis(j, i))
-
-
-def representation_report(a: PreLieAlgebra, r: Representation) -> dict:
-    """Both representation axioms on all basis pairs, tagged per axiom."""
-    if r.dim_g != a.dim:
-        raise ValueError("representation and algebra differ in dim g")
-    ok1 = True
-    ok2 = True
-    for i in range(a.dim):
-        for j in range(a.dim):
-            # rho([e_i,e_j]) = rho(e_i)rho(e_j) - rho(e_j)rho(e_i)
-            lhs = combination(bracket_vec(a, i, j), r.rho, r.dim_v, r.dim_v)
-            if lhs != r.rho[i] * r.rho[j] - r.rho[j] * r.rho[i]:
-                ok1 = False
-            # mu(e_j)mu(e_i) - mu(e_i.e_j) = mu(e_j)rho(e_i) - rho(e_i)mu(e_j)
-            mu_prod = combination(a.prod_basis(i, j), r.mu, r.dim_v, r.dim_v)
-            if r.mu[j] * r.mu[i] - mu_prod != r.mu[j] * r.rho[i] - r.rho[i] * r.mu[j]:
-                ok2 = False
-    failed = []
-    if not ok1:
-        failed.append("rep-axiom-1")
-    if not ok2:
-        failed.append("rep-axiom-2")
-    return {"ok": not failed, "failed": failed}
-
-
-def is_representation(a: PreLieAlgebra, r: Representation) -> bool:
-    """Both representation axioms on all basis pairs."""
-    return representation_report(a, r)["ok"]
-
-
 def regular_representation(a: PreLieAlgebra) -> Representation:
     """(g; L, R), the left and right multiplication operators."""
     return Representation(
@@ -215,32 +155,6 @@ def regular_representation(a: PreLieAlgebra) -> Representation:
         [a.left_mult(i) for i in range(a.dim)],
         [a.right_mult(i) for i in range(a.dim)],
     )
-
-
-def is_derivation(p: DerPair) -> bool:
-    """D(e_i.e_j) = rho(e_i)D(e_j) + mu(e_j)D(e_i) on all basis pairs."""
-    a, r, D = p.algebra, p.rep, p.D
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = D.matvec(a.prod_basis(i, j))
-            rhs = vec_add(
-                r.rho[i].matvec(D.col(j)), r.mu[j].matvec(D.col(i))
-            )
-            if lhs != rhs:
-                return False
-    return True
-
-
-def is_derpair(p: DerPair) -> bool:
-    return (
-        is_prelie(p.algebra)
-        and is_representation(p.algebra, p.rep)
-        and is_derivation(p)
-    )
-
-
-def is_regular_pair(p: RegularPair) -> bool:
-    return is_prelie(p.algebra) and is_derivation(p.to_derpair())
 
 
 def _entries(mats) -> tuple:
@@ -327,15 +241,109 @@ def d_component(D: Matrix, dims: SplitDims) -> MixedMap:
     return MixedMap.from_matrix(dims, "g", "v", D)
 
 
+def _structure(a: PreLieAlgebra, rep: Representation | None = None) -> Cochain:
+    """m = lift(pi) + lift(rho) + lift(mu) on g + V, with V = 0 and
+    m = lift(pi) when rep is None."""
+    dims = SplitDims(a.dim, 0 if rep is None else rep.dim_v)
+    m = lift(pi_component(a, dims))
+    if rep is None:
+        return m
+    return m + lift(rho_component(rep, dims)) + lift(mu_component(rep, dims))
+
+
 def structure_cochain(p: DerPair) -> Cochain:
     """lift(pi) + lift(rho) + lift(mu), the arity-2 structure cochain."""
-    dims = p.dims
-    return (
-        lift(pi_component(p.algebra, dims))
-        + lift(rho_component(p.rep, dims))
-        + lift(mu_component(p.rep, dims))
-    )
+    return _structure(p.algebra, p.rep)
 
 
 def derivation_cochain(p: DerPair) -> Cochain:
     return lift(d_component(p.D, p.dims))
+
+
+# Each structure and module tag with the bracket component whose
+# vanishing it states, as (tag, bracket, source shape, target). The
+# brackets are "m", [m, m]; "D", [m, D] for D: g -> V; and "Delta",
+# [m, Delta] for Delta = D on g plus K on V. A regular pair is read on
+# g alone (V = 0), where its derivation identity is the g-valued
+# component of [m, Delta].
+AXIOMS = (
+    ("prelie-left-symmetry", "m", MixedShape(2, 0, "g"), "g"),
+    ("rep-axiom-1", "m", MixedShape(2, 0, "v"), "v"),
+    ("rep-axiom-2", "m", MixedShape(1, 1, "g"), "v"),
+    ("derivation-axiom", "D", MixedShape(1, 0, "g"), "v"),
+    ("derivation-axiom", "Delta", MixedShape(1, 0, "g"), "g"),
+    ("extension-rep-1", "Delta", MixedShape(1, 0, "v"), "v"),
+    ("extension-rep-2", "Delta", MixedShape(0, 1, "g"), "v"),
+)
+REP_AXIOM_TAGS = ("rep-axiom-1", "rep-axiom-2")
+
+
+def axiom_brackets(a: PreLieAlgebra, rep: Representation | None = None, D=None, K=None) -> dict:
+    """The brackets AXIOMS reads, by name, for m built from a and rep.
+
+    Always [m, m]. With D: g -> V also [m, D]; with K: V -> V given,
+    D is a map g -> g instead and [m, Delta] is taken in place of
+    [m, D]. Without rep, V = 0.
+    """
+    m = _structure(a, rep)
+    out = {"m": mn_bracket(m, m)}
+    if K is not None:
+        d_g, k_v = (lift(MixedMap.from_matrix(m.dims, t, t, x)) for t, x in (("g", D), ("v", K)))
+        out["Delta"] = mn_bracket(m, d_g + k_v)
+    elif D is not None:
+        out["D"] = mn_bracket(m, lift(d_component(D, m.dims)))
+    return out
+
+
+def failed_axioms(brackets: dict, tags=None) -> list:
+    """The tags of AXIOMS, in table order, whose component is nonzero.
+
+    brackets maps bracket names to the brackets at hand; a tag is read
+    only when its bracket is among them and, if tags is given, when it
+    is among tags.
+    """
+    return [
+        tag
+        for tag, name, shape, target in AXIOMS
+        if name in brackets
+        and (tags is None or tag in tags)
+        and not component(brackets[name], shape, target).is_zero()
+    ]
+
+
+def pair_failures(p) -> list:
+    """The failed tags of a pair, or of a regular pair read on g alone."""
+    if isinstance(p, RegularPair):
+        return failed_axioms(axiom_brackets(p.algebra, D=p.D, K=Matrix.zeros(0, 0)))
+    return failed_axioms(axiom_brackets(p.algebra, p.rep, p.D))
+
+
+def is_prelie(a: PreLieAlgebra) -> bool:
+    """Left symmetry of the associator on all basis triples."""
+    return not failed_axioms(axiom_brackets(a))
+
+
+def representation_report(a: PreLieAlgebra, r: Representation) -> dict:
+    """Both representation axioms on all basis pairs, tagged per axiom."""
+    if r.dim_g != a.dim:
+        raise ValueError("representation and algebra differ in dim g")
+    failed = failed_axioms(axiom_brackets(a, r), REP_AXIOM_TAGS)
+    return {"ok": not failed, "failed": failed}
+
+
+def is_representation(a: PreLieAlgebra, r: Representation) -> bool:
+    """Both representation axioms on all basis pairs."""
+    return representation_report(a, r)["ok"]
+
+
+def is_derivation(p: DerPair) -> bool:
+    """D(e_i.e_j) = rho(e_i)D(e_j) + mu(e_j)D(e_i) on all basis pairs."""
+    return not failed_axioms({"D": mn_bracket(structure_cochain(p), derivation_cochain(p))})
+
+
+def is_derpair(p: DerPair) -> bool:
+    return not pair_failures(p)
+
+
+def is_regular_pair(p: RegularPair) -> bool:
+    return not pair_failures(p)

@@ -6,9 +6,10 @@ large for it from elimination modulo a large prime, the low-arity bracket
 formulas are the classical closed forms written out by hand, and the
 associator identity characterizes the bracket through its defining
 property. The general composition and left symmetry are walked densely
-over the whole basis, a differential's term generators are evaluated
-one output key at a time, and the eleven equivalence identities are
-written out one by one.
+over the whole basis, the representation, derivation and module axioms
+are Matrix products over every basis element, a differential's term
+generators are evaluated one output key at a time, and the eleven
+equivalence identities are written out one by one.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ import sympy
 
 from prelieder.cochain import Cochain, MixedMap
 from prelieder.exact_linalg import Matrix, combination, vec_add, vec_scale, vec_sub, zero_vec
+from prelieder.prelie import RegularPair
 from prelieder.spaces import unshuffles, wedge_tail_basis
 
 
@@ -215,6 +217,69 @@ def left_symmetric_reference(dim: int, table) -> bool:
         for j in range(dim)
         for k in range(dim)
     )
+
+
+def bracket_vec(a, i: int, j: int):
+    """[e_i, e_j] = e_i.e_j - e_j.e_i without the validity gate."""
+    return vec_sub(a.prod_basis(i, j), a.prod_basis(j, i))
+
+
+def representation_reference(a, r) -> list:
+    """The failed representation axioms of (rho, mu), in tag order, from
+    Matrix products on every basis pair."""
+    ok1 = ok2 = True
+    for i in range(a.dim):
+        for j in range(a.dim):
+            # rho([e_i,e_j]) = rho(e_i)rho(e_j) - rho(e_j)rho(e_i)
+            lhs = combination(bracket_vec(a, i, j), r.rho, r.dim_v, r.dim_v)
+            if lhs != r.rho[i] * r.rho[j] - r.rho[j] * r.rho[i]:
+                ok1 = False
+            # mu(e_j)mu(e_i) - mu(e_i.e_j) = mu(e_j)rho(e_i) - rho(e_i)mu(e_j)
+            mu_prod = combination(a.prod_basis(i, j), r.mu, r.dim_v, r.dim_v)
+            if r.mu[j] * r.mu[i] - mu_prod != r.mu[j] * r.rho[i] - r.rho[i] * r.mu[j]:
+                ok2 = False
+    return [tag for tag, ok in (("rep-axiom-1", ok1), ("rep-axiom-2", ok2)) if not ok]
+
+
+def derivation_reference(a, rho, mu, D) -> bool:
+    """D(e_i.e_j) = rho(e_i)D(e_j) + mu(e_j)D(e_i) on every basis pair."""
+    return all(
+        D.matvec(a.prod_basis(i, j)) == vec_add(rho[i].matvec(D.col(j)), mu[j].matvec(D.col(i)))
+        for i in range(a.dim)
+        for j in range(a.dim)
+    )
+
+
+def pair_reference(p) -> list:
+    """The failed tags of a pair, or of a regular pair with its action
+    (L, R) written out as matrices, in tag order."""
+    a = p.algebra
+    failed = [] if left_symmetric_reference(a.dim, a.table) else ["prelie-left-symmetry"]
+    if isinstance(p, RegularPair):
+        rho, mu = ([m(i) for i in range(a.dim)] for m in (a.left_mult, a.right_mult))
+    else:
+        failed += representation_reference(a, p.rep)
+        rho, mu = p.rep.rho, p.rep.mu
+    if not derivation_reference(a, rho, mu, p.D):
+        failed.append("derivation-axiom")
+    return failed
+
+
+def module_reference(base, r) -> list:
+    """The failed module tags of (K, rho_t, mu_t) over a regular pair, in
+    tag order: both representation axioms, then K against D for every
+    basis element."""
+    ok1 = ok2 = True
+    for i in range(base.algebra.dim):
+        # K rho_t(x) = rho_t(x) K + rho_t(D x), and the same for mu_t
+        rho_d = combination(base.D.col(i), r.rho_t, r.dim_v, r.dim_v)
+        mu_d = combination(base.D.col(i), r.mu_t, r.dim_v, r.dim_v)
+        if r.K * r.rho_t[i] != r.rho_t[i] * r.K + rho_d:
+            ok1 = False
+        if r.K * r.mu_t[i] != r.mu_t[i] * r.K + mu_d:
+            ok2 = False
+    failed = representation_reference(base.algebra, r.plain())
+    return failed + [tag for tag, ok in (("extension-rep-1", ok1), ("extension-rep-2", ok2)) if not ok]
 
 
 def apply_terms(dims, shape, target, terms, maps) -> MixedMap:

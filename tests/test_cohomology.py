@@ -55,7 +55,7 @@ from prelieder.cohomology import (
     partial,
     partial_bracket,
 )
-from prelieder.prelie import bracket_vec, regular_representation
+from prelieder.prelie import regular_representation
 
 from conftest import (
     dense_copy,
@@ -67,7 +67,7 @@ from conftest import (
     shift_algebra,
     triangular_algebra,
 )
-from oracles import apply_terms, rank_mod_p, sympy_rank
+from oracles import apply_terms, bracket_vec, rank_mod_p, sympy_rank
 
 
 def golden_pair() -> DerPair:

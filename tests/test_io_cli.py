@@ -33,6 +33,7 @@ from prelieder import (
     parse_scalar,
     validate_document,
 )
+from prelieder import io_cli
 from prelieder.io_cli import DOCUMENTS, MAX_COCHAIN_DIM, _build_parser, emit_scalar
 
 REPO = Path(__file__).resolve().parent.parent
@@ -157,6 +158,40 @@ def test_rational_pattern_has_the_parser_digit_bound(tmp_path, capsys):
         doc = corpus_doc("prelie_shift", (("table", 0, 1, 1), text))
         assert cli_run(written(["validate", doc], tmp_path)) == 2
         assert "$.table[0][1][1]: rational with a part of more than 4300 digits" in capsys.readouterr().err
+
+
+def test_integer_bounds_have_the_parser_digit_bound(tmp_path, capsys):
+    # the schema's integer branch and parse_scalar both take +-(10^4300 - 1)
+    # and both refuse +-10^4300, which a document can only hold as a JSON
+    # number: the parser refuses it with exit 2 and the JSON path
+    schema = json.loads((REPO / "docs" / "document.schema.json").read_text())
+    rational = Draft202012Validator(schema["$defs"]["rational"])
+    top = 10**4300 - 1
+    for n in (top, -top, top + 1, -top - 1):
+        ok = abs(n) <= top
+        # the validator's error message spells out the refused integer,
+        # which has more digits than str(int) writes by default
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert rational.is_valid(n) == ok
+        finally:
+            sys.set_int_max_str_digits(limit)
+        literal = str(Decimal(n))
+        if ok:
+            assert parse_scalar(Decimal(literal), "$") == n
+        else:
+            with pytest.raises(ParseError, match=re.escape("$.x: integer with more than 4300 digits")):
+                parse_scalar(Decimal(literal), "$.x")
+        text = json.dumps(corpus_doc("prelie_shift", (("table", 0, 1, 1), "N"))).replace('"N"', literal)
+        (tmp_path / "doc.json").write_text(text)
+        code = cli_run(["validate", str(tmp_path / "doc.json")])
+        err = capsys.readouterr().err
+        if ok:
+            assert code == 0, err
+        else:
+            assert code == 2
+            assert "$.table[0][1][1]: integer with more than 4300 digits" in err
 
 
 def test_integral_numbers_are_integers_everywhere():
@@ -729,6 +764,19 @@ def test_command_refusals_exit_2(args, message, tmp_path, capsys):
     argv = written(args, tmp_path)
     assert cli_run(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message.format(argv=argv)}\n")
+
+
+def test_cohomology_rep_checks_the_pair_before_the_module(monkeypatch, tmp_path, capsys):
+    # an invalid pair is reported without validating the module first
+    calls = []
+    real = io_cli.derpair_representation_report
+    monkeypatch.setattr(io_cli, "derpair_representation_report", lambda *args: calls.append(args) or real(*args))
+    tail = ["--complex", "rep", "--degree", "1", "--rep", corpus_path("module_regular"), "--json"]
+    assert cli_run(written(["cohomology", BAD_PAIR, *tail], tmp_path)) == 1
+    assert json.loads(capsys.readouterr().out) == {"command": "cohomology", "ok": False, "failed": ["pair-invalid"]}
+    assert calls == []
+    assert cli_run(["cohomology", corpus_path("pair_shift"), *tail]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_reports_are_deterministic():

@@ -22,7 +22,7 @@ from prelieder import (
     subadjacent_lie,
 )
 from prelieder.cochain import bidegree_of, theta_component
-from prelieder.prelie import bracket_vec, morphism_sides
+from prelieder.prelie import morphism_sides
 
 from conftest import (
     ALGEBRAS,
@@ -39,7 +39,7 @@ from conftest import (
     unipotent,
     zero_representation,
 )
-from oracles import left_symmetric_reference
+from oracles import bracket_vec, left_symmetric_reference
 
 
 def test_corpus_algebras_are_prelie():
