@@ -90,12 +90,11 @@ def _drop(t, i):
 
 def _scale(mats, a: PreLieAlgebra | None = None) -> int:
     """L, the lcm of the denominators of the entries of mats and of the
-    structure constants of a: the least factor that makes them all ints.
-    Zeros are skipped, as their denominator is 1."""
+    structure constants of a: the least factor that makes them all ints."""
     tables = [m.entries for m in mats]
     if a is not None:
         tables.extend(a.table)
-    return lcm(*{x.denominator for t in tables for row in t for x in row if x})
+    return lcm(*{x.denominator for t in tables for row in t for x in row})
 
 
 def _nonzero(vec, scale: int) -> tuple:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochain import MixedMap, SplitDims
+from .cochain import MixedMap, SplitDims, lift
 from .cohomology import Complex, _BlockCochain, _slot, _zero_blocks, huaD_rep
 from .exact_linalg import Matrix, columns_matrix, rank, solve, vec_sub, zero_vec
 from .prelie import (
@@ -77,7 +77,9 @@ def derpair_representation_report(base: RegularPair, r: DerPairRepresentation) -
     a = base.algebra
     if r.dim_g != a.dim:
         raise ValueError(f"module over dim g = {r.dim_g}, base pair has dim g = {a.dim}")
-    failed = failed_axioms(axiom_brackets(a, r.plain(), base.D, r.K), REP_TAGS)
+    dims = SplitDims(a.dim, r.dim_v)
+    d_g, k_v = (lift(MixedMap.from_matrix(dims, t, t, x)) for t, x in (("g", base.D), ("v", r.K)))
+    failed = failed_axioms(axiom_brackets(a, r.plain(), d_g + k_v), REP_TAGS)
     return {"ok": not failed, "failed": failed}
 
 

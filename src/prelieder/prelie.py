@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochain import Cochain, MixedMap, MixedShape, SplitDims, component, lift
+from .cochain import Cochain, MixedMap, MixedShape, SplitDims, bidegree_of, component, lift
 from .exact_linalg import Matrix, columns_matrix, combination, frac, vec_add, vec_scale, vec_sub, zero_vec
 from .mn_bracket import mn_bracket
 
@@ -278,20 +278,23 @@ AXIOMS = (
 REP_AXIOM_TAGS = ("rep-axiom-1", "rep-axiom-2")
 
 
-def axiom_brackets(a: PreLieAlgebra, rep: Representation | None = None, D=None, K=None) -> dict:
-    """The brackets AXIOMS reads, by name, for m built from a and rep.
+def _derivation_bracket(m: Cochain, x: Cochain) -> dict:
+    """[m, x] under the name AXIOMS reads it by: "D" when x maps g into V
+    (bidegree 1|-1), "Delta" when it maps g into g and V into V. A zero x
+    has a zero bracket, which fails no tag under either name."""
+    return {"D" if bidegree_of(x) == (1, -1) else "Delta": mn_bracket(m, x)}
 
-    Always [m, m]. With D: g -> V also [m, D]; with K: V -> V given,
-    D is a map g -> g instead and [m, Delta] is taken in place of
-    [m, D]. Without rep, V = 0.
-    """
+
+def axiom_brackets(
+    a: PreLieAlgebra, rep: Representation | None = None, derivation: Cochain | None = None
+) -> dict:
+    """The brackets AXIOMS reads, by name, for m built from a and rep
+    (V = 0 without rep): [m, m], and given a derivation cochain also
+    [m, derivation], named as _derivation_bracket names it."""
     m = _structure(a, rep)
     out = {"m": mn_bracket(m, m)}
-    if K is not None:
-        d_g, k_v = (lift(MixedMap.from_matrix(m.dims, t, t, x)) for t, x in (("g", D), ("v", K)))
-        out["Delta"] = mn_bracket(m, d_g + k_v)
-    elif D is not None:
-        out["D"] = mn_bracket(m, lift(d_component(D, m.dims)))
+    if derivation is not None:
+        out.update(_derivation_bracket(m, derivation))
     return out
 
 
@@ -314,8 +317,9 @@ def failed_axioms(brackets: dict, tags=None) -> list:
 def pair_failures(p) -> list:
     """The failed tags of a pair, or of a regular pair read on g alone."""
     if isinstance(p, RegularPair):
-        return failed_axioms(axiom_brackets(p.algebra, D=p.D, K=Matrix.zeros(0, 0)))
-    return failed_axioms(axiom_brackets(p.algebra, p.rep, p.D))
+        delta = lift(MixedMap.from_matrix(SplitDims(p.algebra.dim, 0), "g", "g", p.D))
+        return failed_axioms(axiom_brackets(p.algebra, derivation=delta))
+    return failed_axioms(axiom_brackets(p.algebra, p.rep, derivation_cochain(p)))
 
 
 def is_prelie(a: PreLieAlgebra) -> bool:
@@ -338,7 +342,7 @@ def is_representation(a: PreLieAlgebra, r: Representation) -> bool:
 
 def is_derivation(p: DerPair) -> bool:
     """D(e_i.e_j) = rho(e_i)D(e_j) + mu(e_j)D(e_i) on all basis pairs."""
-    return not failed_axioms({"D": mn_bracket(structure_cochain(p), derivation_cochain(p))})
+    return not failed_axioms(_derivation_bracket(structure_cochain(p), derivation_cochain(p)))
 
 
 def is_derpair(p: DerPair) -> bool:

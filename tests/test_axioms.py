@@ -34,8 +34,8 @@ from prelieder import (
     representation_report,
     validate_document,
 )
-from prelieder.cochain import component
-from prelieder.prelie import AXIOMS, axiom_brackets, pair_failures
+from prelieder.cochain import MixedMap, SplitDims, component, lift
+from prelieder.prelie import AXIOMS, axiom_brackets, derivation_cochain, pair_failures
 
 from conftest import abelian_algebra, corpus_pairs, rebased_pair, regular_pairs, shift_algebra, unipotent
 from oracles import module_reference, pair_reference, representation_reference
@@ -220,14 +220,17 @@ def test_each_component_fires_alone(row, kind, data):
     if kind == "module":
         base, r = data
         assert is_regular_pair(base)
-        brackets = axiom_brackets(base.algebra, r.plain(), base.D, r.K)
+        dims = SplitDims(base.algebra.dim, r.dim_v)
+        d_g, k_v = (lift(MixedMap.from_matrix(dims, t, t, x)) for t, x in (("g", base.D), ("v", r.K)))
+        brackets = axiom_brackets(base.algebra, r.plain(), d_g + k_v)
         assert derpair_representation_report(base, r)["failed"] == [tag]
         assert module_reference(base, r) == [tag]
     else:
         if kind == "regular":
-            brackets = axiom_brackets(data.algebra, D=data.D, K=Matrix.zeros(0, 0))
+            delta = lift(MixedMap.from_matrix(SplitDims(data.algebra.dim, 0), "g", "g", data.D))
+            brackets = axiom_brackets(data.algebra, derivation=delta)
         else:
-            brackets = axiom_brackets(data.algebra, data.rep, data.D)
+            brackets = axiom_brackets(data.algebra, data.rep, derivation_cochain(data))
         assert pair_failures(data) == [tag]
         assert validate_document(Document("derpair", data))["failed"] == [tag]
         assert pair_reference(data) == [tag]
