@@ -17,11 +17,11 @@ reappear only when a cochain is evaluated at out-of-order arguments.
 
 from __future__ import annotations
 
-from .exact_linalg import Matrix, columns_matrix, frac, vec_add, vec_scale, zero_vec
+from .exact_linalg import Frozen, Matrix, columns_matrix, frac, vec_add, vec_scale, zero_vec
 from .spaces import enumerate_basis, normalize_wedge, wedge_tail_basis
 
 
-class SplitDims:
+class SplitDims(Frozen):
     """Dimensions of the split space: dim_g for g, dim_v for V."""
 
     __slots__ = ("dim_g", "dim_v")
@@ -31,9 +31,6 @@ class SplitDims:
             raise ValueError(f"negative dimensions {dim_g}, {dim_v}")
         object.__setattr__(self, "dim_g", dim_g)
         object.__setattr__(self, "dim_v", dim_v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SplitDims is immutable")
 
     @property
     def total(self) -> int:
@@ -135,7 +132,7 @@ class Cochain:
         return vec_scale(sign, val)
 
 
-class MixedShape:
+class MixedShape(Frozen):
     """Source shape wedge^g_wedge(g) tensor wedge^v_wedge(V) tensor tail."""
 
     __slots__ = ("g_wedge", "v_wedge", "tail")
@@ -146,9 +143,6 @@ class MixedShape:
         object.__setattr__(self, "g_wedge", g_wedge)
         object.__setattr__(self, "v_wedge", v_wedge)
         object.__setattr__(self, "tail", tail)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MixedShape is immutable")
 
     @property
     def degenerate(self) -> bool:

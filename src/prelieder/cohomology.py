@@ -24,14 +24,22 @@ Each formula is written once, as a generator of terms: for one output
 basis key it lists which input value is read (block, arguments, tail)
 and the linear map applied to it. Every entry of a differential is a
 sum of signs times one structure constant each, so it is linear in the
-constants. The generators read the constants scaled once by L, the lcm
-of their denominators (_scale), as ints. One engine reads the
-generators: _assemble scatters the terms into columns, which gives L
-times a differential in a single pass as sparse integer rows
-{column: int}, in plain int arithmetic. Sparse rows are the one form of
-a differential: ranks, and so cohomology_dim, come from the forward
-phase of the elimination kernel on them, and cocycle bases from its
-reduced rows, neither of which a nonzero factor changes; preimages
+constants. The generators read the constants times L, the lcm of their
+denominators, as ints. Neither L nor the int tables are computed here:
+each leaf of the structure data (the PreLieAlgebra and every Matrix:
+rho, mu, D, K) keeps an IntView, built on its first use, with its
+nonzero constants and their own L, and the int tables read off them
+(_Algebra for the algebra, the sparse columns of a matrix) for each
+scale asked for. A complex's L (_scale) is the lcm of its leaves' L's,
+and its tables come from the leaves' views at that L, rescaled from the
+nonzeros alone where it differs from a leaf's own; every complex over
+one structure shares them. One engine reads the generators: _assemble
+scatters the terms into columns, which gives L times a differential in
+a single pass as sparse integer rows {column: int}, in plain int
+arithmetic. Sparse rows are the one form of a differential: ranks, and
+so cohomology_dim, come from the forward phase of the elimination
+kernel on them, and cocycle bases from its reduced rows, neither of
+which a nonzero factor changes; preimages
 solve against the right-hand side times L; coboundaries, the
 cochain-level operators (huaD and the pieces partial, delta, omega,
 d_coeff) and the LES maps are sparse products, divided by L where the
@@ -53,7 +61,7 @@ module handles coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from math import lcm
 from operator import add, attrgetter, sub
 from typing import Callable, NamedTuple
@@ -90,22 +98,18 @@ def _drop(t, i):
 
 def _scale(mats, a: PreLieAlgebra | None = None) -> int:
     """L, the lcm of the denominators of the entries of mats and of the
-    structure constants of a: the least factor that makes them all ints."""
-    tables = [m.entries for m in mats]
+    structure constants of a: the least factor that makes them all ints.
+    It is the lcm of the L's of their views."""
+    views = [m.int_view() for m in mats]
     if a is not None:
-        tables.extend(a.table)
-    return lcm(*{x.denominator for t in tables for row in t for x in row})
-
-
-def _nonzero(vec, scale: int) -> tuple:
-    """The nonzero (index, scale * entry) pairs of vec, as ints; scale
-    must clear the denominators of vec."""
-    return tuple((k, x.numerator * (scale // x.denominator)) for k, x in compress(enumerate(vec), vec))
+        views.append(a.int_view())
+    return lcm(*(v.scale for v in views))
 
 
 def _columns(m: Matrix, scale: int) -> tuple:
-    """The columns of scale * m, each as its nonzero (row, int) pairs."""
-    return tuple(_nonzero(c, scale) for c in zip(*m.entries)) if m.rows else ((),) * m.cols
+    """The columns of scale * m, each as its nonzero (row, int) pairs;
+    scale must be a multiple of the L of m. Kept on the view of m."""
+    return m.int_view().table(scale)
 
 
 def _difference(x, y) -> tuple:
@@ -117,18 +121,25 @@ def _difference(x, y) -> tuple:
 
 
 class _Algebra:
-    """Structure constants of g, times scale, in the form the term
+    """Structure constants of g, times a scale, in the form the term
     generators read.
 
-    Built from the nonzero constants alone, as ints: left[i][u] = e_i.e_u
-    is column u of L_(e_i) and right[i][u] = e_u.e_i that of R_(e_i).
+    Built from the nonzero products alone, as (index, int) pairs, given
+    row-major (e_i.e_j is products[i * dim + j]): left[i][u] = e_i.e_u is
+    column u of L_(e_i) and right[i][u] = e_u.e_i that of R_(e_i).
     """
 
-    def __init__(self, a: PreLieAlgebra, scale: int):
-        r = range(a.dim)
-        self.prod = self.left = p = [[_nonzero(a.table[i][j], scale) for j in r] for i in r]
+    def __init__(self, products: tuple, dim: int):
+        r = range(dim)
+        self.prod = self.left = p = [products[i * dim : (i + 1) * dim] for i in r]
         self.right = [[p[u][i] for u in r] for i in r]
         self.bracket = [[_difference(p[i][j], p[j][i]) for j in r] for i in r]
+
+
+def _algebra(a: PreLieAlgebra, scale: int) -> _Algebra:
+    """The _Algebra of a times scale; scale must be a multiple of the L of
+    a. Built once per scale and kept on the view of a."""
+    return a.int_view().table(scale, lambda products: _Algebra(products, a.dim))
 
 
 class _Action:
@@ -301,7 +312,7 @@ def d_coeff(a: PreLieAlgebra, act_l, act_r, f: MixedMap) -> MixedMap:
         raise ValueError(f"d_coeff needs {a.dim} action matrices of size {t} x {t} on each side")
     scale = _scale([*act_l, *act_r], a)
     lcols, rcols = ([_columns(x, scale) for x in act] for act in (act_l, act_r))
-    return _d_coeff(dims, scale, _Algebra(a, scale), lcols, rcols, f)
+    return _d_coeff(dims, scale, _algebra(a, scale), lcols, rcols, f)
 
 
 def _d_coeff(dims: SplitDims, scale: int, alg: _Algebra, lcols, rcols, f: MixedMap) -> MixedMap:
@@ -320,7 +331,7 @@ def d_prelie(a: PreLieAlgebra, rep, f: MixedMap) -> MixedMap:
 def d_regular(a: PreLieAlgebra, f: MixedMap) -> MixedMap:
     """Coboundary with regular coefficients (L, R) on g itself."""
     scale = _scale([], a)
-    alg = _Algebra(a, scale)
+    alg = _algebra(a, scale)
     return _d_coeff(SplitDims(a.dim, a.dim), scale, alg, alg.left, alg.right, f)
 
 
@@ -705,14 +716,14 @@ def _coeffs_terms(p: DerPair):
     rho, mu = p.rep.rho, p.rep.mu
     scale = _scale([*rho, *mu], p.algebra)
     lcols, rcols = ([_columns(m, scale) for m in mats] for mats in (rho, mu))
-    return scale, [_d_coeff_terms(_Algebra(p.algebra, scale), lcols, rcols, 0)]
+    return scale, [_d_coeff_terms(_algebra(p.algebra, scale), lcols, rcols, 0)]
 
 
 def _prelie_terms(a: PreLieAlgebra, rep, D: Matrix | None = None):
     """(L, the generators of partial's three blocks); given D, also that
     of the theta block of huaD."""
     scale = _scale([*rep.rho, *rep.mu, *([] if D is None else [D])], a)
-    alg = _Algebra(a, scale)
+    alg = _algebra(a, scale)
     rho, mu = _Action(rep.rho, rep.dim_v, scale), _Action(rep.mu, rep.dim_v, scale)
     terms = [
         _d_coeff_terms(alg, alg.left, alg.right, 0),
@@ -734,7 +745,7 @@ def _two_slot_terms(alg: _Algebra, lcols, rcols, dcols, kcols):
 
 def _regular_terms(rp: RegularPair):
     scale = _scale([rp.D], rp.algebra)
-    alg, dcols = _Algebra(rp.algebra, scale), _columns(rp.D, scale)
+    alg, dcols = _algebra(rp.algebra, scale), _columns(rp.D, scale)
     return scale, _two_slot_terms(alg, alg.left, alg.right, dcols, dcols)
 
 
@@ -750,7 +761,7 @@ def _rep_terms(data):
     mats = (rep5.rho_t, rep5.mu_t, (rp.D, rep5.K))
     scale = _scale(chain.from_iterable(mats), rp.algebra)
     lcols, rcols, (dcols, kcols) = ([_columns(m, scale) for m in x] for x in mats)
-    return scale, _two_slot_terms(_Algebra(rp.algebra, scale), lcols, rcols, dcols, kcols)
+    return scale, _two_slot_terms(_algebra(rp.algebra, scale), lcols, rcols, dcols, kcols)
 
 
 _pair_dims = attrgetter("dims")
@@ -825,7 +836,10 @@ class Complex:
     It holds the block layout of each C^n and assembles each d_n at most
     once, as the sparse integer rows of L d_n, the one form of d_n it
     keeps; L (_scale) is the lcm of the denominators of the structure
-    constants the complex reads. Each rank is read off the forward phase
+    constants the complex reads, taken from the views kept on the
+    algebra and matrices of its structure data, as are the int tables
+    its term generators read: a second Complex over the same structure
+    rebuilds neither. Each rank is read off the forward phase
     of an elimination of a copy of those rows, once per degree and kept;
     cocycle bases come off the reduced rows of both phases, and
     preimages off those of the rows augmented by L times the right-hand

@@ -25,11 +25,18 @@ nonzero cells into sparse rows and run the same kernel. The zero cells
 of matrices built from sparse rows (`Matrix.from_sparse`: the dense view
 of a differential and every rref) are one shared Fraction(0), which the
 copy back into sparse rows skips by an identity test.
+
+A Matrix, like a pre-Lie algebra's product table, is a leaf of the
+structure data the complexes read. Each leaf builds its IntView on
+first use and keeps it: its nonzero entries, their L (the lcm of their
+denominators) and the int tables made from them, one per scale asked
+for. Every complex over the leaf reads that one view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
@@ -53,10 +60,66 @@ def _fraction_row(row) -> tuple:
     return tuple(x if type(x) is Fraction else frac(x) for x in row)
 
 
-class Matrix:
-    """Immutable dense rational matrix, row-major."""
+def nonzero_parts(vecs) -> tuple:
+    """Each vector of Fractions as its nonzero (index, entry) pairs."""
+    return tuple(tuple(compress(enumerate(v), v)) for v in vecs)
 
-    __slots__ = ("rows", "cols", "entries")
+
+class IntView:
+    """The nonzero entries of a leaf of structure data, as ints, and the
+    tables read off them.
+
+    Built from parts, sparse vectors of (index, Fraction) pairs with no
+    zero entry. scale is L, the lcm of their denominators (1 when there
+    are none), the least factor that makes them all ints, and ints holds
+    the parts times L. table builds a table from the parts times a scale
+    once per scale.
+    """
+
+    __slots__ = ("scale", "ints", "_tables")
+
+    def __init__(self, parts: tuple):
+        self.scale = L = lcm(*{x.denominator for part in parts for _, x in part})
+        self.ints = tuple(tuple((k, x.numerator * (L // x.denominator)) for k, x in part) for part in parts)
+        self._tables = {}
+
+    def table(self, scale: int, build=None):
+        """build(the parts times scale, as ints), or those ints themselves
+        when build is None, made on the first call for this scale and
+        kept; scale must be a multiple of L. Only the nonzeros are
+        rescaled, from the ints at L."""
+        out = self._tables.get(scale)
+        if out is None:
+            f, out = scale // self.scale, self.ints
+            if f != 1:
+                out = tuple(tuple((k, f * x) for k, x in part) for part in out)
+            if build is not None:
+                out = build(out)
+            self._tables[scale] = out
+        return out
+
+
+class Frozen:
+    """Base of the immutable classes: __init__ sets each field once,
+    through object.__setattr__, and every later write is refused."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Matrix(Frozen):
+    """Immutable dense rational matrix, row-major.
+
+    Its IntView, whose parts are its columns, is built on first use
+    (int_view) and kept in a slot that is None until then.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_view")
 
     def __init__(self, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
@@ -67,9 +130,16 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", ent)
+        object.__setattr__(self, "_view", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+    def int_view(self) -> IntView:
+        """The IntView of the columns, built on the first call and kept."""
+        view = self._view
+        if view is None:
+            cols = nonzero_parts(zip(*self.entries)) if self.rows else ((),) * self.cols
+            view = IntView(cols)
+            object.__setattr__(self, "_view", view)
+        return view
 
     @staticmethod
     def from_sparse(rows: int, cols: int, sparse_rows) -> "Matrix":

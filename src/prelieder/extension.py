@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .cochain import MixedMap, SplitDims, lift
 from .cohomology import Complex, _BlockCochain, _slot, _zero_blocks, huaD_rep
-from .exact_linalg import Matrix, columns_matrix, rank, solve, vec_sub, zero_vec
+from .exact_linalg import Frozen, Matrix, columns_matrix, rank, solve, vec_sub, zero_vec
 from .prelie import (
     REP_AXIOM_TAGS,
     PreLieAlgebra,
@@ -39,14 +39,16 @@ from .prelie import (
 )
 
 
-class DerPairRepresentation:
+class DerPairRepresentation(Frozen):
     """(V, K, rho_t, mu_t): a module over a regular pair."""
 
+    __slots__ = ("dim_v", "K", "rho_t", "mu_t")
+
     def __init__(self, dim_v: int, K: Matrix, rho_t, mu_t):
-        self.dim_v = dim_v
-        self.K = K
-        self.rho_t = list(rho_t)
-        self.mu_t = list(mu_t)
+        object.__setattr__(self, "dim_v", dim_v)
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "rho_t", tuple(rho_t))
+        object.__setattr__(self, "mu_t", tuple(mu_t))
         if not K.rows == K.cols == dim_v:
             raise ValueError(f"K must be {dim_v} x {dim_v}")
         if not all(m.rows == m.cols == dim_v for m in self.rho_t + self.mu_t):
@@ -235,6 +237,11 @@ def build_extension(
     structure would fail the pair axioms.
     """
     _require_module(base, r)
+    return _build_extension(base, r, c)
+
+
+def _build_extension(base: RegularPair, r: DerPairRepresentation, c: ExtensionCocycle) -> AbelianExtension:
+    """build_extension over a module its caller has already checked."""
     if not is_extension_cocycle(base, r, c):
         raise ValueError("(theta, xi) is not a 2-cocycle of the module complex")
     return _extension(base, r, c)
@@ -353,6 +360,12 @@ def classify(
     returned matrix is verified to be a pair isomorphism between
     build_extension(base, r, c1) and build_extension(base, r, c2).
     """
+    _require_module(base, r)
+    return _classify(base, r, c1, c2)
+
+
+def _classify(base: RegularPair, r: DerPairRepresentation, c1: ExtensionCocycle, c2: ExtensionCocycle):
+    """classify over a module its caller has already checked."""
     cx = Complex("rep", (base, r))
     for c in (c1, c2):
         if not all(m.is_zero() for m in cx.coboundary(2, c.blocks())):
@@ -365,7 +378,6 @@ def classify(
     for u, row in enumerate(x[0].to_matrix().entries):  # phi: g -> V below the diagonal
         zeta_rows[dg + u][:dg] = row
     zeta = Matrix(n, n, zeta_rows)
-    _require_module(base, r)
     ext1, ext2 = _extension(base, r, c1), _extension(base, r, c2)
     if rank(zeta) != n:
         raise RuntimeError("id + phi is not invertible")

@@ -58,9 +58,9 @@ from .extension import (
     AbelianExtension,
     DerPairRepresentation,
     ExtensionCocycle,
-    build_extension,
+    _build_extension,
+    _classify,
     canonical_section,
-    classify,
     derpair_representation_report,
     extract_cocycle,
     validate_extension,
@@ -797,6 +797,8 @@ def _ext_module_inputs(args):
     report = derpair_representation_report(base, module)
     if not report["ok"]:
         raise CliError(f"{args.module}: not a module ({', '.join(report['failed'])})")
+    # the module is checked here, once: the commands call the library
+    # entry points that take a checked module
     return base, module
 
 
@@ -813,7 +815,7 @@ def _cmd_ext_build(args) -> int:
     base, module = _ext_module_inputs(args)
     c = _load_ext_cocycle(args.cocycle, base, module)
     try:
-        ext = build_extension(base, module, c)
+        ext = _build_extension(base, module, c)
     except ValueError as e:
         return _refused(args, {"command": "ext-build", "ok": False}, e)
     payload = _emit_extension_doc(ext)
@@ -863,7 +865,7 @@ def _cmd_ext_classify(args) -> int:
     c1 = _load_ext_cocycle(args.c1, base, module)
     c2 = _load_ext_cocycle(args.c2, base, module)
     try:
-        zeta = classify(base, module, c1, c2)
+        zeta = _classify(base, module, c1, c2)
     except ValueError as e:
         return _refused(args, {"command": "ext-classify", "same_class": False}, e)
     if zeta is None:

@@ -79,7 +79,13 @@ def circ(P: Cochain, Q: Cochain) -> Cochain:
 
 
 def mn_bracket(P: Cochain, Q: Cochain) -> Cochain:
-    """[P,Q] = P.Q - (-1)^(pq) Q.P."""
+    """[P,Q] = P.Q - (-1)^(pq) Q.P.
+
+    A self-bracket composes once: [P,P] = (1 - (-1)^(pp)) P.P, which is
+    2 P.P for odd p and zero for even p.
+    """
     p, q = P.arity - 1, Q.arity - 1
+    if P is Q:
+        return circ(P, P).scale(2) if p % 2 else Cochain(P.dims, 2 * p + 1)
     sign = -1 if (p * q) % 2 else 1
     return circ(P, Q) - circ(Q, P).scale(sign)

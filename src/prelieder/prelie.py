@@ -13,6 +13,10 @@ Every one of these axioms, and the two that make (K, rho, mu) a module
 over a regular pair, is the vanishing of one component of a matching
 bracket of the structure cochain m = pi + rho + mu (the table AXIOMS),
 so each validator computes the brackets and reads its tags off them.
+
+The structure classes are immutable. A PreLieAlgebra, like each Matrix
+it is paired with, builds the IntView of its product table on first use
+and keeps it, so every complex over one structure shares it.
 """
 
 from __future__ import annotations
@@ -20,15 +24,31 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cochain import Cochain, MixedMap, MixedShape, SplitDims, bidegree_of, component, lift
-from .exact_linalg import Matrix, columns_matrix, combination, frac, vec_add, vec_scale, vec_sub, zero_vec
+from .exact_linalg import (
+    Frozen,
+    IntView,
+    Matrix,
+    columns_matrix,
+    combination,
+    frac,
+    nonzero_parts,
+    vec_add,
+    vec_scale,
+    vec_sub,
+    zero_vec,
+)
 from .mn_bracket import mn_bracket
 
 
-class PreLieAlgebra:
+class PreLieAlgebra(Frozen):
     """Bilinear product on a based space, as structure constants.
 
-    table[i][j] is the coefficient vector of e_i . e_j.
+    table[i][j] is the coefficient vector of e_i . e_j. The IntView of
+    the table, whose part i * dim + j is e_i . e_j, is built on first use
+    (int_view) and kept in a slot that is None until then.
     """
+
+    __slots__ = ("dim", "table", "_view")
 
     def __init__(self, dim: int, table):
         if dim < 0:
@@ -40,8 +60,17 @@ class PreLieAlgebra:
             len(row) != dim or any(len(v) != dim for v in row) for row in tab
         ):
             raise ValueError(f"structure table must be {dim} x {dim} x {dim}")
-        self.dim = dim
-        self.table = tab
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "table", tab)
+        object.__setattr__(self, "_view", None)
+
+    def int_view(self) -> IntView:
+        """The IntView of the products e_i . e_j, built on the first call and kept."""
+        view = self._view
+        if view is None:
+            view = IntView(nonzero_parts(v for row in self.table for v in row))
+            object.__setattr__(self, "_view", view)
+        return view
 
     def prod_basis(self, i: int, j: int):
         return self.table[i][j]
@@ -82,13 +111,15 @@ class PreLieAlgebra:
         )
 
 
-class Representation:
+class Representation(Frozen):
     """(V; rho, mu): one dimV x dimV matrix per g-basis vector, each way."""
 
+    __slots__ = ("dim_v", "rho", "mu")
+
     def __init__(self, dim_v: int, rho, mu):
-        self.dim_v = dim_v
-        self.rho = tuple(rho)
-        self.mu = tuple(mu)
+        object.__setattr__(self, "dim_v", dim_v)
+        object.__setattr__(self, "rho", tuple(rho))
+        object.__setattr__(self, "mu", tuple(mu))
         if not all(
             isinstance(m, Matrix) and m.rows == dim_v and m.cols == dim_v
             for m in self.rho + self.mu
@@ -102,31 +133,35 @@ class Representation:
         return len(self.rho)
 
 
-class DerPair:
+class DerPair(Frozen):
     """Pre-Lie algebra + representation + derivation candidate D: g -> V."""
+
+    __slots__ = ("algebra", "rep", "D")
 
     def __init__(self, algebra: PreLieAlgebra, rep: Representation, D: Matrix):
         if rep.dim_g != algebra.dim:
             raise ValueError("representation and algebra differ in dim g")
         if D.rows != rep.dim_v or D.cols != algebra.dim:
             raise ValueError(f"D must be {rep.dim_v} x {algebra.dim}")
-        self.algebra = algebra
-        self.rep = rep
-        self.D = D
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "D", D)
 
     @property
     def dims(self) -> SplitDims:
         return SplitDims(self.algebra.dim, self.rep.dim_v)
 
 
-class RegularPair:
+class RegularPair(Frozen):
     """Pre-Lie algebra with a derivation into itself (V = g, rep = (L,R))."""
+
+    __slots__ = ("algebra", "D")
 
     def __init__(self, algebra: PreLieAlgebra, D: Matrix):
         if D.rows != algebra.dim or D.cols != algebra.dim:
             raise ValueError(f"D must be {algebra.dim} x {algebra.dim}")
-        self.algebra = algebra
-        self.D = D
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "D", D)
 
     def to_derpair(self) -> DerPair:
         return DerPair(self.algebra, regular_representation(self.algebra), self.D)

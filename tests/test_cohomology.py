@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import prelieder.cohomology
 import prelieder.exact_linalg
+from prelieder.exact_linalg import IntView
 from prelieder import (
     DeformationDatum,
     DerPair,
@@ -41,7 +42,7 @@ from prelieder.cochain import MixedShape, SplitDims
 from prelieder.cohomology import (
     Complex,
     _Action,
-    _Algebra,
+    _algebra,
     _assemble,
     _columns,
     _flatten,
@@ -413,11 +414,21 @@ def test_structure_tables_match_the_dense_derivation(data):
     # the tables the term engine reads, built from the nonzero constants,
     # hold the (index, entry) pairs that left_mult, right_mult, bracket_vec
     # and Matrix.col give, in the same order, each entry times L as an int;
-    # L is the lcm of the denominators of the constants
+    # L is the lcm of the denominators of the constants. The tables are
+    # kept on the structure's views, so every check runs on the first use
+    # of one structure (which builds the views) and again on the second
     dim = data.draw(st.integers(0, 4))
     a = PreLieAlgebra(dim, data.draw(sparse_tables((dim, dim, dim))))
     rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
     mats = [Matrix(rows, cols, data.draw(sparse_tables((rows, cols)))) for _ in range(dim)]
+    assert a._view is None and all(m._view is None for m in mats)
+    for use in ("first", "second"):
+        _check_structure_tables(a, mats, rows, cols)
+        assert a._view is not None and all(m._view is not None for m in mats), use
+
+
+def _check_structure_tables(a: PreLieAlgebra, mats, rows: int, cols: int) -> None:
+    dim = a.dim
     r = range(dim)
 
     def lcm_of_denominators(entries):
@@ -440,7 +451,7 @@ def test_structure_tables_match_the_dense_derivation(data):
     def nonzero(vec):
         return tuple((k, c) for k, c in enumerate(vec) if c)
 
-    alg = _Algebra(a, L)
+    alg = _algebra(a, L)
     assert unscaled(alg.prod) == [[nonzero(a.prod_basis(i, j)) for j in r] for i in r]
     assert unscaled(alg.bracket) == [[nonzero(bracket_vec(a, i, j)) for j in r] for i in r]
     assert unscaled(alg.left) == [list(_dense_columns(a.left_mult(i))) for i in r]
@@ -561,8 +572,11 @@ def test_les_check_assembles_only_the_differentials_it_holds(pair_corpus, monkey
 
 def test_cocycle_checks_build_the_structure_tables_once(monkeypatch):
     # same_cohomology_class, build_extension and classify check their
-    # inputs on the one Complex they build: the structure tables (_Algebra)
-    # are built once, and each input cocycle goes through d_2 once
+    # inputs on the one Complex they build, and each input cocycle goes
+    # through d_2 once. The views of the structure (IntView, one per
+    # algebra and per matrix) and the algebra's tables (_Algebra) are built
+    # on the first call over a structure and kept: a second call over the
+    # same structure, or a second Complex, builds none
     p = golden_pair()
     rp = RegularPair(p.algebra, p.D)
     mod = regular_module(rp)
@@ -572,29 +586,112 @@ def test_cocycle_checks_build_the_structure_tables_once(monkeypatch):
     shift = coboundary_cocycle(rp, mod, Matrix(2, 2, [[1, 0], [3, -1]]))
     c2 = ExtensionCocycle(p.dims, c1.theta + shift.theta, c1.xi + shift.xi)
 
-    tables, checks = [0], [0]
-    real_algebra, real_coboundary = prelieder.cohomology._Algebra, Complex.coboundary
+    views, tables, checks = [0], [0], [0]
+    real_view_init, real_coboundary = IntView.__init__, Complex.coboundary
+    real_algebra = prelieder.cohomology._Algebra
+
+    def view_init(self, parts):
+        views[0] += 1
+        real_view_init(self, parts)
 
     class CountedAlgebra(real_algebra):
-        def __init__(self, a, scale):
+        def __init__(self, products, dim):
             tables[0] += 1
-            super().__init__(a, scale)
+            super().__init__(products, dim)
 
     def coboundary(cx, n, blocks):
         checks[0] += n == 2
         return real_coboundary(cx, n, blocks)
 
+    monkeypatch.setattr(IntView, "__init__", view_init)
     monkeypatch.setattr(prelieder.cohomology, "_Algebra", CountedAlgebra)
     monkeypatch.setattr(Complex, "coboundary", coboundary)
 
     def counts(run):
-        tables[0] = checks[0] = 0
+        views[0] = tables[0] = checks[0] = 0
         run()
-        return tables[0], checks[0]
+        return views[0], tables[0], checks[0]
 
-    assert counts(lambda: same_cohomology_class(p, d, zero)) == (1, 2)
-    assert counts(lambda: build_extension(rp, mod, c1)) == (1, 1)
-    assert counts(lambda: classify(rp, mod, c1, c2)) == (1, 2)
+    # fresh structures, equal to the ones the inputs were made over: six
+    # leaves each, the algebra, rho and mu (two matrices each) and D for
+    # the pair; the algebra, D (which is also K), rho_t and mu_t for the
+    # module complex. classify runs over the structures build_extension
+    # has viewed
+    q = golden_pair()
+    rq = RegularPair(shift_algebra(), Matrix(2, 2, [[0, 0], [0, 1]]))
+    mq = regular_module(rq)
+    cases = [
+        (lambda: same_cohomology_class(q, d, zero), (6, 1, 2)),
+        (lambda: build_extension(rq, mq, c1), (6, 1, 1)),
+        (lambda: classify(rq, mq, c1, c2), (0, 0, 2)),
+    ]
+    for run, first in cases:
+        assert counts(run) == first
+        assert counts(run) == (0, 0, first[2])
+    for cid, data in (("pair", q), ("prelie", q), ("coeffs", q), ("rep", (rq, mq))):
+        assert counts(lambda: Complex(cid, data).cohomology_dim(2)) == (0, 0, 0), cid
+
+
+def test_structures_refuse_writes_and_build_no_view_until_used():
+    # a view kept on a leaf stays right only while the leaf cannot change:
+    # every structure class refuses attribute writes. Building a structure,
+    # or the dimensions of its complexes, reads no view, so set-up does not
+    # pay for one
+    p = golden_pair()
+    rp = RegularPair(p.algebra, p.D)
+    mod = regular_module(rp)
+    fields = [
+        (p.algebra, "dim"), (p.algebra, "table"), (p.algebra, "_view"),
+        (p.rep, "dim_v"), (p.rep, "rho"), (p.rep, "mu"),
+        (p, "algebra"), (p, "rep"), (p, "D"),
+        (rp, "algebra"), (rp, "D"),
+        (mod, "dim_v"), (mod, "K"), (mod, "rho_t"), (mod, "mu_t"),
+        (p.D, "entries"), (p.D, "_view"),
+    ]
+    for obj, name in fields + [(obj, "other") for obj in (p.algebra, p.rep, p, rp, mod, p.D)]:
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(obj, name, None)
+    for obj, name in fields:
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(obj, name)
+    assert type(mod.rho_t) is tuple and type(mod.mu_t) is tuple
+    pair_leaves = [p.algebra, *p.rep.rho, *p.rep.mu, p.D]
+    module_leaves = [mod.K, *mod.rho_t, *mod.mu_t]
+    for cid, data in (("coeffs", p), ("prelie", p), ("pair", p), ("regular", rp), ("rep", (rp, mod))):
+        assert [space_dimension(cid, n, data) for n in range(1, 5)], cid
+    assert all(x._view is None for x in pair_leaves + module_leaves)
+    cohomology_dim("pair", 2, p)
+    assert all(x._view is not None for x in pair_leaves)
+    assert all(x._view is None for x in module_leaves[1:])  # K is D, which the pair read
+
+
+def is_zero_algebra(a: PreLieAlgebra) -> bool:
+    return not any(x for row in a.table for v in row for x in v)
+
+
+def test_complexes_over_one_viewed_structure_rank_their_full_rows(regular_corpus):
+    # two Complex objects over one structure read the views kept on it;
+    # the regular and rep complexes over one regular pair have different
+    # L (K has a denominator 17 that the pair lacks), so the rep complex
+    # reads the algebra's tables rescaled from its own L. Each rank equals
+    # rank_mod_p on the full rows, and both complexes assemble the same rows
+    base = next(rp for rp in regular_corpus if rp.algebra.dim == 3 and not is_zero_algebra(rp.algebra))
+    q = diagonal_rebase(base.to_derpair())
+    rq = RegularPair(q.algebra, q.D)
+    K = Matrix(2, 2, [[Fraction(1, 17), 1], [0, -1]])
+    mod = DerPairRepresentation(2, K, [Matrix.zeros(2, 2)] * 3, [Matrix.zeros(2, 2)] * 3)
+    cases = [(cid, q) for cid in ("coeffs", "prelie", "pair")] + [("regular", rq), ("rep", (rq, mod))]
+    scales = set()
+    for cid, data in cases:
+        first, second = Complex(cid, data), Complex(cid, data)
+        scales.add(first._scale)
+        n = 1
+        while first.dim(n):
+            assert first.rank(n) == second.rank(n) == rank_mod_p(*second._rows(n)), (cid, n)
+            assert first._rows(n) == second._rows(n), (cid, n)
+            n += 1
+    assert q.algebra.int_view().scale > 1 and len(scales) > 1
+    assert Complex("rep", (rq, mod))._scale == 17 * Complex("regular", rq)._scale
 
 
 def test_cochains_over_other_dimensions_are_refused():

@@ -25,6 +25,7 @@ from prelieder import (
     RegularPair,
     build_extension,
     canonical_section,
+    classify,
     coboundary_cocycle,
     cohomology_dim,
     derpair_representation_report,
@@ -212,6 +213,9 @@ def test_build_refuses_bad_inputs():
     if not is_derpair_representation(b, bad_mod):
         with pytest.raises(ValueError):
             build_extension(b, bad_mod, ExtensionCocycle.zero(dims))
+        # classify checks the module first too, before the cocycles
+        with pytest.raises(ValueError, match="not a module over the regular pair"):
+            classify(b, bad_mod, ExtensionCocycle.zero(dims), ExtensionCocycle.zero(dims))
 
 
 def test_section_change_adds_coboundary(bases):
@@ -257,7 +261,6 @@ def test_classify_iff_cohomologous(bases):
         dims = SplitDims(b.algebra.dim, r.dim_v)
         d1 = differential_matrix("rep", 1, (b, r))
         d1_cols = [d1.col(j) for j in range(d1.cols)]
-        from prelieder import classify
         from prelieder.cohomology import _flatten
 
         for c in cocycles_over(b, r, count=2):
@@ -284,7 +287,6 @@ def test_classify_refuses_non_cocycles():
     theta = [[(1, 0), (0, 0)], [(0, 0), (0, 0)]]
     cand = ExtensionCocycle.from_matrices(dims, theta, Matrix.zeros(2, 2))
     if not is_extension_cocycle(b, r, cand):
-        from prelieder import classify
 
         with pytest.raises(ValueError):
             classify(b, r, cand, ExtensionCocycle.zero(dims))

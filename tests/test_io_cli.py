@@ -33,6 +33,7 @@ from prelieder import (
     parse_scalar,
     validate_document,
 )
+import prelieder.extension
 from prelieder import io_cli
 from prelieder.io_cli import DOCUMENTS, MAX_COCHAIN_DIM, _build_parser, emit_scalar
 
@@ -799,6 +800,30 @@ def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("internal error: RuntimeError: ")
     assert "Traceback" not in captured.err
+
+
+def test_ext_commands_check_the_module_once(monkeypatch):
+    # ext build and ext classify check the module once, in
+    # _ext_module_inputs, whose report gives the exit-2 message; they then
+    # call the library entry points that take a checked module
+    calls = []
+    real = prelieder.extension.derpair_representation_report
+
+    def counted(base, r):
+        calls.append(r)
+        return real(base, r)
+
+    monkeypatch.setattr("prelieder.io_cli.derpair_representation_report", counted)
+    monkeypatch.setattr("prelieder.extension.derpair_representation_report", counted)
+    pair, module, cocycle = corpus_path("pair_shift"), corpus_path("module_regular"), corpus_path("cocycle_coboundary")
+    for argv in (
+        ["ext", "build", pair, module, cocycle],
+        ["ext", "classify", pair, module, cocycle, corpus_path("cocycle_zero")],
+    ):
+        calls.clear()
+        with redirect_stdout(io.StringIO()):
+            assert cli_run(argv + ["--json"]) == 0, argv
+        assert len(calls) == 1, argv
 
 
 def test_kind_checks_are_value_errors_under_optimize():

@@ -50,6 +50,23 @@ def test_arity_two_one_closed_form():
         assert mn_bracket(f, g) == bracket_21_oracle(f, g)
 
 
+def test_self_bracket_matches_the_two_composition_formula():
+    # [P, P] composes once; it must equal P.P - (-1)^(pp) P.P, the two
+    # compositions of the general formula: twice P.P for odd p (arity 2, 4)
+    # and zero for even p (arity 1, 3), arity 2p + 1 either way
+    rng = Random(38)
+    for dims in (SplitDims(2, 1), SplitDims(1, 2), SplitDims(2, 2)):
+        for arity in (1, 2, 3, 4):
+            for density in (0, 0.3, 0.8):
+                P = random_cochain(rng, dims, arity, density=density)
+                p = arity - 1
+                want = circ(P, P) - circ(P, P).scale(-1 if p % 2 else 1)
+                got = mn_bracket(P, P)
+                assert got == want and got.arity == 2 * p + 1, (dims, arity, density)
+                assert list(got.coeffs) == list(want.coeffs)
+                assert got.is_zero() == (p % 2 == 0 or circ(P, P).is_zero())
+
+
 def test_self_bracket_is_twice_alternated_associator():
     rng = Random(33)
     total = DIMS.total
