@@ -359,6 +359,7 @@ def classify(
     Exists iff c1 - c2 is a coboundary of the module complex; the
     returned matrix is verified to be a pair isomorphism between
     build_extension(base, r, c1) and build_extension(base, r, c2).
+    Refuses a non-module first, then non-cocycles.
     """
     _require_module(base, r)
     return _classify(base, r, c1, c2)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import prelieder.cohomology
 import prelieder.exact_linalg
-from prelieder.exact_linalg import IntView
 from prelieder import (
     DeformationDatum,
     DerPair,
@@ -56,6 +55,7 @@ from prelieder.cohomology import (
     partial,
     partial_bracket,
 )
+from prelieder.exact_linalg import IntView
 from prelieder.prelie import regular_representation
 
 from conftest import (
