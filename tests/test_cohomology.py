@@ -674,20 +674,25 @@ def test_complexes_over_one_viewed_structure_rank_their_full_rows(regular_corpus
     # the regular and rep complexes over one regular pair have different
     # L (K has a denominator 17 that the pair lacks), so the rep complex
     # reads the algebra's tables rescaled from its own L. Each rank equals
-    # rank_mod_p on the full rows, and both complexes assemble the same rows
+    # rank_mod_p on the full rows and the rank of the same complex over the
+    # structure before the basis change, and both complexes assemble the
+    # same rows
     base = next(rp for rp in regular_corpus if rp.algebra.dim == 3 and not is_zero_algebra(rp.algebra))
-    q = diagonal_rebase(base.to_derpair())
+    p = base.to_derpair()
+    q = diagonal_rebase(p)
     rq = RegularPair(q.algebra, q.D)
     K = Matrix(2, 2, [[Fraction(1, 17), 1], [0, -1]])
     mod = DerPairRepresentation(2, K, [Matrix.zeros(2, 2)] * 3, [Matrix.zeros(2, 2)] * 3)
-    cases = [(cid, q) for cid in ("coeffs", "prelie", "pair")] + [("regular", rq), ("rep", (rq, mod))]
+    cases = [(cid, q, p) for cid in ("coeffs", "prelie", "pair")]
+    cases += [("regular", rq, base), ("rep", (rq, mod), (base, mod))]
     scales = set()
-    for cid, data in cases:
-        first, second = Complex(cid, data), Complex(cid, data)
+    for cid, data, original in cases:
+        first, second, before = Complex(cid, data), Complex(cid, data), Complex(cid, original)
         scales.add(first._scale)
         n = 1
         while first.dim(n):
             assert first.rank(n) == second.rank(n) == rank_mod_p(*second._rows(n)), (cid, n)
+            assert first.rank(n) == before.rank(n), (cid, n)
             assert first._rows(n) == second._rows(n), (cid, n)
             n += 1
     assert q.algebra.int_view().scale > 1 and len(scales) > 1
