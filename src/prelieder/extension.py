@@ -6,24 +6,29 @@ the algebra on V together with a map K: V -> V compatible with D,
   extension-rep-1   K(rho_t(x)u) = rho_t(x)K(u) + rho_t(D(x))u
   extension-rep-2   K(mu_t(x)u)  = mu_t(x)K(u)  + mu_t(D(x))u.
 
-An abelian extension presents a regular pair on g + V with V an abelian
-ideal; choosing a section s of the projection extracts a 2-cochain
+An abelian extension presents a regular pair (prod, Dhat) on g + V with
+V an abelian ideal. In the basis [s | iota] of a section s of the
+projection and the inclusion iota of V, base vectors first, it has the
+block layout
 
-  theta(x,y) = s(x) prod s(y) - s(x y),   xi(x) = Dhat(s(x)) - s(D(x))
+  s(x) s(y) = s(x y) + iota theta(x,y),   s(x) iota(u) = iota rho_t(x)u,
+  iota(u) s(x) = iota mu_t(x)u,   iota(u) iota(w) = 0,   Dhat = [[D, 0], [xi, K]],
 
-which is a cocycle of the module-coefficient complex, and extensions are
-classified by its degree-2 cohomology. Everything here is presented in
-explicit g + V coordinates: basis vectors 0..dim g - 1 span the base
-copy, the rest span V.
+so a section reads off the base pair, the module (rho_t, mu_t, K) and a
+2-cocycle (theta, xi) of the module-coefficient complex; extensions are
+classified by its degree-2 cohomology. _total writes the layout in the
+standard coordinates; _blocks inverts [s | iota] once to read it in any
+basis, and refuses an s that is not a section, an iota that is not
+injective or does not map into the kernel of the projection, and a
+nonzero block outside the layout: a g-component of g.V, V.g or Dhat(V),
+or V.V != 0.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cochain import MixedMap, SplitDims, lift
 from .cohomology import Complex, _BlockCochain, _slot, _zero_blocks, huaD_rep
-from .exact_linalg import Frozen, Matrix, columns_matrix, rank, solve, vec_sub, zero_vec
+from .exact_linalg import Frozen, Matrix, columns_matrix, rank, rref, solve, zero_vec
 from .prelie import (
     REP_AXIOM_TAGS,
     PreLieAlgebra,
@@ -89,49 +94,9 @@ def is_derpair_representation(base: RegularPair, r: DerPairRepresentation) -> bo
     return derpair_representation_report(base, r)["ok"]
 
 
-def _total_table(base: RegularPair, r: DerPairRepresentation, theta_vec):
-    """Product table on g + V; theta_vec(i, j) gives the V correction."""
-    a = base.algebra
-    dg, dv = a.dim, r.dim_v
-    n = dg + dv
-    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-
-    def put(i, j, gpart, vpart):
-        table[i][j] = list(gpart) + list(vpart)
-
-    for i in range(dg):
-        for j in range(dg):
-            put(i, j, a.prod_basis(i, j), theta_vec(i, j))
-        for u in range(dv):
-            put(i, dg + u, zero_vec(dg), r.rho_t[i].col(u))
-            put(dg + u, i, zero_vec(dg), r.mu_t[i].col(u))
-    return table
-
-
-def _block_derivation(base: RegularPair, r: DerPairRepresentation, xi_col) -> Matrix:
-    """[[D, 0], [xi, K]] on g + V."""
-    dg, dv = base.algebra.dim, r.dim_v
-    rows = []
-    for i in range(dg):
-        rows.append(list(base.D.row(i)) + [Fraction(0)] * dv)
-    for u in range(dv):
-        rows.append([xi_col(j)[u] for j in range(dg)] + list(r.K.row(u)))
-    return Matrix(dg + dv, dg + dv, rows)
-
-
 def _require_module(base: RegularPair, r: DerPairRepresentation) -> None:
     if not is_derpair_representation(base, r):
         raise ValueError("not a module over the regular pair")
-
-
-def semidirect_product(base: RegularPair, r: DerPairRepresentation) -> RegularPair:
-    """Regular pair on g + V with V an abelian ideal and derivation D + K."""
-    _require_module(base, r)
-    dg, dv = base.algebra.dim, r.dim_v
-    table = _total_table(base, r, lambda i, j: zero_vec(dv))
-    alg = PreLieAlgebra(dg + dv, table)
-    D = _block_derivation(base, r, lambda j: zero_vec(dv))
-    return RegularPair(alg, D)
 
 
 class ExtensionCocycle(_BlockCochain):
@@ -157,6 +122,30 @@ class ExtensionCocycle(_BlockCochain):
 
 def is_extension_cocycle(base: RegularPair, r: DerPairRepresentation, c: ExtensionCocycle) -> bool:
     return huaD_rep(base, r, c).is_zero()
+
+
+def _total(base: RegularPair, r: DerPairRepresentation, c: ExtensionCocycle) -> RegularPair:
+    """The regular pair on g + V in the block layout of (base, r, c)."""
+    a, dg, dv = base.algebra, base.algebra.dim, r.dim_v
+    n = dg + dv
+    zero_g, zero_v = zero_vec(dg), zero_vec(dv)
+    theta = c.theta.coeffs
+    table = [[zero_vec(n)] * n for _ in range(n)]
+    for i in range(dg):
+        for j in range(dg):
+            table[i][j] = a.table[i][j] + theta.get(((i,), (), j), zero_v)
+        for u in range(dv):
+            table[i][dg + u] = zero_g + r.rho_t[i].col(u)
+            table[dg + u][i] = zero_g + r.mu_t[i].col(u)
+    xi = c.xi.to_matrix()
+    D = [base.D.row(i) + zero_v for i in range(dg)] + [xi.row(u) + r.K.row(u) for u in range(dv)]
+    return RegularPair(PreLieAlgebra(n, table), Matrix(n, n, D))
+
+
+def semidirect_product(base: RegularPair, r: DerPairRepresentation) -> RegularPair:
+    """Regular pair on g + V with V an abelian ideal and derivation D + K."""
+    _require_module(base, r)
+    return _total(base, r, ExtensionCocycle.zero(SplitDims(base.algebra.dim, r.dim_v)))
 
 
 class AbelianExtension:
@@ -249,16 +238,10 @@ def _build_extension(base: RegularPair, r: DerPairRepresentation, c: ExtensionCo
 
 def _extension(base: RegularPair, r: DerPairRepresentation, c: ExtensionCocycle) -> AbelianExtension:
     """The extension by a cocycle over a module, both already checked."""
-    dg, dv = base.algebra.dim, r.dim_v
-    table = _total_table(base, r, lambda i, j: c.theta.eval_local((i,), (), j))
-    alg = PreLieAlgebra(dg + dv, table)
-    D = _block_derivation(base, r, c.xi.to_matrix().col)
-    total = RegularPair(alg, D)
-    iota = Matrix(
-        dg + dv, dv, [[1 if i == dg + u else 0 for u in range(dv)] for i in range(dg + dv)]
-    )
-    proj = Matrix(dg, dg + dv, [[1 if j == i else 0 for j in range(dg + dv)] for i in range(dg)])
-    ext = AbelianExtension(total, iota, proj)
+    dg, n = base.algebra.dim, base.algebra.dim + r.dim_v
+    eye = Matrix.identity(n).entries
+    iota, proj = Matrix(n, r.dim_v, [row[dg:] for row in eye]), Matrix(dg, n, eye[:dg])
+    ext = AbelianExtension(_total(base, r, c), iota, proj)
     report = validate_extension(ext)
     if not report["ok"]:
         # a cocycle always gives a valid extension, so this is an internal fault
@@ -268,76 +251,66 @@ def _extension(base: RegularPair, r: DerPairRepresentation, c: ExtensionCocycle)
 
 def canonical_section(ext: AbelianExtension) -> Matrix:
     """A right inverse of the projection, exact and deterministic."""
-    n, dg = ext.total.algebra.dim, ext.dim_g
-    cols = []
-    for j in range(dg):
-        s = solve(ext.proj, basis_vec(dg, j))
-        if s is None:
-            raise ValueError("the projection is not onto g: it has no section")
-        cols.append(s)
-    return columns_matrix(cols, n)
+    cols = [solve(ext.proj, basis_vec(ext.dim_g, j)) for j in range(ext.dim_g)]
+    if None in cols:
+        raise ValueError("the projection is not onto g: it has no section")
+    return columns_matrix(cols, ext.total.algebra.dim)
 
 
 def is_section(ext: AbelianExtension, s: Matrix) -> bool:
     return ext.proj * s == Matrix.identity(ext.dim_g)
 
 
-def _v_part(ext: AbelianExtension, w) -> tuple:
-    """Coordinates of w in V; w must project to zero."""
-    if any(x != 0 for x in ext.proj.matvec(w)):
-        raise ValueError("a vector meant to lie in V does not project to zero")
-    u = solve(ext.iota, w)
-    if u is None:
-        raise ValueError("the image of iota does not contain the kernel of the projection")
-    return u
+def _blocks(ext: AbelianExtension, s: Matrix) -> tuple:
+    """The products T[i][j] of the basis [s | iota] and the rows of Dhat
+    in it, after refusing a total that has no block layout there."""
+    if not is_section(ext, s):
+        raise ValueError("not a section of the projection")
+    if not (ext.proj * ext.iota).is_zero():
+        raise ValueError("iota does not map into the kernel of the projection")
+    dg, n = ext.dim_g, ext.total.algebra.dim
+    B = Matrix(n, n, [s.row(k) + ext.iota.row(k) for k in range(n)])
+    R, _, pivots = rref(Matrix(n, 2 * n, [B.row(k) + basis_vec(n, k) for k in range(n)]))
+    if pivots != tuple(range(n)):
+        # proj s = 1 and proj iota = 0, so only iota can lose rank
+        raise ValueError("iota is not injective")
+    inv = Matrix(n, n, [row[n:] for row in R.entries])
+    basis = [B.col(k) for k in range(n)]
+    T = [[inv.matvec(ext.total.algebra.prod(x, y)) for y in basis] for x in basis]
+    D = (inv * ext.total.D * B).entries
+    V = range(dg, n)
+    if any(any(T[u][w]) for u in V for w in V):
+        raise ValueError("V is not abelian: a product of two vectors of V is nonzero")
+    if any(any(T[i][u][:dg]) or any(T[u][i][:dg]) for i in range(dg) for u in V):
+        raise ValueError("V is not an ideal: a product of g and V has a component in g")
+    if any(any(row[dg:]) for row in D[:dg]):
+        raise ValueError("the derivation does not map V into V")
+    return T, D
 
 
 def induced_base(ext: AbelianExtension, s: Matrix) -> RegularPair:
-    """The quotient structure pulled through a section (independent of it)."""
-    a = ext.total.algebra
+    """The quotient structure pulled through a section (independent of it):
+    the base blocks (x y, D) of the layout."""
+    T, D = _blocks(ext, s)
     dg = ext.dim_g
-    table = [[ext.proj.matvec(a.prod(s.col(i), s.col(j))) for j in range(dg)] for i in range(dg)]
-    alg = PreLieAlgebra(dg, table)
-    D = ext.proj * ext.total.D * s
-    return RegularPair(alg, D)
+    g = range(dg)
+    alg = PreLieAlgebra(dg, [[T[i][j][:dg] for j in g] for i in g])
+    return RegularPair(alg, Matrix(dg, dg, [D[i][:dg] for i in g]))
 
 
 def extract_cocycle(ext: AbelianExtension, s: Matrix):
-    """(cocycle, module) carried by a section.
-
-    theta(x,y) = s(x) s(y) - s(x y), xi(x) = Dhat(s(x)) - s(D(x)),
-    rho_t(x)u = s(x) iota(u), mu_t(x)u = iota(u) s(x), K = Dhat on V.
-    """
-    if not is_section(ext, s):
-        raise ValueError("not a section of the projection")
-    a = ext.total.algebra
+    """(cocycle, module) carried by a section: the blocks (theta, xi) and
+    (rho_t, mu_t, K), so theta(x,y) = s(x) s(y) - s(x y) and
+    xi(x) = Dhat(s(x)) - s(D(x)) read in V."""
+    T, D = _blocks(ext, s)
     dg, dv = ext.dim_g, ext.dim_v
-    dims = SplitDims(dg, dv)
-    base = induced_base(ext, s)
-    rho_t = []
-    mu_t = []
-    for i in range(dg):
-        rcols = []
-        mcols = []
-        for u in range(dv):
-            iu = ext.iota.col(u)
-            rcols.append(_v_part(ext, a.prod(s.col(i), iu)))
-            mcols.append(_v_part(ext, a.prod(iu, s.col(i))))
-        rho_t.append(columns_matrix(rcols, dv))
-        mu_t.append(columns_matrix(mcols, dv))
-    kcols = [_v_part(ext, ext.total.D.matvec(ext.iota.col(u))) for u in range(dv)]
-    K = columns_matrix(kcols, dv)
-    r = DerPairRepresentation(dv, K, rho_t, mu_t)
-
-    theta_table = [
-        [_v_part(ext, vec_sub(a.prod(s.col(i), s.col(j)), s.matvec(base.algebra.prod_basis(i, j))))
-         for j in range(dg)]
-        for i in range(dg)
-    ]
-    xi_cols = [
-        _v_part(ext, vec_sub(ext.total.D.matvec(s.col(j)), s.matvec(base.D.col(j)))) for j in range(dg)
-    ]
-    return ExtensionCocycle.from_matrices(dims, theta_table, columns_matrix(xi_cols, dv)), r
+    g, V = range(dg), range(dg, dg + dv)
+    rho_t = [Matrix(dv, dv, [[T[i][u][w] for u in V] for w in V]) for i in g]
+    mu_t = [Matrix(dv, dv, [[T[u][i][w] for u in V] for w in V]) for i in g]
+    r = DerPairRepresentation(dv, Matrix(dv, dv, [D[w][dg:] for w in V]), rho_t, mu_t)
+    theta = [[T[i][j][dg:] for j in g] for i in g]
+    xi = Matrix(dv, dg, [D[w][:dg] for w in V])
+    return ExtensionCocycle.from_matrices(SplitDims(dg, dv), theta, xi), r
 
 
 def coboundary_cocycle(base: RegularPair, r: DerPairRepresentation, phi: Matrix) -> ExtensionCocycle:

@@ -1,48 +1,15 @@
-"""Combinatorics of wedge bases and unshuffles.
+"""Wedge bases, the ordered bases of mixed component spaces, and
+permutation signs.
 
 Conventions used throughout the package:
   * a wedge basis index is a strictly increasing tuple of basis indices,
-  * an (i1,...,ik)-unshuffle is a permutation of {1,...,i1+...+ik} that
-    is increasing inside each consecutive block; permutations are stored
-    0-based as tuples sigma with sigma[j] = the argument placed in slot
-    j, and unshuffles() pairs each with its signature,
-  * perm_sign is the ordinary signature, koszul_sign the graded sign
-    picked up by moving graded symbols through each other (no signature
-    factor; multiply the two when a convention needs both).
+  * permutations are stored 0-based as tuples sigma with sigma[j] = the
+    argument placed in slot j, and perm_sign is their signature.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-
-
-def unshuffles(block_sizes) -> list:
-    """All (i1,...,ik)-unshuffles as (perm, sign) pairs.
-
-    Permutations are 0-based image tuples, increasing inside each
-    consecutive block; zero-size blocks are allowed (the identity is
-    included, matching the empty-block convention). Any negative block
-    size yields no unshuffles at all, which is the empty-sum convention
-    the composition formulas rely on.
-    """
-    sizes = list(block_sizes)
-    if any(s < 0 for s in sizes):
-        return []
-    n = sum(sizes)
-    result = []
-
-    def extend(remaining, acc):
-        if not remaining:
-            perm = tuple(acc)
-            result.append((perm, perm_sign(perm)))
-            return
-        used = set(acc)
-        free = [i for i in range(n) if i not in used]
-        for chosen in combinations(free, remaining[0]):
-            extend(remaining[1:], acc + list(chosen))
-
-    extend(sizes, [])
-    return result
 
 
 def perm_sign(sigma) -> int:
@@ -53,34 +20,6 @@ def perm_sign(sigma) -> int:
         for j in range(i + 1, n):
             if sigma[i] > sigma[j]:
                 s = -s
-    return s
-
-
-def _perm_tuple(perm):
-    # accept either a raw image tuple or a (perm, sign) pair
-    if len(perm) == 2 and isinstance(perm[0], tuple) and isinstance(perm[1], int):
-        return perm[0]
-    return tuple(perm)
-
-
-def koszul_sign(perm, degrees) -> int:
-    """Koszul sign of a permutation acting on symbols of given degrees.
-
-    Product of (-1)^(d_a d_b) over every inversion, i.e. over each pair
-    of symbols whose order the permutation swaps. No signature factor;
-    callers combine with perm_sign when their convention needs both.
-    Accepts a raw image tuple or an unshuffles() (perm, sign) pair.
-    """
-    sigma = _perm_tuple(perm)
-    if len(sigma) != len(degrees):
-        raise ValueError(f"{len(sigma)} symbols permuted but {len(degrees)} degrees given")
-    s = 1
-    n = len(sigma)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sigma[i] > sigma[j]:
-                if degrees[sigma[i]] % 2 and degrees[sigma[j]] % 2:
-                    s = -s
     return s
 
 

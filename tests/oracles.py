@@ -5,21 +5,23 @@ types: ranks and span membership come from sympy, or for matrices too
 large for it from elimination modulo a large prime, the low-arity bracket
 formulas are the classical closed forms written out by hand, and the
 associator identity characterizes the bracket through its defining
-property. The general composition and left symmetry are walked densely
-over the whole basis, the representation, derivation and module axioms
+property. The general composition (over unshuffles enumerated here and
+signed by their inversions) and left symmetry are walked densely over
+the whole basis, the representation, derivation and module axioms
 are Matrix products over every basis element, a differential's term
 generators are evaluated one output key at a time, and the eleven
 equivalence identities are written out one by one.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import sympy
 
 from prelieder.cochain import Cochain, MixedMap
 from prelieder.exact_linalg import Matrix, combination, vec_add, vec_scale, vec_sub, zero_vec
 from prelieder.prelie import RegularPair
-from prelieder.spaces import unshuffles, wedge_tail_basis
+from prelieder.spaces import wedge_tail_basis
 
 
 def sympy_matrix(m: Matrix) -> sympy.Matrix:
@@ -160,6 +162,36 @@ def associator_defect(f: Cochain, x, y, z):
     as_xyz = vec_add(eval_cochain(f, [fxy, z]), vec_scale(-1, eval_cochain(f, [x, fyz])))
     as_yxz = vec_add(eval_cochain(f, [fyx, z]), vec_scale(-1, eval_cochain(f, [y, fxz])))
     return tuple(a - b for a, b in zip(as_xyz, as_yxz))
+
+
+def unshuffles(block_sizes) -> list:
+    """All (i1,...,ik)-unshuffles as (perm, sign) pairs.
+
+    Permutations are 0-based image tuples, increasing inside each
+    consecutive block, and sign is (-1) to the number of inversions;
+    zero-size blocks are allowed (the identity is included, matching the
+    empty-block convention). Any negative block size yields no unshuffles
+    at all, which is the empty-sum convention the composition formulas
+    rely on.
+    """
+    sizes = list(block_sizes)
+    if any(s < 0 for s in sizes):
+        return []
+    n = sum(sizes)
+    result = []
+
+    def extend(remaining, acc):
+        if not remaining:
+            perm = tuple(acc)
+            inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1 :])
+            result.append((perm, (-1) ** inversions))
+            return
+        free = [i for i in range(n) if i not in acc]
+        for chosen in combinations(free, remaining[0]):
+            extend(remaining[1:], acc + list(chosen))
+
+    extend(sizes, [])
+    return result
 
 
 def circ_reference(P: Cochain, Q: Cochain) -> Cochain:

@@ -17,8 +17,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "prelieder"
 ALLOWED = {
     "cohomology:partial_bracket": "the bracket route criterion 3 checks partial against",
     "cohomology:delta_bracket": "the bracket route criterion 3 checks delta against",
-    "spaces:unshuffles": "the unshuffle sums the oracle circ_reference walks",
-    "spaces:koszul_sign": "the graded sign of the conventions in the spaces docstring",
 }
 
 

@@ -351,7 +351,13 @@ def test_shape_and_float_checks_survive_optimize():
         "# iota does not span the kernel of proj; then proj is not onto g\n"
         "skew = AbelianExtension(total, Matrix(2, 1, [[1], [1]]), Matrix(1, 2, [[0, 1]]))\n"
         "flat = AbelianExtension(total, Matrix(2, 1, [[1], [0]]), Matrix(1, 2, [[0, 0]]))\n"
-        "for bad in (lambda: extract_cocycle(skew, canonical_section(skew)), lambda: canonical_section(flat)):\n"
+        "# e1 . e1 = e0 is nonzero with V spanned by e1: V is not abelian\n"
+        "stray = AbelianExtension(total, Matrix(2, 1, [[0], [1]]), Matrix(1, 2, [[1, 0]]))\n"
+        "for bad in (\n"
+        "    lambda: extract_cocycle(skew, canonical_section(skew)),\n"
+        "    lambda: canonical_section(flat),\n"
+        "    lambda: extract_cocycle(stray, canonical_section(stray)),\n"
+        "):\n"
         "    try:\n"
         "        bad()\n"
         "    except ValueError as e:\n"
@@ -376,7 +382,7 @@ def test_shape_and_float_checks_survive_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["ValueError", "TypeError"] + ["ValueError"] * 6 + ["RuntimeError"]
+    assert out.stdout.split() == ["ValueError", "TypeError"] + ["ValueError"] * 7 + ["RuntimeError"]
 
 
 def test_empty_shapes():

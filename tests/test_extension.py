@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import prelieder.exact_linalg
 from prelieder import (
     AbelianExtension,
     DerPairRepresentation,
@@ -45,7 +46,7 @@ from prelieder.cochain import SplitDims
 from prelieder.cohomology import COMPLEXES, _unflatten
 
 from conftest import random_matrix, regular_pairs, shift_algebra
-from oracles import in_span
+from oracles import in_span, sympy_matrix
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +91,28 @@ def section_with(ext: AbelianExtension, phi: Matrix) -> Matrix:
     rows = [[1 if j == i else 0 for j in range(dg)] for i in range(dg)]
     rows += [list(phi.row(u)) for u in range(dv)]
     return Matrix(dg + dv, dg, rows)
+
+
+def invertible_integer_matrix(rng: random.Random, n: int) -> Matrix:
+    while True:
+        P = Matrix(n, n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if sympy_matrix(P).det() != 0:
+            return P
+
+
+def inverse(P: Matrix) -> Matrix:
+    inv = sympy_matrix(P).inv()
+    return Matrix(P.rows, P.rows, [[Fraction(str(x)) for x in inv.row(i)] for i in range(P.rows)])
+
+
+def conjugated(ext: AbelianExtension, P: Matrix) -> AbelianExtension:
+    """ext in the coordinates y = P x: iota' = P iota, proj' = proj P^-1,
+    and the product and Dhat rebased."""
+    n, a, Q = P.rows, ext.total.algebra, inverse(P)
+    cols = [Q.col(k) for k in range(n)]
+    table = [[P.matvec(a.prod(x, y)) for y in cols] for x in cols]
+    total = RegularPair(PreLieAlgebra(n, table), P * ext.total.D * Q)
+    return AbelianExtension(total, P * ext.iota, ext.proj * Q)
 
 
 def same_regular_pair(p: RegularPair, q: RegularPair) -> bool:
@@ -245,8 +268,99 @@ def test_extract_needs_a_section():
     ext = build_extension(b, regular_module(b), ExtensionCocycle.zero(SplitDims(2, 2)))
     not_s = Matrix(4, 2, [[1, 0], [0, 0], [0, 0], [0, 0]])
     assert not is_section(ext, not_s)
-    with pytest.raises(ValueError):
-        extract_cocycle(ext, not_s)
+    # induced_base refuses it too, where it once returned the zero algebra
+    for read in (extract_cocycle, induced_base):
+        with pytest.raises(ValueError, match="not a section of the projection"):
+            read(ext, not_s)
+
+
+def test_extraction_reads_any_basis(bases):
+    # the same extension in the coordinates y = P x, for an invertible
+    # integer P, so that [s | iota] is no longer a permutation matrix
+    rng = random.Random(4)
+    instances = fractional = 0
+    for b in bases[:6]:
+        for r in modules_over(b):
+            for c in cocycles_over(b, r, count=2):
+                ext = build_extension(b, r, c)
+                P = invertible_integer_matrix(rng, ext.total.algebra.dim)
+                moved = conjugated(ext, P)
+                assert validate_extension(moved) == {"ok": True, "failed": []}
+                s = P * canonical_section(ext)
+                assert is_section(moved, s)
+                c2, r2 = extract_cocycle(moved, s)
+                assert c2 == c and same_module(r2, r)
+                assert same_regular_pair(induced_base(moved, s), b)
+                # changing the section by phi still shifts by its coboundary
+                phi = random_matrix(rng, r.dim_v, b.algebra.dim)
+                c3, r3 = extract_cocycle(moved, P * section_with(ext, phi))
+                cb = coboundary_cocycle(b, r, phi)
+                assert c3.theta - c.theta == cb.theta and c3.xi - c.xi == cb.xi
+                assert same_module(r3, r)
+                instances += 1
+                fractional += abs(int(sympy_matrix(P).det())) > 1
+    assert instances >= 12 and fractional >= 3
+
+
+def golden_extension_with(*, iota=None, table_cell=None, D_cell=None) -> AbelianExtension:
+    """The golden semidirect extension with iota replaced, one product
+    coefficient or one entry of Dhat set to 1."""
+    b = golden_base()
+    ext = build_extension(b, regular_module(b), ExtensionCocycle.zero(SplitDims(2, 2)))
+    table = [[list(v) for v in row] for row in ext.total.algebra.table]
+    D = [list(row) for row in ext.total.D.entries]
+    if table_cell is not None:
+        i, j, k = table_cell
+        table[i][j][k] = 1
+    if D_cell is not None:
+        D[D_cell[0]][D_cell[1]] = 1
+    total = RegularPair(PreLieAlgebra(4, table), Matrix(4, 4, D))
+    return AbelianExtension(total, ext.iota if iota is None else iota, ext.proj)
+
+
+def test_extraction_refuses_what_has_no_block_layout():
+    # one case per check of the reader after the section check; V is
+    # spanned by e2, e3
+    s = Matrix(4, 2, [[1, 0], [0, 1], [0, 0], [0, 0]])
+    cases = [
+        (golden_extension_with(iota=Matrix(4, 2, [[1, 0], [0, 0], [1, 0], [0, 1]])),
+         "iota does not map into the kernel of the projection"),
+        (golden_extension_with(iota=Matrix(4, 2, [[0, 0], [0, 0], [1, 1], [0, 0]])),
+         "iota is not injective"),
+        (golden_extension_with(table_cell=(2, 3, 2)), "V is not abelian"),
+        (golden_extension_with(table_cell=(0, 2, 0)), "V is not an ideal"),  # g.V
+        (golden_extension_with(table_cell=(3, 1, 1)), "V is not an ideal"),  # V.g
+        (golden_extension_with(D_cell=(0, 2)), "the derivation does not map V into V"),
+    ]
+    for ext, message in cases:
+        assert is_section(ext, s)
+        assert not validate_extension(ext)["ok"]
+        for read in (extract_cocycle, induced_base):
+            with pytest.raises(ValueError, match=message):
+                read(ext, s)
+
+
+def test_extraction_eliminates_once_not_per_vector(monkeypatch):
+    # the reader inverts [s | iota] once: no elimination runs per vector
+    # of the blocks it reads (the old per-vector solves took 16 here)
+    b = golden_base()
+    r = regular_module(b)
+    c = coboundary_cocycle(b, r, Matrix(2, 2, [[1, 2], [0, 1]]))
+    ext = build_extension(b, r, c)
+    s = canonical_section(ext)
+    counts = {"sparse_solve": 0, "_reduce": 0}
+    for name in counts:
+        real = getattr(prelieder.exact_linalg, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(prelieder.exact_linalg, name, counted)
+    c2, r2 = extract_cocycle(ext, s)
+    assert c2 == c and same_module(r2, r)
+    assert counts["sparse_solve"] <= ext.dim_g + ext.dim_v
+    assert counts["_reduce"] <= ext.dim_g + ext.dim_v
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,13 @@
 from fractions import Fraction
 from itertools import product
+from math import factorial
 from random import Random
 
 from prelieder import mn_bracket
 from prelieder.cochain import SplitDims, bidegree_of, component_bidegree, lift
 from prelieder.mn_bracket import circ
 from prelieder.prelie import structure_cochain
+from prelieder.spaces import perm_sign
 
 from conftest import ALGEBRAS, random_cochain, random_mixed, random_vec
 from oracles import (
@@ -15,6 +17,7 @@ from oracles import (
     circ_reference,
     left_symmetric_reference,
     unit,
+    unshuffles,
 )
 
 DIMS = SplitDims(2, 1)
@@ -32,6 +35,33 @@ def test_circ_matches_dense_reference():
                 got, want = circ(P, Q), circ_reference(P, Q)
                 assert got == want, (dims, ap, aq, dp, dq)
                 assert list(got.coeffs) == list(want.coeffs)
+
+
+def test_unshuffle_counts_are_multinomial():
+    # the oracle's unshuffles, which circ_reference sums over
+    cases = [(1, 1), (2, 1), (2, 2), (1, 1, 1), (3, 2), (2, 1, 2), (0, 2), (2, 0)]
+    for sizes in cases:
+        n = sum(sizes)
+        want = factorial(n)
+        for s in sizes:
+            want //= factorial(s)
+        got = unshuffles(sizes)
+        assert len(got) == want
+        # each is a genuine permutation, increasing within blocks
+        for perm, sign in got:
+            assert sorted(perm) == list(range(n))
+            assert sign == perm_sign(perm)
+            off = 0
+            for s in sizes:
+                block = perm[off : off + s]
+                assert list(block) == sorted(block)
+                off += s
+
+
+def test_unshuffles_degenerate_blocks():
+    assert unshuffles((-1, 2)) == []
+    assert unshuffles((0, 0)) == [((), 1)]
+    assert unshuffles((2, 1, -1)) == []
 
 
 def test_arity_one_bracket_is_commutator():

@@ -1,14 +1,12 @@
 from itertools import permutations
-from math import comb, factorial
+from math import comb
 
 import pytest
 
 from prelieder.spaces import (
     enumerate_basis,
-    koszul_sign,
     normalize_wedge,
     perm_sign,
-    unshuffles,
     wedge_basis,
     wedge_tail_basis,
 )
@@ -38,53 +36,9 @@ def test_perm_sign_multiplicative():
             assert perm_sign(comp) == perm_sign(sigma) * perm_sign(tau)
 
 
-def test_unshuffle_counts_are_multinomial():
-    cases = [(1, 1), (2, 1), (2, 2), (1, 1, 1), (3, 2), (2, 1, 2), (0, 2), (2, 0)]
-    for sizes in cases:
-        n = sum(sizes)
-        want = factorial(n)
-        for s in sizes:
-            want //= factorial(s)
-        got = unshuffles(sizes)
-        assert len(got) == want
-        # each is a genuine permutation, increasing within blocks
-        for perm, sign in got:
-            assert sorted(perm) == list(range(n))
-            assert sign == perm_sign(perm)
-            off = 0
-            for s in sizes:
-                block = perm[off : off + s]
-                assert list(block) == sorted(block)
-                off += s
-
-
-def test_unshuffles_degenerate_blocks():
-    assert unshuffles((-1, 2)) == []
-    assert unshuffles((0, 0)) == [((), 1)]
-    assert unshuffles((2, 1, -1)) == []
-
-
-def test_koszul_sign_examples():
-    # swapping two odd symbols flips, odd past even does not
-    assert koszul_sign((1, 0), [1, 1]) == -1
-    assert koszul_sign((1, 0), [1, 0]) == 1
-    assert koszul_sign((1, 0), [0, 0]) == 1
-    # cyclic move of an odd symbol past two odd ones
-    assert koszul_sign((2, 0, 1), [1, 1, 1]) == 1
-    assert koszul_sign((1, 2, 0), [1, 1, 1]) == 1
-    assert koszul_sign((0, 2, 1), [1, 1, 1]) == -1
-
-
 def test_malformed_arguments_raise_value_error():
     with pytest.raises(ValueError):
-        koszul_sign((1, 0), [1])
-    with pytest.raises(ValueError):
         enumerate_basis(((0, 0), "w"), (2, 1))
-
-
-def test_koszul_accepts_unshuffle_pairs():
-    for item in unshuffles((1, 1)):
-        assert koszul_sign(item, [1, 1]) in (-1, 1)
 
 
 def test_normalize_wedge():
