@@ -268,7 +268,7 @@ def test_extract_needs_a_section():
     ext = build_extension(b, regular_module(b), ExtensionCocycle.zero(SplitDims(2, 2)))
     not_s = Matrix(4, 2, [[1, 0], [0, 0], [0, 0], [0, 0]])
     assert not is_section(ext, not_s)
-    # induced_base refuses it too, where it once returned the zero algebra
+    # induced_base refuses it as extract_cocycle does
     for read in (extract_cocycle, induced_base):
         with pytest.raises(ValueError, match="not a section of the projection"):
             read(ext, not_s)
@@ -342,7 +342,7 @@ def test_extraction_refuses_what_has_no_block_layout():
 
 def test_extraction_eliminates_once_not_per_vector(monkeypatch):
     # the reader inverts [s | iota] once: no elimination runs per vector
-    # of the blocks it reads (the old per-vector solves took 16 here)
+    # of the blocks it reads
     b = golden_base()
     r = regular_module(b)
     c = coboundary_cocycle(b, r, Matrix(2, 2, [[1, 2], [0, 1]]))
