@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import isqrt, lcm
 from operator import add, attrgetter, sub
 from typing import Callable, NamedTuple
 
@@ -108,8 +108,22 @@ def _scale(mats, a: PreLieAlgebra | None = None) -> int:
 
 def _columns(m: Matrix, scale: int) -> tuple:
     """The columns of scale * m, each as its nonzero (row, int) pairs;
-    scale must be a multiple of the L of m. Kept on the view of m."""
+    scale must be a multiple of the L of m. The form read where a term
+    reads one column. Kept on the view of m."""
     return m.int_view().table(scale)
+
+
+def _flat(columns) -> tuple:
+    """The map with the given columns as its flat entries: the nonzero
+    (a, r, y), where column a has entry y in row r. The form of every map
+    a term applies whole; empty when the map is zero."""
+    return tuple((a, r, y) for a, col in enumerate(columns) for r, y in col)
+
+
+def _flat_map(m: Matrix, scale: int) -> tuple:
+    """scale * m as its flat entries (_flat); scale must be a multiple of
+    the L of m. Kept on the view of m."""
+    return m.int_view().table(scale, _flat)
 
 
 def _difference(x, y) -> tuple:
@@ -121,37 +135,47 @@ def _difference(x, y) -> tuple:
 
 
 class _Algebra:
-    """Structure constants of g, times a scale, in the form the term
+    """Structure constants of g, times a scale, in the forms the term
     generators read.
 
     Built from the nonzero products alone, as (index, int) pairs, given
-    row-major (e_i.e_j is products[i * dim + j]): left[i][u] = e_i.e_u is
-    column u of L_(e_i) and right[i][u] = e_u.e_i that of R_(e_i).
+    row-major (e_i.e_j is products[i * dim + j]). Single products are read
+    as such pairs: prod[i][j] is e_i.e_j and bracket[i][j] is [e_i, e_j].
+    Whole maps are read as their flat entries (_flat): left[i] is L_(e_i),
+    whose column u is e_i.e_u, and right[i] is R_(e_i), whose column u is
+    e_u.e_i.
     """
 
-    def __init__(self, products: tuple, dim: int):
+    def __init__(self, products: tuple):
+        dim = isqrt(len(products))
         r = range(dim)
-        self.prod = self.left = p = [products[i * dim : (i + 1) * dim] for i in r]
-        self.right = [[p[u][i] for u in r] for i in r]
+        self.prod = p = [products[i * dim : (i + 1) * dim] for i in r]
+        self.left = [_flat(p[i]) for i in r]
+        self.right = [_flat([p[u][i] for u in r]) for i in r]
         self.bracket = [[_difference(p[i][j], p[j][i]) for j in r] for i in r]
 
 
 def _algebra(a: PreLieAlgebra, scale: int) -> _Algebra:
     """The _Algebra of a times scale; scale must be a multiple of the L of
     a. Built once per scale and kept on the view of a."""
-    return a.int_view().table(scale, lambda products: _Algebra(products, a.dim))
+    return a.int_view().table(scale, _Algebra)
 
 
 class _Action:
-    """An action x -> act[x] of g on V, times scale, as sparse int columns.
+    """An action x -> act[x] of g on V, times scale, in the forms the term
+    generators read.
 
-    cols[x][w] is act[x] e_w; at[u][x] is act[x] e_u (the map
-    x -> act(x) u).
+    cols[x][w] is act[x] e_w as its nonzero (index, int) pairs, read where
+    a term reads one column. flat[x] is act[x] and at[u] is the map
+    x -> act[x] e_u (its column x is act[x] e_u), each as its flat
+    entries (_flat). cols and flat are kept on the views of the matrices;
+    at crosses them, so it is built here, once per Complex.
     """
 
     def __init__(self, mats, dim_v: int, scale: int):
-        self.cols = [_columns(m, scale) for m in mats]
-        self.at = [tuple(c[u] for c in self.cols) for u in range(dim_v)]
+        self.cols = cols = [_columns(m, scale) for m in mats]
+        self.flat = [_flat_map(m, scale) for m in mats]
+        self.at = [_flat([c[u] for c in cols]) for u in range(dim_v)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +184,13 @@ class _Action:
 # A term is (src, g_args, v_args, tail, c, cols): read input block src at
 # (g_args; v_args; tail), with alternating signs, and add c times the
 # value to the output, after mapping it through cols when cols is not
-# None (cols[a] is the image of the a-th target basis vector, as its
-# nonzero (index, entry) pairs). Either c is a sign and cols holds
-# structure constants, or cols is None and c is a sign times one
-# constant: each term is linear in the constants, so constants scaled by
-# L give L times the map. The generators read the constants as ints.
+# None. cols is a map of structure constants as its flat entries (_flat):
+# entry (a, r, y) sends the a-th target coordinate of the value, times y,
+# to output coordinate r. A generator yields such a term only when its
+# map is nonzero. Either c is a sign and cols holds structure constants,
+# or cols is None and c is a sign times one constant: each term is
+# linear in the constants, so constants scaled by L give L times the
+# map. The generators read the constants as ints.
 
 
 def _apply(name: str, dims: SplitDims, maps, specs, scale: int, terms) -> list:
@@ -190,10 +216,17 @@ def _assemble(dims: SplitDims, in_specs, out_blocks):
     in_specs lists the (shape, target) input blocks; out_blocks lists
     (shape, target, terms) per output block. Each term of each output
     key scatters its contribution into the columns of the input basis
-    elements it reads, so the cost is rows times terms, not that times
-    the number of columns. Returns (rows, ncols) with each row a
-    {column: int} dict when the terms read int constants, as every
-    generator here does; entries that cancel are dropped.
+    elements it reads: a term without a map into one column per target
+    coordinate, a term with a map one entry per flat entry of the map, so
+    the cost is rows times the terms' entries, not that times the number
+    of columns. Returns (rows, ncols) with each row a {column: int} dict
+    when the terms read int constants, as every generator here does;
+    entries that cancel are dropped.
+
+    A term with a map must have a sign for c: any other c would make the
+    entry quadratic in the constants, which scaling them by L would scale
+    by L^2, so the rows of L d would be wrong and so every rank read off
+    them. Every such term is checked, and a RuntimeError raised.
     """
     index = []
     ncols = 0
@@ -213,6 +246,8 @@ def _assemble(dims: SplitDims, in_specs, out_blocks):
         for key in out.basis_keys():
             block = [{} for _ in range(out.target_dim)]
             for src, g_args, v_args, tail, c, cols in terms(key):
+                if cols is not None and c != 1 and c != -1:
+                    raise RuntimeError(f"a term with a column map has coefficient {c}, not a sign")
                 first, sdim = index[src]
                 if not first:  # zero space
                     continue
@@ -228,29 +263,17 @@ def _assemble(dims: SplitDims, in_specs, out_blocks):
                 if sign < 0:
                     c = -c
                 j0 = first[(gt, vt, tail)]
-                for a in range(sdim):
-                    j = j0 + a
-                    if cols is None:
-                        _scatter(block[a], j, c)
-                    else:
-                        for r, y in _times(c, cols[a]):
-                            _scatter(block[r], j, y)
+                if cols is None:
+                    for a in range(sdim):
+                        _scatter(block[a], j0 + a, c)
+                elif c == 1:
+                    for a, r, y in cols:
+                        _scatter(block[r], j0 + a, y)
+                else:
+                    for a, r, y in cols:
+                        _scatter(block[r], j0 + a, -y)
             rows.extend(block)
     return rows, ncols
-
-
-def _times(c, col):
-    """c times a sparse column of structure constants, for a sign c.
-
-    Any other c would make the entry quadratic in the constants, which
-    scaling them by L would scale by L^2: the rows of L d would be wrong
-    and so every rank read off them.
-    """
-    if c == 1:
-        return col
-    if c == -1:
-        return [(r, -y) for r, y in col]
-    raise RuntimeError(f"a term with a column map has coefficient {c}, not a sign")
 
 
 def _scatter(row: dict, j: int, x) -> None:
@@ -275,19 +298,23 @@ def _sum_terms(*gens):
 # (L,R) on g, (rho_t,mu_t) on V)
 
 
-def _d_coeff_terms(alg: _Algebra, lcols, rcols, src: int):
-    """Four-sum coboundary of block src; lcols[x], rcols[x] are act_l[x], act_r[x]."""
+def _d_coeff_terms(alg: _Algebra, lmaps, rmaps, src: int):
+    """Four-sum coboundary of block src; lmaps[x], rmaps[x] are act_l[x],
+    act_r[x] as flat entries."""
     prod, brk = alg.prod, alg.bracket
 
     def terms(key):
         xs, _, t = key
         m = len(xs)
+        rt = rmaps[t]
         for i in range(m):
             s = _sign(i)  # (-1)^(i+1) for 1-based i
             xi = xs[i]
             rest = _drop(xs, i)
-            yield src, rest, (), t, s, lcols[xi]
-            yield src, rest, (), xi, s, rcols[t]
+            if lmaps[xi]:
+                yield src, rest, (), t, s, lmaps[xi]
+            if rt:
+                yield src, rest, (), xi, s, rt
             for k, c in prod[xi][t]:
                 yield src, rest, (), k, -s * c, None
         for i in range(m):
@@ -311,15 +338,15 @@ def d_coeff(a: PreLieAlgebra, act_l, act_r, f: MixedMap) -> MixedMap:
     if not len(act_l) == len(act_r) == a.dim or any(m.rows != t or m.cols != t for m in (*act_l, *act_r)):
         raise ValueError(f"d_coeff needs {a.dim} action matrices of size {t} x {t} on each side")
     scale = _scale([*act_l, *act_r], a)
-    lcols, rcols = ([_columns(x, scale) for x in act] for act in (act_l, act_r))
-    return _d_coeff(dims, scale, _algebra(a, scale), lcols, rcols, f)
+    lmaps, rmaps = ([_flat_map(x, scale) for x in act] for act in (act_l, act_r))
+    return _d_coeff(dims, scale, _algebra(a, scale), lmaps, rmaps, f)
 
 
-def _d_coeff(dims: SplitDims, scale: int, alg: _Algebra, lcols, rcols, f: MixedMap) -> MixedMap:
+def _d_coeff(dims: SplitDims, scale: int, alg: _Algebra, lmaps, rmaps, f: MixedMap) -> MixedMap:
     if not (f.shape.v_wedge == 0 or f.shape.degenerate) or f.shape.tail != "g":
         raise ValueError(f"d_coeff takes Hom(wedge g tensor g, T), got shape {f.shape}")
     shape = MixedShape(f.shape.g_wedge + 1, 0, "g")
-    terms = [_d_coeff_terms(alg, lcols, rcols, 0)]
+    terms = [_d_coeff_terms(alg, lmaps, rmaps, 0)]
     return _apply("d_coeff", dims, [f], [(shape, f.target)], scale, terms)[0]
 
 
@@ -345,14 +372,17 @@ def _partial_rho_terms(alg: _Algebra, rho: _Action):
     def terms(key):
         xs, _, u = key
         n = len(xs)
+        at = rho.at[u]
         for i in range(n):
             s = _sign(i)
             xi = xs[i]
             rest = _drop(xs, i)
             # rho(f_g(.., x_i)) u
-            yield 0, rest, (), xi, s, rho.at[u]
+            if at:
+                yield 0, rest, (), xi, s, at
             # rho(x_i) f_rho(.., u)
-            yield 1, rest, (), u, s, rho.cols[xi]
+            if rho.flat[xi]:
+                yield 1, rest, (), u, s, rho.flat[xi]
             # - f_rho(.., rho(x_i) u)
             for w, c in rho.cols[xi][u]:
                 yield 1, rest, (), w, -s * c, None
@@ -373,9 +403,12 @@ def _partial_mu_terms(alg: _Algebra, rho: _Action, mu: _Action):
         xs, (u,), t = key  # x_1 .. x_{n-1}; t is x_n
         n = len(xs) + 1
         lead_sign = _sign(n - 1)
+        at, mu_t = mu.at[u], mu.flat[t]
         # (-1)^(n-1) (mu(f_g(x_1..x_n)) u + mu(x_n) f_rho(.., u) - f_rho(.., mu(x_n) u))
-        yield 0, xs, (), t, lead_sign, mu.at[u]
-        yield 1, xs, (), u, lead_sign, mu.cols[t]
+        if at:
+            yield 0, xs, (), t, lead_sign, at
+        if mu_t:
+            yield 1, xs, (), u, lead_sign, mu_t
         for w, c in mu.cols[t][u]:
             yield 1, xs, (), w, -lead_sign * c, None
         for i in range(n - 1):
@@ -386,12 +419,14 @@ def _partial_mu_terms(alg: _Algebra, rho: _Action, mu: _Action):
             for k, c in prod[xi][t]:
                 yield 2, rest, (u,), k, -s * c, None
             # + rho(x_i) f_mu(.., u, x_n)
-            yield 2, rest, (u,), t, s, rho.cols[xi]
+            if rho.flat[xi]:
+                yield 2, rest, (u,), t, s, rho.flat[xi]
             # - f_mu(.., rho(x_i) u, x_n)
             for w, c in rho.cols[xi][u]:
                 yield 2, rest, (w,), t, -s * c, None
             # + mu(x_n) f_mu(.., u, x_i)
-            yield 2, rest, (u,), xi, s, mu.cols[t]
+            if mu_t:
+                yield 2, rest, (u,), xi, s, mu_t
             # + f_mu(.., mu(x_i) u, x_n)  (note: plus, unlike the rho term)
             for w, c in mu.cols[xi][u]:
                 yield 2, rest, (w,), t, s * c, None
@@ -431,9 +466,9 @@ def partial_bracket(p: DerPair, f_g, f_rho, f_mu):
 # delta and omega
 
 
-def _delta_terms(dcols):
+def _delta_terms(dcols, dflat):
     """delta reads the triple blocks f_g, f_rho, f_mu = 0, 1, 2; dcols
-    are the columns of D."""
+    are the columns of D and dflat its flat entries."""
 
     def terms(key):
         xs, _, t = key
@@ -446,7 +481,8 @@ def _delta_terms(dcols):
                 yield 2, rest, (k,), t, s * c, None
         for k, c in dcols[t]:
             yield 1, xs, (), k, tail_sign * c, None
-        yield 0, xs, (), t, -tail_sign, dcols
+        if dflat:
+            yield 0, xs, (), t, -tail_sign, dflat
 
     return terms
 
@@ -460,7 +496,7 @@ def delta(D: Matrix, f_g: MixedMap, f_rho: MixedMap, f_mu: MixedMap) -> MixedMap
     shape = MixedShape(f_g.shape.arity - 1, 0, "g")
     dims = SplitDims(D.cols, D.rows)
     scale = _scale([D])
-    terms = [_delta_terms(_columns(D, scale))]
+    terms = [_delta_terms(_columns(D, scale), _flat_map(D, scale))]
     return _apply("delta", dims, [f_g, f_rho, f_mu], [(shape, "v")], scale, terms)[0]
 
 
@@ -472,8 +508,9 @@ def delta_bracket(p: DerPair, f_g, f_rho, f_mu) -> MixedMap:
     return theta_component(br)
 
 
-def _omega_terms(dcols, kcols, src: int):
-    """omega of block src; dcols and kcols are the columns of D and K."""
+def _omega_terms(dcols, kflat, src: int):
+    """omega of block src; dcols are the columns of D and kflat the flat
+    entries of K."""
 
     def terms(key):
         xs, _, t = key
@@ -483,7 +520,8 @@ def _omega_terms(dcols, kcols, src: int):
                 yield src, xs[:i] + (k,) + xs[i + 1 :], (), t, s_n * c, None
         for k, c in dcols[t]:
             yield src, xs, (), k, s_n * c, None
-        yield src, xs, (), t, -s_n, kcols
+        if kflat:
+            yield src, xs, (), t, -s_n, kflat
 
     return terms
 
@@ -497,7 +535,7 @@ def omega(D: Matrix, K: Matrix, f: MixedMap) -> MixedMap:
     """
     dims = SplitDims(D.cols, K.rows)
     scale = _scale([D, K])
-    terms = [_omega_terms(_columns(D, scale), _columns(K, scale), 0)]
+    terms = [_omega_terms(_columns(D, scale), _flat_map(K, scale), 0)]
     return _apply("omega", dims, [f], [(f.shape, f.target)], scale, terms)[0]
 
 
@@ -715,8 +753,8 @@ def _two_slot_specs(target: str, n: int):
 def _coeffs_terms(p: DerPair):
     rho, mu = p.rep.rho, p.rep.mu
     scale = _scale([*rho, *mu], p.algebra)
-    lcols, rcols = ([_columns(m, scale) for m in mats] for mats in (rho, mu))
-    return scale, [_d_coeff_terms(_algebra(p.algebra, scale), lcols, rcols, 0)]
+    lmaps, rmaps = ([_flat_map(m, scale) for m in mats] for mats in (rho, mu))
+    return scale, [_d_coeff_terms(_algebra(p.algebra, scale), lmaps, rmaps, 0)]
 
 
 def _prelie_terms(a: PreLieAlgebra, rep, D: Matrix | None = None):
@@ -731,22 +769,22 @@ def _prelie_terms(a: PreLieAlgebra, rep, D: Matrix | None = None):
         _partial_mu_terms(alg, rho, mu),
     ]
     if D is not None:
-        theta = _d_coeff_terms(alg, rho.cols, mu.cols, 3)
-        terms.append(_sum_terms(theta, _delta_terms(_columns(D, scale))))
+        theta = _d_coeff_terms(alg, rho.flat, mu.flat, 3)
+        terms.append(_sum_terms(theta, _delta_terms(_columns(D, scale), _flat_map(D, scale))))
     return scale, terms
 
 
-def _two_slot_terms(alg: _Algebra, lcols, rcols, dcols, kcols):
+def _two_slot_terms(alg: _Algebra, lmaps, rmaps, dcols, kflat):
     return [
-        _d_coeff_terms(alg, lcols, rcols, 0),
-        _sum_terms(_d_coeff_terms(alg, lcols, rcols, 1), _omega_terms(dcols, kcols, 0)),
+        _d_coeff_terms(alg, lmaps, rmaps, 0),
+        _sum_terms(_d_coeff_terms(alg, lmaps, rmaps, 1), _omega_terms(dcols, kflat, 0)),
     ]
 
 
 def _regular_terms(rp: RegularPair):
     scale = _scale([rp.D], rp.algebra)
-    alg, dcols = _algebra(rp.algebra, scale), _columns(rp.D, scale)
-    return scale, _two_slot_terms(alg, alg.left, alg.right, dcols, dcols)
+    alg = _algebra(rp.algebra, scale)
+    return scale, _two_slot_terms(alg, alg.left, alg.right, _columns(rp.D, scale), _flat_map(rp.D, scale))
 
 
 def _rep_dims(data) -> SplitDims:
@@ -758,10 +796,10 @@ def _rep_dims(data) -> SplitDims:
 
 def _rep_terms(data):
     rp, rep5 = data
-    mats = (rep5.rho_t, rep5.mu_t, (rp.D, rep5.K))
-    scale = _scale(chain.from_iterable(mats), rp.algebra)
-    lcols, rcols, (dcols, kcols) = ([_columns(m, scale) for m in x] for x in mats)
-    return scale, _two_slot_terms(_algebra(rp.algebra, scale), lcols, rcols, dcols, kcols)
+    scale = _scale([*rep5.rho_t, *rep5.mu_t, rp.D, rep5.K], rp.algebra)
+    lmaps, rmaps = ([_flat_map(m, scale) for m in mats] for mats in (rep5.rho_t, rep5.mu_t))
+    alg = _algebra(rp.algebra, scale)
+    return scale, _two_slot_terms(alg, lmaps, rmaps, _columns(rp.D, scale), _flat_map(rep5.K, scale))
 
 
 _pair_dims = attrgetter("dims")

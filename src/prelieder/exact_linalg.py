@@ -29,8 +29,8 @@ copy back into sparse rows skips by an identity test.
 A Matrix, like a pre-Lie algebra's product table, is a leaf of the
 structure data the complexes read. Each leaf builds its IntView on
 first use and keeps it: its nonzero entries, their L (the lcm of their
-denominators) and the int tables made from them, one per scale asked
-for. Every complex over the leaf reads that one view.
+denominators) and the int tables made from them, one per scale and
+form asked for. Every complex over the leaf reads that one view.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class IntView:
     zero entry. scale is L, the lcm of their denominators (1 when there
     are none), the least factor that makes them all ints, and ints holds
     the parts times L. table builds a table from the parts times a scale
-    once per scale.
+    once per scale and builder.
     """
 
     __slots__ = ("scale", "ints", "_tables")
@@ -86,16 +86,17 @@ class IntView:
     def table(self, scale: int, build=None):
         """build(the parts times scale, as ints), or those ints themselves
         when build is None, made on the first call for this scale and
-        kept; scale must be a multiple of L. Only the nonzeros are
-        rescaled, from the ints at L."""
-        out = self._tables.get(scale)
+        build and kept; scale must be a multiple of L. Only the nonzeros
+        are rescaled, from the ints at L."""
+        key = scale, build
+        out = self._tables.get(key)
         if out is None:
             f, out = scale // self.scale, self.ints
             if f != 1:
                 out = tuple(tuple((k, f * x) for k, x in part) for part in out)
             if build is not None:
                 out = build(out)
-            self._tables[scale] = out
+            self._tables[key] = out
         return out
 
 

@@ -319,19 +319,22 @@ def apply_terms(dims, shape, target, terms, maps) -> MixedMap:
 
     Each output basis key is evaluated on its own: every term reads its
     input value through eval_local, which re-sorts the arguments with
-    their sign, scales it by c and maps it through cols when given.
+    their sign, scales it by c and maps it through cols when given, each
+    flat entry (a, r, y) of cols adding y times coordinate a to
+    coordinate r.
     """
     out = MixedMap(dims, shape, target)
     coeffs = {}
     for key in out.basis_keys():
         acc = [Fraction(0)] * out.target_dim
         for src, g_args, v_args, tail, c, cols in terms(key):
-            for a, x in enumerate(maps[src].eval_local(g_args, v_args, tail)):
-                if cols is None:
+            value = maps[src].eval_local(g_args, v_args, tail)
+            if cols is None:
+                for a, x in enumerate(value):
                     acc[a] += c * x
-                else:
-                    for r, y in cols[a]:
-                        acc[r] += c * x * y
+            else:
+                for a, r, y in cols:
+                    acc[r] += c * value[a] * y
         if any(acc):
             coeffs[key] = acc
     return MixedMap(dims, shape, target, coeffs)

@@ -31,6 +31,7 @@ from prelieder import (
     huaD_reg,
     huaD_rep,
     i_embed,
+    is_derpair,
     les_check,
     p_project,
     regular_module,
@@ -44,6 +45,7 @@ from prelieder.cohomology import (
     _algebra,
     _assemble,
     _columns,
+    _flat_map,
     _flatten,
     _scale,
     d_coeff,
@@ -59,6 +61,7 @@ from prelieder.exact_linalg import IntView
 from prelieder.prelie import regular_representation
 
 from conftest import (
+    abelian_algebra,
     dense_copy,
     direct_sum,
     idempotent_line,
@@ -67,6 +70,7 @@ from conftest import (
     rebased_pair,
     shift_algebra,
     triangular_algebra,
+    zero_representation,
 )
 from oracles import apply_terms, bracket_vec, rank_mod_p, sympy_rank
 
@@ -325,9 +329,10 @@ def test_differential_matrix_matches_application(pair_corpus, regular_corpus, rn
 def test_assemble_refuses_a_column_map_with_a_coefficient_other_than_a_sign():
     # a column map holds structure constants times L; a coefficient other
     # than a sign on it would make an entry quadratic in the constants,
-    # scaled by L^2, and every rank read off the rows wrong
+    # scaled by L^2, and every rank read off the rows wrong. The map is
+    # given as its flat entries: the identity has entry 1 at column 0, row 0
     dims, shape = SplitDims(1, 1), MixedShape(0, 0, "g")
-    identity = (((0, 1),),)
+    identity = ((0, 0, 1),)
 
     def terms(c):
         return [(shape, "g", lambda key: [(0, (), (), key[2], c, identity)])]
@@ -336,6 +341,46 @@ def test_assemble_refuses_a_column_map_with_a_coefficient_other_than_a_sign():
     for c in (2, Fraction(1, 2), 0):
         with pytest.raises(RuntimeError, match="not a sign"):
             _assemble(dims, [(shape, "g")], terms(c))
+
+
+def _column_maps(cx: Complex, n: int) -> list:
+    """The maps of the terms with a map that the generators of d_n yield,
+    over every output key."""
+    maps = []
+    for (shape, target), terms in zip(cx.specs(n + 1), cx._terms):
+        for key in MixedMap(cx.dims, shape, target).basis_keys():
+            maps += [cols for *_, cols in terms(key) if cols is not None]
+    return maps
+
+
+def test_zero_maps_yield_no_terms():
+    # a generator yields a term with a map only when the map is nonzero.
+    # On fully abelian data with D = 0 and the zero module, no generator
+    # of any complex yields one, and every row of d_n is empty
+    a, zero = abelian_algebra(2), Matrix.zeros(2, 2)
+    p = DerPair(a, zero_representation(a, 2), zero)
+    rp = RegularPair(a, zero)
+    mod = DerPairRepresentation(2, zero, [zero] * 2, [zero] * 2)
+    for cid, data in (("coeffs", p), ("prelie", p), ("pair", p), ("regular", rp), ("rep", (rp, mod))):
+        cx = Complex(cid, data)
+        for n in (1, 2, 3):
+            assert _column_maps(cx, n) == [], (cid, n)
+            assert not any(cx._rows(n)[0]), (cid, n)
+    # a character module of the shift algebra: rho(e_0) = 1, rho(e_1) = 0,
+    # mu = 0, with D(e_1) = e_0. Every map a term applies is one of the
+    # nonzero maps among L_x, R_x, rho(x), x -> rho(x) u and D, never mu
+    s = shift_algebra()
+    rho = [Matrix(1, 1, [[1]]), Matrix.zeros(1, 1)]
+    q = DerPair(s, Representation(1, rho, [Matrix.zeros(1, 1)] * 2), Matrix(1, 2, [[0, 1]]))
+    assert is_derpair(q)
+    rho_at = Matrix(1, 2, [[m.entries[0][0] for m in rho]])
+    named = [s.left_mult(i) for i in range(2)] + [s.right_mult(i) for i in range(2)] + rho + [rho_at, q.D]
+    nonzero = {_dense_flat(m) for m in named} - {()}
+    for cid in ("coeffs", "prelie", "pair"):
+        cx = Complex(cid, q)
+        assert cx._scale == 1
+        seen = [cols for n in (1, 2, 3) for cols in _column_maps(cx, n)]
+        assert seen and set(seen) <= nonzero, cid
 
 
 def test_coboundary_and_preimage_on_every_complex():
@@ -408,12 +453,18 @@ def _dense_columns(m: Matrix) -> tuple:
     return tuple(tuple((k, c) for k, c in enumerate(m.col(j)) if c) for j in range(m.cols))
 
 
+def _dense_flat(m: Matrix) -> tuple:
+    """The nonzero (column, row, entry) of m, column by column."""
+    return tuple((j, k, c) for j, col in enumerate(_dense_columns(m)) for k, c in col)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_structure_tables_match_the_dense_derivation(data):
     # the tables the term engine reads, built from the nonzero constants,
-    # hold the (index, entry) pairs that left_mult, right_mult, bracket_vec
-    # and Matrix.col give, in the same order, each entry times L as an int;
+    # hold the (index, entry) pairs that bracket_vec and Matrix.col give,
+    # and the flat (column, row, entry) entries of left_mult, right_mult
+    # and the matrices, in the same order, each entry times L as an int;
     # L is the lcm of the denominators of the constants. The tables are
     # kept on the structure's views, so every check runs on the first use
     # of one structure (which builds the views) and again on the second
@@ -448,22 +499,29 @@ def _check_structure_tables(a: PreLieAlgebra, mats, rows: int, cols: int) -> Non
         assert all(type(c) is int for row in table for pairs in row for _, c in pairs)
         return [[tuple((k, Fraction(c, L)) for k, c in pairs) for pairs in row] for row in table]
 
+    def unscaled_flat(maps):
+        assert all(type(y) is int for entries in maps for _, _, y in entries)
+        return [tuple((a, k, Fraction(y, L)) for a, k, y in entries) for entries in maps]
+
     def nonzero(vec):
         return tuple((k, c) for k, c in enumerate(vec) if c)
 
     alg = _algebra(a, L)
     assert unscaled(alg.prod) == [[nonzero(a.prod_basis(i, j)) for j in r] for i in r]
     assert unscaled(alg.bracket) == [[nonzero(bracket_vec(a, i, j)) for j in r] for i in r]
-    assert unscaled(alg.left) == [list(_dense_columns(a.left_mult(i))) for i in r]
-    assert unscaled(alg.right) == [list(_dense_columns(a.right_mult(i))) for i in r]
+    assert unscaled_flat(alg.left) == [_dense_flat(a.left_mult(i)) for i in r]
+    assert unscaled_flat(alg.right) == [_dense_flat(a.right_mult(i)) for i in r]
 
-    # the columns of the matrices the caller holds (rho, mu, D, K), zero
-    # rows or columns included
+    # the columns and flat entries of the matrices the caller holds (rho,
+    # mu, D, K), zero rows or columns included
     assert unscaled([_columns(m, L) for m in mats]) == [list(_dense_columns(m)) for m in mats]
+    assert unscaled_flat([_flat_map(m, L) for m in mats]) == [_dense_flat(m) for m in mats]
     if rows == cols:
         act = _Action(mats, rows, L)
         assert unscaled(act.cols) == [list(_dense_columns(m)) for m in mats]
-        assert unscaled(act.at) == [[_dense_columns(m)[u] for m in mats] for u in range(rows)]
+        assert unscaled_flat(act.flat) == [_dense_flat(m) for m in mats]
+        at = [Matrix(rows, dim, [[m.entries[k][u] for m in mats] for k in range(rows)]) for u in range(rows)]
+        assert unscaled_flat(act.at) == [_dense_flat(x) for x in at]
 
 
 def test_cohomology_dim_builds_no_dense_matrix(pair_corpus, regular_corpus, monkeypatch):
@@ -574,9 +632,10 @@ def test_cocycle_checks_build_the_structure_tables_once(monkeypatch):
     # same_cohomology_class, build_extension and classify check their
     # inputs on the one Complex they build, and each input cocycle goes
     # through d_2 once. The views of the structure (IntView, one per
-    # algebra and per matrix) and the algebra's tables (_Algebra) are built
-    # on the first call over a structure and kept: a second call over the
-    # same structure, or a second Complex, builds none
+    # algebra and per matrix), the algebra's tables (_Algebra) and the
+    # flat entries of the matrices a term applies whole (_flat_map) are
+    # built on the first call over a structure and kept: a second call
+    # over the same structure, or a second Complex, builds none
     p = golden_pair()
     rp = RegularPair(p.algebra, p.D)
     mod = regular_module(rp)
@@ -586,50 +645,62 @@ def test_cocycle_checks_build_the_structure_tables_once(monkeypatch):
     shift = coboundary_cocycle(rp, mod, Matrix(2, 2, [[1, 0], [3, -1]]))
     c2 = ExtensionCocycle(p.dims, c1.theta + shift.theta, c1.xi + shift.xi)
 
-    views, tables, checks = [0], [0], [0]
-    real_view_init, real_coboundary = IntView.__init__, Complex.coboundary
+    views, tables, flats, checks = [0], [0], [0], [0]
+    real_view_init, real_table, real_coboundary = IntView.__init__, IntView.table, Complex.coboundary
     real_algebra = prelieder.cohomology._Algebra
 
     def view_init(self, parts):
         views[0] += 1
         real_view_init(self, parts)
 
+    def table(self, scale, build=None):
+        kept = len(self._tables)
+        out = real_table(self, scale, build)
+        flats[0] += build is prelieder.cohomology._flat and len(self._tables) > kept
+        return out
+
     class CountedAlgebra(real_algebra):
-        def __init__(self, products, dim):
+        def __init__(self, products):
             tables[0] += 1
-            super().__init__(products, dim)
+            super().__init__(products)
 
     def coboundary(cx, n, blocks):
         checks[0] += n == 2
         return real_coboundary(cx, n, blocks)
 
     monkeypatch.setattr(IntView, "__init__", view_init)
+    monkeypatch.setattr(IntView, "table", table)
     monkeypatch.setattr(prelieder.cohomology, "_Algebra", CountedAlgebra)
     monkeypatch.setattr(Complex, "coboundary", coboundary)
 
     def counts(run):
-        views[0] = tables[0] = checks[0] = 0
+        views[0] = tables[0] = flats[0] = checks[0] = 0
         run()
-        return views[0], tables[0], checks[0]
+        return views[0], tables[0], flats[0], checks[0]
 
     # fresh structures, equal to the ones the inputs were made over: six
     # leaves each, the algebra, rho and mu (two matrices each) and D for
     # the pair; the algebra, D (which is also K), rho_t and mu_t for the
+    # module complex. Five matrices each are applied whole, so five flat
+    # tables: rho, mu and D in the pair complex, rho_t, mu_t and K in the
     # module complex. classify runs over the structures build_extension
     # has viewed
     q = golden_pair()
     rq = RegularPair(shift_algebra(), Matrix(2, 2, [[0, 0], [0, 1]]))
     mq = regular_module(rq)
     cases = [
-        (lambda: same_cohomology_class(q, d, zero), (6, 1, 2)),
-        (lambda: build_extension(rq, mq, c1), (6, 1, 1)),
-        (lambda: classify(rq, mq, c1, c2), (0, 0, 2)),
+        (lambda: same_cohomology_class(q, d, zero), (6, 1, 5, 2)),
+        (lambda: build_extension(rq, mq, c1), (6, 1, 5, 1)),
+        (lambda: classify(rq, mq, c1, c2), (0, 0, 0, 2)),
     ]
     for run, first in cases:
         assert counts(run) == first
-        assert counts(run) == (0, 0, first[2])
+        assert counts(run) == (0, 0, 0, first[3])
     for cid, data in (("pair", q), ("prelie", q), ("coeffs", q), ("rep", (rq, mq))):
-        assert counts(lambda: Complex(cid, data).cohomology_dim(2)) == (0, 0, 0), cid
+        assert counts(lambda: Complex(cid, data).cohomology_dim(2)) == (0, 0, 0, 0), cid
+    # the regular complex over the module's base pair reads the same
+    # leaves: the flat table of D at this scale is the one K = D built
+    assert counts(lambda: Complex("regular", rq).cohomology_dim(2)) == (0, 0, 0, 0)
 
 
 def test_structures_refuse_writes_and_build_no_view_until_used():
