@@ -25,16 +25,22 @@ basis key it lists which input value is read (block, arguments, tail)
 and the linear map applied to it. Every entry of a differential is a
 sum of signs times one structure constant each, so it is linear in the
 constants. The generators read the constants times L, the lcm of their
-denominators, as ints. Neither L nor the int tables are computed here:
-each leaf of the structure data (the PreLieAlgebra and every Matrix:
-rho, mu, D, K) keeps an IntView, built on its first use, with its
-nonzero constants and their own L, and the int tables read off them
-(_Algebra for the algebra, the sparse columns of a matrix) for each
-scale asked for. A complex's L (_scale) is the lcm of its leaves' L's,
-and its tables come from the leaves' views at that L, rescaled from the
-nonzeros alone where it differs from a leaf's own; every complex over
-one structure shares them. One engine reads the generators: _assemble
-scatters the terms into columns, which gives L times a differential in
+denominators, as ints. A map a term applies whole (L_x, R_x, rho(x),
+mu(x), D, K, and x -> rho(x) u or mu(x) u) is read as its flat entries,
+the nonzero (column, row, entry) triples, and a term is yielded only
+when its map is nonzero; a single column (a product e_i.e_j, rho(x) u,
+D x) is read as its nonzero (index, entry) pairs. Neither L nor the int
+tables are computed here: each leaf of the structure data (the
+PreLieAlgebra and every Matrix: rho, mu, D, K) keeps an IntView, built
+on its first use, with its nonzero constants and their own L, and the
+int tables read off them (_Algebra for the algebra, the columns and the
+flat entries of a matrix) for each scale asked for. A complex's L
+(_scale) is the lcm of its leaves' L's, and its tables come from the
+leaves' views at that L, rescaled from the nonzeros alone where it
+differs from a leaf's own; every complex over one structure shares
+them. Only the maps x -> act(x) u cross leaves, so each Complex builds
+those (_Action). One engine reads the generators: _assemble scatters
+the terms' entries into columns, which gives L times a differential in
 a single pass as sparse integer rows {column: int}, in plain int
 arithmetic. Sparse rows are the one form of a differential: ranks, and
 so cohomology_dim, come from the forward phase of the elimination
@@ -877,13 +883,14 @@ class Complex:
     constants the complex reads, taken from the views kept on the
     algebra and matrices of its structure data, as are the int tables
     its term generators read: a second Complex over the same structure
-    rebuilds neither. Each rank is read off the forward phase
-    of an elimination of a copy of those rows, once per degree and kept;
-    cocycle bases come off the reduced rows of both phases, and
-    preimages off those of the rows augmented by L times the right-hand
-    side. Coboundaries are sparse products over L. C^n is the zero space
-    for n < 1. Cochains go in and out as lists of blocks in the layout
-    order, so callers never handle coordinates.
+    rebuilds neither, and builds only the maps x -> act(x) u that cross
+    the matrices of an action (_Action). Each rank is read off the
+    forward phase of an elimination of a copy of those rows, once per
+    degree and kept; cocycle bases come off the reduced rows of both
+    phases, and preimages off those of the rows augmented by L times the
+    right-hand side. Coboundaries are sparse products over L. C^n is the
+    zero space for n < 1. Cochains go in and out as lists of blocks in
+    the layout order, so callers never handle coordinates.
     """
 
     def __init__(self, complex_id: str, data):
