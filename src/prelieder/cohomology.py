@@ -41,16 +41,22 @@ differs from a leaf's own; every complex over one structure shares
 them. Only the maps x -> act(x) u cross leaves, so each Complex builds
 those (_Action). One engine reads the generators: _assemble scatters
 the terms' entries into columns, which gives L times a differential in
-a single pass as sparse integer rows {column: int}, in plain int
-arithmetic. Sparse rows are the one form of a differential: ranks, and
-so cohomology_dim, come from the forward phase of the elimination
-kernel on them, and cocycle bases from its reduced rows, neither of
-which a nonzero factor changes; preimages
-solve against the right-hand side times L; coboundaries, the
-cochain-level operators (huaD and the pieces partial, delta, omega,
-d_coeff) and the LES maps are sparse products, divided by L where the
-value itself is returned. A dense Matrix of d_n is built only when
-asked for (differential_matrix).
+a single pass as sparse integer columns {row: int}, in plain int
+arithmetic. Ranks, and so cohomology_dim, come from the forward phase
+of the elimination kernel on those columns, which a nonzero factor does
+not change. It gives rank d_n and an echelon basis of B^(n+1), kept per
+degree; once the basis of B^n is kept, rank d_n eliminates only the
+columns of d_n outside its leading coordinates, which span a complement
+of B^n, on which d_n vanishes. So the ranks are exact only where
+d² = 0: for complexes over a valid pair, regular pair and module, as
+the CLI checks before it ranks anything. Every other reader takes the
+rows, transposed from the columns in one place (_transpose): cocycle
+bases come from the kernel's reduced rows, preimages solve against the
+right-hand side times L, and coboundaries, the cochain-level operators
+(huaD and the pieces partial, delta, omega, d_coeff) and the LES maps
+are sparse products, divided by L where the value itself is returned.
+A dense Matrix of d_n is built only when asked for
+(differential_matrix).
 
 The component shapes with a negative wedge size are zero spaces, which
 makes the degree-1 special cases of every complex come out of the
@@ -81,7 +87,7 @@ from .cochain import (
     mixed_space_dim,
     theta_component,
 )
-from .exact_linalg import Matrix, sparse_kernel, sparse_matvec, sparse_rank, sparse_solve, zero_vec
+from .exact_linalg import Matrix, sparse_echelon, sparse_kernel, sparse_matvec, sparse_solve, zero_vec
 from .linfty import LElement
 from .mn_bracket import mn_bracket
 from .prelie import (
@@ -207,7 +213,7 @@ def _apply(name: str, dims: SplitDims, maps, specs, scale: int, terms) -> list:
     if any(m.dims != dims for m in maps):
         raise ValueError(f"{name} cochain blocks are not over {dims}")
     out = [spec + (t,) for spec, t in zip(specs, terms)]
-    rows = _assemble(dims, [(m.shape, m.target) for m in maps], out)[0]
+    rows = _transpose(*_assemble(dims, [(m.shape, m.target) for m in maps], out))
     return _unflatten(dims, specs, _unscale(sparse_matvec(rows, _flatten(maps)), scale))
 
 
@@ -217,7 +223,7 @@ def _unscale(vec, scale: int):
 
 
 def _assemble(dims: SplitDims, in_specs, out_blocks):
-    """Sparse rows of a term-defined linear map, built in one pass.
+    """Sparse columns of a term-defined linear map, built in one pass.
 
     in_specs lists the (shape, target) input blocks; out_blocks lists
     (shape, target, terms) per output block. Each term of each output
@@ -225,9 +231,10 @@ def _assemble(dims: SplitDims, in_specs, out_blocks):
     elements it reads: a term without a map into one column per target
     coordinate, a term with a map one entry per flat entry of the map, so
     the cost is rows times the terms' entries, not that times the number
-    of columns. Returns (rows, ncols) with each row a {column: int} dict
-    when the terms read int constants, as every generator here does;
-    entries that cancel are dropped.
+    of columns. Returns (columns, nrows) with each column a {row: int}
+    dict when the terms read int constants, as every generator here does;
+    entries that cancel are dropped. Ranks read the columns as they are
+    (Complex._image); every other reader takes the rows (_transpose).
 
     A term with a map must have a sign for c: any other c would make the
     entry quadratic in the constants, which scaling them by L would scale
@@ -246,11 +253,11 @@ def _assemble(dims: SplitDims, in_specs, out_blocks):
     # (g_args, v_args) -> (sign, sorted g_args, sorted v_args); the same
     # argument tuples recur across output keys and terms
     normal = {}
-    rows = []
+    columns = [{} for _ in range(ncols)]
+    i = 0  # the row of the output key's first target coordinate
     for shape, target, terms in out_blocks:
         out = MixedMap(dims, shape, target)
         for key in out.basis_keys():
-            block = [{} for _ in range(out.target_dim)]
             for src, g_args, v_args, tail, c, cols in terms(key):
                 if cols is not None and c != 1 and c != -1:
                     raise RuntimeError(f"a term with a column map has coefficient {c}, not a sign")
@@ -271,28 +278,39 @@ def _assemble(dims: SplitDims, in_specs, out_blocks):
                 j0 = first[(gt, vt, tail)]
                 if cols is None:
                     for a in range(sdim):
-                        _scatter(block[a], j0 + a, c)
+                        _scatter(columns[j0 + a], i + a, c)
                 elif c == 1:
                     for a, r, y in cols:
-                        _scatter(block[r], j0 + a, y)
+                        _scatter(columns[j0 + a], i + r, y)
                 else:
                     for a, r, y in cols:
-                        _scatter(block[r], j0 + a, -y)
-            rows.extend(block)
-    return rows, ncols
+                        _scatter(columns[j0 + a], i + r, -y)
+            i += out.target_dim
+    return columns, i
 
 
-def _scatter(row: dict, j: int, x) -> None:
-    """row[j] += x on a sparse row, dropping the entry if it cancels."""
-    y = row.get(j)
+def _scatter(vec: dict, k: int, x) -> None:
+    """vec[k] += x on a sparse vector, dropping the entry if it cancels."""
+    y = vec.get(k)
     if y is None:
-        row[j] = x
+        vec[k] = x
     else:
         y += x
         if y:
-            row[j] = y
+            vec[k] = y
         else:
-            del row[j]
+            del vec[k]
+
+
+def _transpose(vectors, length: int) -> list:
+    """The sparse vectors as the rows of the transpose of their matrix:
+    length dicts, the k-th holding entry x at j where vectors[j][k] = x.
+    The one place a differential changes between columns and rows."""
+    out = [{} for _ in range(length)]
+    for j, vec in enumerate(vectors):
+        for k, x in vec.items():
+            out[k][j] = x
+    return out
 
 
 def _sum_terms(*gens):
@@ -878,19 +896,23 @@ class Complex:
     """One cochain complex (complex id, structure data), memoized by degree.
 
     It holds the block layout of each C^n and assembles each d_n at most
-    once, as the sparse integer rows of L d_n, the one form of d_n it
-    keeps; L (_scale) is the lcm of the denominators of the structure
-    constants the complex reads, taken from the views kept on the
-    algebra and matrices of its structure data, as are the int tables
-    its term generators read: a second Complex over the same structure
-    rebuilds neither, and builds only the maps x -> act(x) u that cross
-    the matrices of an action (_Action). Each rank is read off the
-    forward phase of an elimination of a copy of those rows, once per
-    degree and kept; cocycle bases come off the reduced rows of both
-    phases, and preimages off those of the rows augmented by L times the
-    right-hand side. Coboundaries are sparse products over L. C^n is the
-    zero space for n < 1. Cochains go in and out as lists of blocks in
-    the layout order, so callers never handle coordinates.
+    once, as the sparse integer columns of L d_n, and transposes them to
+    rows at most once, for the readers that need rows; L (_scale) is the
+    lcm of the denominators of the structure constants the complex
+    reads, taken from the views kept on the algebra and matrices of its
+    structure data, as are the int tables its term generators read: a
+    second Complex over the same structure rebuilds neither, and builds
+    only the maps x -> act(x) u that cross the matrices of an action
+    (_Action). Each rank d_n is read off the forward phase of the kernel
+    on the columns, which gives an echelon basis of B^(n+1), kept per
+    degree (_image); once the basis of B^n is kept, only the columns of
+    d_n outside its leading coordinates are eliminated. That cut is exact
+    only where d² = 0, as it is for every valid pair, regular pair and
+    module. Cocycle bases come off the reduced rows of both phases, and
+    preimages off those of the rows augmented by L times the right-hand
+    side. Coboundaries are sparse products over L. C^n is the zero space
+    for n < 1. Cochains go in and out as lists of blocks in the layout
+    order, so callers never handle coordinates.
     """
 
     def __init__(self, complex_id: str, data):
@@ -899,7 +921,8 @@ class Complex:
         self.dims = kind.dims(data)
         self._scale, self._terms = kind.terms(data)
         self._sparse = {}
-        self._ranks = {}
+        self._transposed = {}
+        self._images = {}
 
     def specs(self, n: int):
         return self._kind.specs(n)
@@ -907,12 +930,19 @@ class Complex:
     def dim(self, n: int) -> int:
         return _space_dim(self.dims, self.specs(n))
 
-    def _rows(self, n: int):
-        """(rows, ncols) of L d: C^n -> C^(n+1), rows as {column: int}."""
+    def _cols(self, n: int):
+        """(columns, nrows) of L d: C^n -> C^(n+1), columns as {row: int}."""
         if n not in self._sparse:
             out = [spec + (terms,) for spec, terms in zip(self.specs(n + 1), self._terms)]
             self._sparse[n] = _assemble(self.dims, self.specs(n), out)
         return self._sparse[n]
+
+    def _rows(self, n: int):
+        """(rows, ncols) of L d: C^n -> C^(n+1), rows as {column: int}."""
+        if n not in self._transposed:
+            columns, nrows = self._cols(n)
+            self._transposed[n] = _transpose(columns, nrows), len(columns)
+        return self._transposed[n]
 
     def _coords(self, n: int, blocks) -> list:
         """Coordinates of the cochain with the given blocks, checked to lie in C^n."""
@@ -939,12 +969,32 @@ class Complex:
         x = sparse_solve(*self._rows(n - 1), y)
         return None if x is None else _unflatten(self.dims, self.specs(n - 1), x)
 
-    def rank(self, n: int) -> int:
+    def _image(self, n: int):
+        """(P, basis): an echelon basis of B^(n+1), the image of d_n, with
+        leading coordinates P, from the forward phase of the kernel on the
+        columns of L d_n (the rows of its transpose), kept per degree.
+
+        When the basis of B^n is kept, only the columns of d_n outside its
+        leading coordinates are eliminated. Those coordinates span a
+        complement of B^n, and d_n vanishes on B^n because d_n d_(n-1) = 0,
+        so they have the same image. The cut is exact only where d² = 0.
+        """
         if n < 1:
-            return 0
-        if n not in self._ranks:
-            self._ranks[n] = sparse_rank(*self._rows(n))
-        return self._ranks[n]
+            return (), ()
+        out = self._images.get(n)
+        if out is None:
+            columns, nrows = self._cols(n)
+            below = self._images.get(n - 1)
+            if below:
+                cut = set(below[0])
+                columns = [col for j, col in enumerate(columns) if j not in cut]
+            out = self._images[n] = sparse_echelon(columns, nrows)
+        return out
+
+    def rank(self, n: int) -> int:
+        """rank d_n, read off the kept basis of B^(n+1) (_image); exact
+        only where d² = 0, as the cut by B^n assumes it."""
+        return len(self._image(n)[0])
 
     def cocycle_basis(self, n: int) -> list:
         """A basis of Z^n, each cocycle as its blocks; L d_n has the same
@@ -954,8 +1004,10 @@ class Complex:
         return [_unflatten(self.dims, self.specs(n), v) for v in sparse_kernel(*self._rows(n))]
 
     def cohomology_dim(self, n: int):
-        z = self.dim(n) - self.rank(n)
+        """(z, b, h) at degree n. rank d_(n-1) comes first, so that
+        rank d_n is cut by the basis of B^n; exact only where d² = 0."""
         b = self.rank(n - 1)
+        z = self.dim(n) - self.rank(n)
         return z, b, z - b
 
 
@@ -965,7 +1017,10 @@ def differential_matrix(complex_id: str, n: int, data) -> Matrix:
 
 
 def cohomology_dim(complex_id: str, n: int, data):
-    """(z, b, h): cocycle, coboundary and cohomology dimensions at degree n."""
+    """(z, b, h): cocycle, coboundary and cohomology dimensions at degree n.
+
+    Exact only where d² = 0, that is for valid structure data: rank d_n
+    is cut by the basis of B^n (Complex.rank)."""
     if n < 1:
         raise ValueError(f"cohomology degree must be at least 1, got {n}")
     return Complex(complex_id, data).cohomology_dim(n)
@@ -978,18 +1033,14 @@ def cohomology_dim(complex_id: str, n: int, data):
 def _induced_rank(cx: Complex, n: int, images) -> int:
     """Rank of the map a set of n-cocycles spans in H^n(cx).
 
-    That is dim(span(images) + B^n) - dim B^n, one elimination of the
-    columns of d_(n-1) together with the images. The columns are those
-    of L d_(n-1), which span B^n as well, and images may come with any
-    nonzero factor: the rank is the same.
+    That is dim(span(images) + B^n) - dim B^n, one forward elimination
+    of the images together with the kept echelon basis of B^n
+    (Complex._image). images may come with any nonzero factor: the rank
+    is the same.
     """
-    rows, ncols = cx._rows(n - 1)
-    columns = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            columns[j][i] = x
-    columns.extend(dict(enumerate(v)) for v in images)
-    return sparse_rank(columns, cx.dim(n)) - cx.rank(n - 1)
+    b = cx.rank(n - 1)
+    basis = cx._image(n - 1)[1]
+    return len(sparse_echelon([*basis, *(dict(enumerate(v)) for v in images)], cx.dim(n))[0]) - b
 
 
 def les_check(p: DerPair, n_max: int) -> dict:

@@ -13,7 +13,8 @@ and only lose their content), and every step combines two integer
 rows and divides the content out again, so coefficients stay as small
 as the rows' own proportions allow and no Fraction arithmetic runs. It
 has two phases: _forward picks the pivots and clears below them, _back
-clears above them. Ranks need only the forward phase (`sparse_rank`);
+clears above them. Ranks and echelon bases need only the forward phase
+(`sparse_rank`, `sparse_echelon`);
 kernels and particular solutions (`sparse_kernel`, `sparse_solve`) and
 the R of `rref` are read off the reduced rows of both phases, the only
 place Fractions are built: each entry over its row's pivot entry.
@@ -264,16 +265,18 @@ def _copy(rows) -> list:
     """Primitive integer copies of the rows, empty ones left out.
 
     Entries may be int or Fraction, zeros included. A row of ints, as
-    the differentials are assembled, is only divided by its content;
-    any other row is first cleared of its denominators (times their
-    lcm). Neither changes its span or its nonzero pattern.
+    the differentials are assembled, is only divided by its content:
+    copied whole when it holds no zero, as assembled rows never do; any
+    other row is first cleared of its denominators (times their lcm).
+    Neither changes its span or its nonzero pattern.
     """
     out = []
     for row in rows:
         if not row:
             continue
-        if _INT.issuperset(map(type, row.values())):  # checked in C
-            row = {k: x for k, x in row.items() if x}
+        values = row.values()
+        if _INT.issuperset(map(type, values)):  # both checked in C
+            row = dict(row) if 0 not in values else {k: x for k, x in row.items() if x}
         else:
             ratios = [x.as_integer_ratio() for x in row.values()]
             den = lcm(*[d for _, d in ratios])
@@ -380,7 +383,17 @@ def _reduce(todo: list, cols: int):
 
 def rank(m: Matrix) -> int:
     """Rank of m, from the forward phase alone."""
-    return len(_forward(_copy(_sparse_rows(m)), m.cols)[0])
+    return sparse_rank(_sparse_rows(m), m.cols)
+
+
+def sparse_echelon(rows, cols: int):
+    """(pivots, reduced) of the forward phase (_forward) on the matrix with
+    the given {column: entry} rows and cols columns: the reduced rows are
+    an echelon basis of the row space, reduced[i] with leading column
+    pivots[i] and integer entries. The rows are copied, not consumed;
+    zero entries may be present.
+    """
+    return _forward(_copy(rows), cols)
 
 
 def sparse_rank(rows, cols: int) -> int:
@@ -388,7 +401,7 @@ def sparse_rank(rows, cols: int) -> int:
 
     The rows are copied, not consumed; zero entries may be present.
     """
-    return len(_forward(_copy(rows), cols)[0])
+    return len(sparse_echelon(rows, cols)[0])
 
 
 def sparse_kernel(rows, cols: int) -> list:

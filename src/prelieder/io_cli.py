@@ -569,7 +569,8 @@ class CliError(Exception):
 
 # The largest dim C^k a cohomology or les command may need. Every degree of
 # a dense (4,4) pair (608 at most) fits; a dense (5,5) pair from degree 2
-# on (dim C^3 = 1250) takes minutes to rank and is refused.
+# on (dim C^3 = 1250) is refused. The value was set when such ranks took
+# minutes; a new one needs its own measurements.
 MAX_COCHAIN_DIM = 1000
 
 

@@ -57,7 +57,7 @@ from prelieder.cohomology import (
     partial,
     partial_bracket,
 )
-from prelieder.exact_linalg import IntView
+from prelieder.exact_linalg import IntView, sparse_rank
 from prelieder.prelie import regular_representation
 
 from conftest import (
@@ -432,6 +432,56 @@ def test_cohomology_ranks_match_sympy(pair_corpus, regular_corpus):
             assert h == z - b
 
 
+def _top(cx: Complex) -> int:
+    """The first degree n with C^n the zero space."""
+    n = 1
+    while cx.dim(n):
+        n += 1
+    return n
+
+
+def test_ranks_do_not_depend_on_the_degree_order(pair_corpus, regular_corpus):
+    # rank d_n cuts the columns of d_n by the basis of B^n when that basis is
+    # kept, so which ranks are cut depends on the order of the calls; the
+    # ranks must not. Ascending, descending and shuffled orders, through
+    # cohomology_dim and through rank alone, each on a fresh Complex, against
+    # the kernel and rank_mod_p on the full rows of d_n
+    shuffle = Random(71)
+    cases = [(cid, p) for p in pair_corpus for cid in ("coeffs", "prelie", "pair")]
+    for rp in regular_corpus:
+        cases += [("regular", rp), ("rep", (rp, regular_module(rp)))]
+    for cid, data in cases:
+        full = Complex(cid, data)
+        degrees = list(range(1, _top(full)))
+        ranks = {0: 0}
+        for n in degrees:
+            ranks[n] = sparse_rank(*full._rows(n))
+            assert ranks[n] == rank_mod_p(*full._rows(n)), (cid, n)
+        shuffled = shuffle.sample(degrees, len(degrees))
+        for order in (degrees, degrees[::-1], shuffled):
+            cx = Complex(cid, data)
+            for n in order:
+                z = cx.dim(n) - ranks[n]
+                assert cx.cohomology_dim(n) == (z, ranks[n - 1], z - ranks[n - 1]), (cid, order, n)
+            cx = Complex(cid, data)
+            assert [cx.rank(n) for n in order] == [ranks[n] for n in order], (cid, order)
+
+
+def test_the_cut_needs_d_squared_zero():
+    # the shift algebra with e1.e1 = e1 added is not pre-Lie, so d² != 0 in
+    # every complex over it; the ranks cut by the basis of B^n then differ
+    # from those of the full rows at degree 2. The CLI refuses such input
+    # before it ranks anything (test_io_cli)
+    a = PreLieAlgebra(2, [[[0, 0], [0, 1]], [[0, 0], [0, 1]]])
+    rp = RegularPair(a, Matrix(2, 2, [[0, 0], [0, 1]]))
+    p = rp.to_derpair()
+    for cid, data in (("coeffs", p), ("prelie", p), ("pair", p), ("regular", rp), ("rep", (rp, regular_module(rp)))):
+        cx = Complex(cid, data)
+        assert not _d_squared_is_zero(cx, 1), cid
+        assert cx.rank(1) == sparse_rank(*cx._rows(1)), cid
+        assert cx.rank(2) < sparse_rank(*cx._rows(2)), cid
+
+
 # zeros as int and as Fraction, small rationals and wide entries
 table_entries = st.one_of(
     st.sampled_from([0, Fraction(0), 1, -1]),
@@ -577,9 +627,10 @@ def test_cohomology_dim_builds_no_dense_matrix(pair_corpus, regular_corpus, monk
 
 def test_les_check_ranks_each_differential_once(pair_corpus, monkeypatch):
     # Complex.rank runs the kernel once per (complex, degree); les_check asks
-    # for the same ranks again from cohomology_dim and _induced_rank
+    # for the same ranks again from cohomology_dim and _induced_rank, which
+    # reduces its images against the kept basis of B^n
     requested, kernel_calls, rank_calls, inside = set(), [0], [0], [False]
-    real_rank, real_sparse = Complex.rank, prelieder.cohomology.sparse_rank
+    real_rank, real_echelon = Complex.rank, prelieder.cohomology.sparse_echelon
 
     def rank(self, n):
         rank_calls[0] += 1
@@ -591,14 +642,14 @@ def test_les_check_ranks_each_differential_once(pair_corpus, monkeypatch):
         finally:
             inside.pop()
 
-    def sparse_rank(rows, cols):
+    def sparse_echelon(rows, cols):
         kernel_calls[0] += inside[-1]
-        return real_sparse(rows, cols)
+        return real_echelon(rows, cols)
 
     p = next(p for p in pair_corpus if (p.dims.dim_g, p.dims.dim_v) == (3, 2))
     want = les_check(p, 3)
     monkeypatch.setattr(Complex, "rank", rank)
-    monkeypatch.setattr(prelieder.cohomology, "sparse_rank", sparse_rank)
+    monkeypatch.setattr(prelieder.cohomology, "sparse_echelon", sparse_echelon)
     assert les_check(p, 3) == want
     assert kernel_calls[0] == len(requested) > 0
     assert rank_calls[0] > 2 * kernel_calls[0]
@@ -928,6 +979,40 @@ def test_dense_5_2_pair_complex_within_budget():
     for n in degrees:
         assert _int_rows(cx, n), n
         assert cx.rank(n) == rank_mod_p(*cx._rows(n)), n
+        assert _d_squared_is_zero(cx, n), n
+
+
+def test_dense_5_5_pair_complex_within_budget():
+    # the (5,5) pair: tri+shift with its regular module, under integer
+    # unipotent basis changes; dim C^n = 50, 400, 1250, 2000, 1750, 800, 150.
+    # Every degree runs through one Complex: each rank d_n eliminates only
+    # the columns of d_n outside the leading coordinates of B^n
+    rng = Random(1)
+    a = direct_sum(triangular_algebra(), shift_algebra())
+    reg = regular_representation(a)
+    sparse = DerPair(a, reg, random_derivation(a, reg.rho, reg.mu, 5, rng))
+    cx = Complex("pair", dense_copy(rng, sparse))
+    degrees = range(1, 8)
+    t0 = time.perf_counter()
+    zbh = [cx.cohomology_dim(n) for n in degrees]
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, f"dense (5,5) pair complex took {elapsed:.1f}s, budget 5s"
+    assert [cx.dim(n) for n in range(1, 9)] == [50, 400, 1250, 2000, 1750, 800, 150, 0]
+    # an isomorphic copy: the ranks of the full rows of the sparse original,
+    # by the kernel and mod p, give the same cohomology
+    orig = Complex("pair", sparse)
+    ranks = {0: 0}
+    for n in degrees:
+        ranks[n] = sparse_rank(*orig._rows(n))
+        assert ranks[n] == rank_mod_p(*orig._rows(n)), n
+    assert zbh == [(cx.dim(n) - ranks[n], ranks[n - 1], cx.dim(n) - ranks[n] - ranks[n - 1]) for n in degrees]
+    assert _nnz(cx, 3) > 2 * _nnz(orig, 3)
+    # the full dense rows mod p where that is cheap (degrees 3 to 5 take a
+    # minute), and d² = 0 exactly, which the cut rests on
+    for n in (1, 2, 6, 7):
+        assert cx.rank(n) == rank_mod_p(*cx._rows(n)), n
+    for n in degrees:
+        assert _int_rows(cx, n), n
         assert _d_squared_is_zero(cx, n), n
 
 

@@ -33,6 +33,7 @@ from prelieder import (
     parse_scalar,
     validate_document,
 )
+import prelieder.cohomology
 import prelieder.extension
 from prelieder import io_cli
 from prelieder.io_cli import DOCUMENTS, MAX_COCHAIN_DIM, _build_parser, emit_scalar
@@ -778,6 +779,36 @@ def test_cohomology_rep_checks_the_pair_before_the_module(monkeypatch, tmp_path,
     assert calls == []
     assert cli_run(["cohomology", corpus_path("pair_shift"), *tail]) == 0
     assert len(calls) == 1
+
+
+# one structure constant of pair_shift changed (e1.e1 = e1): the algebra is
+# no longer pre-Lie, d² != 0 in every complex over it, and ranks cut by the
+# basis of B^n come out wrong (test_the_cut_needs_d_squared_zero)
+PERTURBED_PAIR = corpus_doc("pair_shift", (("algebra", "table", 1, 1, 1), "1"))
+
+
+@pytest.mark.parametrize("cid", ["coeffs", "prelie", "pair", "regular", "rep"])
+def test_cohomology_refuses_a_perturbed_pair_before_any_rank(cid, monkeypatch, tmp_path, capsys):
+    # Complex.rank is exact only where d² = 0, so the CLI must refuse an
+    # invalid pair, exit 1, before it ranks anything
+    ranked = []
+    monkeypatch.setattr(prelieder.cohomology.Complex, "rank", lambda self, n: ranked.append(n) / 0)
+    extra = ["--rep", corpus_path("module_regular")] if cid == "rep" else []
+    argv = written(["cohomology", PERTURBED_PAIR, "--complex", cid, "--degree", "2", *extra, "--json"], tmp_path)
+    assert cli_run(argv) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+    assert ranked == []
+
+
+def test_les_refuses_a_perturbed_pair_before_any_rank(monkeypatch, tmp_path, capsys):
+    # les refuses an invalid pair as a command-level error (exit 2, as for
+    # BAD_PAIR in USAGE_ERRORS), also before it ranks anything
+    ranked = []
+    monkeypatch.setattr(prelieder.cohomology.Complex, "rank", lambda self, n: ranked.append(n) / 0)
+    argv = written(["les", PERTURBED_PAIR, "--max", "2"], tmp_path)
+    assert cli_run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {argv[1]}: not a valid pair (prelie-left-symmetry, derivation-axiom)\n")
+    assert ranked == []
 
 
 def test_cli_reports_are_deterministic():
