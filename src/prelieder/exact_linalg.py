@@ -266,8 +266,9 @@ def _copy(rows) -> list:
 
     Entries may be int or Fraction, zeros included. A row of ints, as
     the differentials are assembled, is only divided by its content:
-    copied whole when it holds no zero, as assembled rows never do; any
-    other row is first cleared of its denominators (times their lcm).
+    copied whole when it holds no zero, as an assembled differential
+    never does; any other row is first cleared of its denominators
+    (times their lcm).
     Neither changes its span or its nonzero pattern.
     """
     out = []

@@ -283,6 +283,12 @@ def test_sparse_rank_takes_explicit_zeros_and_cancelling_rows():
     # content go, and explicit zeros are no pivots either
     assert _copy([{0: 4, 1: 0, 2: -6}, {1: 0}, {}, {3: -7}]) == [{0: 2, 2: -3}, {3: -1}]
     assert sparse_rank([{0: 0, 2: 1}, {0: 0, 1: 3}, {0: 0}, {}], 3) == 2
+    # a row of nonzero ints is copied whole: the copy is divided by its
+    # content, the row the caller keeps is not
+    kept = [{0: 4, 2: -6}, {1: 5}]
+    copies = _copy(kept)
+    assert copies == [{0: 2, 2: -3}, {1: 1}]
+    assert kept == [{0: 4, 2: -6}, {1: 5}] and all(c is not r for c, r in zip(copies, kept))
 
 
 def test_shape_errors_are_value_errors():

@@ -787,12 +787,23 @@ def test_cohomology_rep_checks_the_pair_before_the_module(monkeypatch, tmp_path,
 PERTURBED_PAIR = corpus_doc("pair_shift", (("algebra", "table", 1, 1, 1), "1"))
 
 
+def refuse_ranks(monkeypatch) -> list:
+    """Patch Complex.rank to record its degree and raise; the records."""
+    ranked = []
+
+    def rank(self, n):
+        ranked.append(n)
+        raise AssertionError("ranked an invalid pair")
+
+    monkeypatch.setattr(prelieder.cohomology.Complex, "rank", rank)
+    return ranked
+
+
 @pytest.mark.parametrize("cid", ["coeffs", "prelie", "pair", "regular", "rep"])
 def test_cohomology_refuses_a_perturbed_pair_before_any_rank(cid, monkeypatch, tmp_path, capsys):
     # Complex.rank is exact only where d² = 0, so the CLI must refuse an
     # invalid pair, exit 1, before it ranks anything
-    ranked = []
-    monkeypatch.setattr(prelieder.cohomology.Complex, "rank", lambda self, n: ranked.append(n) / 0)
+    ranked = refuse_ranks(monkeypatch)
     extra = ["--rep", corpus_path("module_regular")] if cid == "rep" else []
     argv = written(["cohomology", PERTURBED_PAIR, "--complex", cid, "--degree", "2", *extra, "--json"], tmp_path)
     assert cli_run(argv) == 1
@@ -803,8 +814,7 @@ def test_cohomology_refuses_a_perturbed_pair_before_any_rank(cid, monkeypatch, t
 def test_les_refuses_a_perturbed_pair_before_any_rank(monkeypatch, tmp_path, capsys):
     # les refuses an invalid pair as a command-level error (exit 2, as for
     # BAD_PAIR in USAGE_ERRORS), also before it ranks anything
-    ranked = []
-    monkeypatch.setattr(prelieder.cohomology.Complex, "rank", lambda self, n: ranked.append(n) / 0)
+    ranked = refuse_ranks(monkeypatch)
     argv = written(["les", PERTURBED_PAIR, "--max", "2"], tmp_path)
     assert cli_run(argv) == 2
     assert capsys.readouterr() == ("", f"error: {argv[1]}: not a valid pair (prelie-left-symmetry, derivation-axiom)\n")
