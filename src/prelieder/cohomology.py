@@ -68,11 +68,19 @@ C^n and the term generators of d. Complex, space_dimension and
 differential_matrix read it, and Complex.coboundary, preimage and
 cocycle_basis take and return cochains as lists of blocks, so no other
 module handles coordinates.
+
+The coordinates of one block, its basis keys in enumerate_basis order
+and the offset of each key, depend on (dims, shape, target) alone. _block
+builds them once per process, and _assemble, _flatten and _unflatten
+read them from there. That cache holds only keys and ints, never
+structure data, so the blocks that complexes of one dims share are laid
+out once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import isqrt, lcm
 from operator import add, attrgetter, sub
@@ -205,6 +213,23 @@ class _Action:
 # map. The generators read the constants as ints.
 
 
+@cache
+def _block(dims: SplitDims, shape: MixedShape, target: str):
+    """The coordinate layout of the block (shape, target) over dims:
+    (keys, offsets, target_dim), with keys its basis keys in
+    enumerate_basis order and offsets[key] the offset of key's first
+    coordinate in the block, its index times target_dim.
+
+    A layout depends on dims, shape and target alone, never on structure
+    constants, so one is built per process and shared by every complex,
+    assembly, _flatten and _unflatten over those dims. The cache holds
+    only these keys and ints; offsets is shared and never written."""
+    m = MixedMap(dims, shape, target)
+    keys = tuple(m.basis_keys())
+    tdim = m.target_dim
+    return keys, {key: i * tdim for i, key in enumerate(keys)}, tdim
+
+
 def _apply(name: str, dims: SplitDims, maps, specs, scale: int, terms) -> list:
     """The output blocks, laid out as specs, of the term generators
     terms (one per block, reading the constants times scale) at the
@@ -236,32 +261,35 @@ def _assemble(dims: SplitDims, in_specs, out_blocks):
     entries that cancel are dropped. Ranks read the columns as they are
     (Complex._image); every other reader takes the rows (_transpose).
 
+    The output keys, and each input key's column (its block's first
+    column plus its offset), come from the layouts of _block, kept per
+    process and holding no structure data. The signs and sorted tuples of
+    the wedge arguments the terms read are looked up in a dict built per
+    call.
+
     A term with a map must have a sign for c: any other c would make the
     entry quadratic in the constants, which scaling them by L would scale
     by L^2, so the rows of L d would be wrong and so every rank read off
     them. Every such term is checked, and a RuntimeError raised.
     """
-    index = []
+    index = []  # per input block: (its first column, _block offsets, target dim)
     ncols = 0
     for shape, target in in_specs:
-        m = MixedMap(dims, shape, target)
-        first = {}
-        for key in m.basis_keys():
-            first[key] = ncols
-            ncols += m.target_dim
-        index.append((first, m.target_dim))
+        keys, offsets, sdim = _block(dims, shape, target)
+        index.append((ncols, offsets, sdim))
+        ncols += len(keys) * sdim
     # (g_args, v_args) -> (sign, sorted g_args, sorted v_args); the same
     # argument tuples recur across output keys and terms
     normal = {}
     columns = [{} for _ in range(ncols)]
     i = 0  # the row of the output key's first target coordinate
     for shape, target, terms in out_blocks:
-        out = MixedMap(dims, shape, target)
-        for key in out.basis_keys():
+        keys, _, tdim = _block(dims, shape, target)
+        for key in keys:
             for src, g_args, v_args, tail, c, cols in terms(key):
                 if cols is not None and c != 1 and c != -1:
                     raise RuntimeError(f"a term with a column map has coefficient {c}, not a sign")
-                first, sdim = index[src]
+                base, first, sdim = index[src]
                 if not first:  # zero space
                     continue
                 args = (g_args, v_args)
@@ -275,7 +303,7 @@ def _assemble(dims: SplitDims, in_specs, out_blocks):
                     continue
                 if sign < 0:
                     c = -c
-                j0 = first[(gt, vt, tail)]
+                j0 = base + first[(gt, vt, tail)]
                 if cols is None:
                     for a in range(sdim):
                         _scatter(columns[j0 + a], i + a, c)
@@ -285,7 +313,7 @@ def _assemble(dims: SplitDims, in_specs, out_blocks):
                 else:
                     for a, r, y in cols:
                         _scatter(columns[j0 + a], i + r, -y)
-            i += out.target_dim
+            i += tdim
     return columns, i
 
 
@@ -868,27 +896,28 @@ def space_dimension(complex_id: str, n: int, data) -> int:
 def _flatten(maps) -> list:
     coords = []
     for m in maps:
-        for key in m.basis_keys():
-            val = m.coeffs.get(key)
-            coords.extend(val if val is not None else zero_vec(m.target_dim))
+        keys, _, tdim = _block(m.dims, m.shape, m.target)
+        get, zero = m.coeffs.get, zero_vec(tdim)
+        for key in keys:
+            coords.extend(get(key, zero))
     return coords
 
 
 def _unflatten(dims: SplitDims, specs, vec):
+    layout = [_block(dims, shape, target) for shape, target in specs]
+    total = sum(len(keys) * tdim for keys, _, tdim in layout)
+    if len(vec) != total:
+        raise RuntimeError(f"{len(vec)} coordinates for a layout of {total}")
     maps = []
     pos = 0
-    for shape, target in specs:
-        m = MixedMap(dims, shape, target)
-        tdim = m.target_dim
+    for (shape, target), (keys, _, tdim) in zip(specs, layout):
         coeffs = {}
-        for key in m.basis_keys():
+        for key in keys:
             chunk = tuple(vec[pos : pos + tdim])
             pos += tdim
             if any(x != 0 for x in chunk):
                 coeffs[key] = chunk
         maps.append(MixedMap(dims, shape, target, coeffs))
-    if pos != len(vec):
-        raise RuntimeError(f"{len(vec)} coordinates for a layout of {pos}")
     return maps
 
 
