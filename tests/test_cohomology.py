@@ -1,4 +1,6 @@
+import gc
 import time
+import weakref
 from fractions import Fraction
 from math import gcd
 from random import Random
@@ -40,14 +42,17 @@ from prelieder import (
 )
 from prelieder.cochain import MixedShape, SplitDims
 from prelieder.cohomology import (
+    COMPLEXES,
     Complex,
     _Action,
     _algebra,
     _assemble,
+    _block,
     _columns,
     _flat_map,
     _flatten,
     _scale,
+    _unflatten,
     d_coeff,
     d_prelie,
     d_regular,
@@ -752,6 +757,99 @@ def test_cocycle_checks_build_the_structure_tables_once(monkeypatch):
     # the regular complex over the module's base pair reads the same
     # leaves: the flat table of D at this scale is the one K = D built
     assert counts(lambda: Complex("regular", rq).cohomology_dim(2)) == (0, 0, 0, 0)
+
+
+def zero_structure(cid, dims):
+    """Structure data with zero constants whose complex cid is over dims
+    (over (dim g, dim g) for the regular complex)."""
+    dg, dv = dims.dim_g, dims.dim_v
+    a = abelian_algebra(dg)
+    if cid in ("coeffs", "prelie", "pair"):
+        return DerPair(a, zero_representation(a, dv), Matrix.zeros(dv, dg))
+    rp = RegularPair(a, Matrix.zeros(dg, dg))
+    if cid == "regular":
+        return rp
+    z = Matrix.zeros(dv, dv)
+    return rp, DerPairRepresentation(dv, z, [z] * dg, [z] * dg)
+
+
+def test_block_layouts_match_their_definition():
+    # _block is the cached layout of one block: its keys in basis_keys
+    # order, contiguous offsets, and block sizes that add up to dim C^n;
+    # _unflatten inverts _flatten on every layout
+    rng = Random(71)
+    for cid, kind in COMPLEXES.items():
+        for dg in range(5):
+            for dv in range(4):
+                data = zero_structure(cid, SplitDims(dg, dv))
+                dims = kind.dims(data)
+                for n in range(dg + 4):
+                    specs = kind.specs(n)
+                    total = 0
+                    for shape, target in specs:
+                        keys, offsets, tdim = _block(dims, shape, target)
+                        m = MixedMap(dims, shape, target)
+                        assert list(keys) == m.basis_keys() and tdim == m.target_dim
+                        assert list(offsets.items()) == [(k, i * tdim) for i, k in enumerate(keys)]
+                        total += len(keys) * tdim
+                    assert total == space_dimension(cid, n, data), (cid, dims, n)
+                    blocks = [random_mixed(rng, dims, s, t) for s, t in specs]
+                    assert _unflatten(dims, specs, _flatten(blocks)) == blocks, (cid, dims, n)
+
+
+def test_block_layouts_hold_no_structure_and_are_shared(monkeypatch):
+    # the layout cache is keyed by (dims, shape, target) alone: it keeps no
+    # structure alive, and a second structure of the same dims reads every
+    # layout from it, so no basis is enumerated again
+
+    def weak(cls):
+        return type(cls.__name__, (cls,), {"__slots__": ("__weakref__",)})
+
+    def structures():
+        a = weak(PreLieAlgebra)(2, shift_algebra().table)
+        rp = weak(RegularPair)(a, Matrix(2, 2, [[0, 0], [0, 1]]))
+        m = regular_module(rp)
+        mod = weak(DerPairRepresentation)(m.dim_v, m.K, m.rho_t, m.mu_t)
+        p = rp.to_derpair()
+        p = weak(DerPair)(a, p.rep, p.D)
+        return [a, rp, mod, p], [(cid, p) for cid in ("coeffs", "prelie", "pair")] + [
+            ("regular", rp),
+            ("rep", (rp, mod)),
+        ]
+
+    def run(cases, blocks):
+        out = []
+        for cid, data in cases:
+            cx = Complex(cid, data)
+            out += [cohomology_dim(cid, n, data) for n in range(1, 5)]
+            out += [cx.coboundary(n, blocks[cid, n]) for n in range(1, 4)]
+        return out
+
+    rng = Random(73)
+    held, cases = structures()
+    dims = {cid: Complex(cid, data).dims for cid, data in cases}
+    blocks = {
+        (cid, n): [random_mixed(rng, dims[cid], s, t) for s, t in COMPLEXES[cid].specs(n)]
+        for cid in dims
+        for n in range(1, 4)
+    }
+    first = run(cases, blocks)
+    refs = [weakref.ref(x) for x in held]
+    del held, cases
+    gc.collect()
+    assert [r() for r in refs] == [None] * 4
+
+    calls = [0]
+    real_basis_keys = MixedMap.basis_keys
+
+    def basis_keys(m):
+        calls[0] += 1
+        return real_basis_keys(m)
+
+    _, cases = structures()
+    monkeypatch.setattr(MixedMap, "basis_keys", basis_keys)
+    assert run(cases, blocks) == first
+    assert calls[0] == 0
 
 
 def test_structures_refuse_writes_and_build_no_view_until_used():

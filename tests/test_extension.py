@@ -520,12 +520,15 @@ def test_shape_checks_are_value_errors_under_optimize():
         "        print(type(e).__name__)\n"
         "    else:\n"
         "        print('accepted')\n"
-        "try:\n"
-        "    _unflatten(dims, COMPLEXES['rep'].specs(2), [0] * 5)\n"
-        "except RuntimeError as e:\n"
-        "    print(type(e).__name__)\n"
-        "else:\n"
-        "    print('accepted')\n"
+        # a wrong coordinate count is an internal fault, never a ValueError,
+        # also for a short vector whose cut-off last chunk is nonzero
+        "for d, vec in ((dims, [0] * 5), (SplitDims(2, 2), [0] * 10 + [1])):\n"
+        "    try:\n"
+        "        _unflatten(d, COMPLEXES['rep'].specs(2), vec)\n"
+        "    except RuntimeError as e:\n"
+        "        print(type(e).__name__)\n"
+        "    else:\n"
+        "        print('accepted')\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -533,4 +536,4 @@ def test_shape_checks_are_value_errors_under_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["ValueError"] * 10 + ["RuntimeError"]
+    assert out.stdout.split() == ["ValueError"] * 10 + ["RuntimeError"] * 2
