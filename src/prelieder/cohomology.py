@@ -38,11 +38,15 @@ flat entries of a matrix) for each scale asked for. A complex's L
 (_scale) is the lcm of its leaves' L's, and its tables come from the
 leaves' views at that L, rescaled from the nonzeros alone where it
 differs from a leaf's own; every complex over one structure shares
-them. Only the maps x -> act(x) u cross leaves, so each Complex builds
-those (_Action). One engine reads the generators: _assemble scatters
-the terms' entries into columns, which gives L times a differential in
-a single pass as sparse integer columns {row: int}, in plain int
-arithmetic. Ranks, and so cohomology_dim, come from the forward phase
+them. Only the maps x -> act(x) u cross leaves (_Action). Those and the
+term generators are built by the first Complex over a structure and
+kept on it (_kept_terms): on the DerPair for coeffs, prelie and pair,
+on the RegularPair for regular, and on the module for rep, tagged with
+the base pair they were built over and built again over any other.
+A later Complex looks them up. One engine reads the generators:
+_assemble scatters the terms' entries into columns, which gives L
+times a differential in a single pass as sparse integer columns
+{row: int}, in plain int arithmetic. Ranks, and so cohomology_dim, come from the forward phase
 of the elimination kernel on those columns, which a nonzero factor does
 not change. It gives rank d_n and an echelon basis of B^(n+1), kept per
 degree; once the basis of B^n is kept, rank d_n eliminates only the
@@ -72,9 +76,16 @@ module handles coordinates.
 The coordinates of one block, its basis keys in enumerate_basis order
 and the offset of each key, depend on (dims, shape, target) alone. _block
 builds them once per process, and _assemble, _flatten and _unflatten
-read them from there. That cache holds only keys and ints, never
-structure data, so the blocks that complexes of one dims share are laid
-out once.
+read them from there. The whole of C^n is laid out once per process
+too, as a degree plan keyed by (complex id, dim g, dim V, n)
+(_degree_plan): its specs, each block's first coordinate and layout,
+and dim C^n, read by Complex.specs, dim and _cols, by _assemble's
+index and by space_dimension. Neither cache holds structure data, so
+the blocks and degrees that complexes of one dims share are laid out
+once. A zero space (a block with no coordinates, or C^n outside the
+degrees 1..top where it is nonzero) is laid out empty without reaching
+either cache, so they do not grow with the degrees asked for. No
+differential, rank or result is kept between Complex objects.
 """
 
 from __future__ import annotations
@@ -223,11 +234,42 @@ def _block(dims: SplitDims, shape: MixedShape, target: str):
     A layout depends on dims, shape and target alone, never on structure
     constants, so one is built per process and shared by every complex,
     assembly, _flatten and _unflatten over those dims. The cache holds
-    only these keys and ints; offsets is shared and never written."""
+    only these keys and ints; offsets is shared and never written. A
+    block with no coordinates is laid out by _layout, not here."""
     m = MixedMap(dims, shape, target)
     keys = tuple(m.basis_keys())
     tdim = m.target_dim
     return keys, {key: i * tdim for i, key in enumerate(keys)}, tdim
+
+
+def _layout(dims: SplitDims, shape: MixedShape, target: str):
+    """The layout of the block (shape, target) over dims, as _block gives
+    it; a block with no coordinates gets an empty one without reaching
+    _block, so its cache does not grow with the degrees asked for."""
+    if mixed_space_dim(dims, shape, target):
+        return _block(dims, shape, target)
+    return (), {}, dims.dim_g if target == "g" else dims.dim_v
+
+
+class _Plan(NamedTuple):
+    """The coordinates of a space of cochains given as blocks: specs, its
+    (shape, target) blocks in order; blocks, per block (its first
+    coordinate, keys, offsets, target dim), the layout of _layout placed
+    after the blocks before it; and dim, the number of coordinates."""
+
+    specs: tuple
+    blocks: tuple
+    dim: int
+
+
+def _lay_out(dims: SplitDims, specs) -> _Plan:
+    """The _Plan of the blocks specs over dims."""
+    blocks, first = [], 0
+    for shape, target in specs:
+        keys, offsets, tdim = _layout(dims, shape, target)
+        blocks.append((first, keys, offsets, tdim))
+        first += len(keys) * tdim
+    return _Plan(tuple(specs), tuple(blocks), first)
 
 
 def _apply(name: str, dims: SplitDims, maps, specs, scale: int, terms) -> list:
@@ -237,8 +279,8 @@ def _apply(name: str, dims: SplitDims, maps, specs, scale: int, terms) -> list:
     rows times the coordinates of the maps, divided by scale."""
     if any(m.dims != dims for m in maps):
         raise ValueError(f"{name} cochain blocks are not over {dims}")
-    out = [spec + (t,) for spec, t in zip(specs, terms)]
-    rows = _transpose(*_assemble(dims, [(m.shape, m.target) for m in maps], out))
+    source = _lay_out(dims, [(m.shape, m.target) for m in maps])
+    rows = _transpose(*_assemble(source, _lay_out(dims, specs), terms))
     return _unflatten(dims, specs, _unscale(sparse_matvec(rows, _flatten(maps)), scale))
 
 
@@ -247,50 +289,45 @@ def _unscale(vec, scale: int):
     return vec if scale == 1 else [x / scale for x in vec]
 
 
-def _assemble(dims: SplitDims, in_specs, out_blocks):
+def _assemble(source: _Plan, target: _Plan, terms):
     """Sparse columns of a term-defined linear map, built in one pass.
 
-    in_specs lists the (shape, target) input blocks; out_blocks lists
-    (shape, target, terms) per output block. Each term of each output
-    key scatters its contribution into the columns of the input basis
-    elements it reads: a term without a map into one column per target
-    coordinate, a term with a map one entry per flat entry of the map, so
-    the cost is rows times the terms' entries, not that times the number
-    of columns. Returns (columns, nrows) with each column a {row: int}
-    dict when the terms read int constants, as every generator here does;
-    entries that cancel are dropped. Ranks read the columns as they are
-    (Complex._image); every other reader takes the rows (_transpose).
+    source and target are the _Plans of the input and output blocks, and
+    terms holds one term generator per output block. Each term of each
+    output key scatters its contribution into the columns of the input
+    basis elements it reads: a term without a map into one column per
+    target coordinate, a term with a map one entry per flat entry of the
+    map, so the cost is rows times the terms' entries, not that times the
+    number of columns. Returns (columns, nrows) with each column a
+    {row: int} dict when the terms read int constants, as every generator
+    here does; entries that cancel are dropped. Ranks read the columns as
+    they are (Complex._image); every other reader takes the rows
+    (_transpose).
 
     The output keys, and each input key's column (its block's first
-    column plus its offset), come from the layouts of _block, kept per
-    process and holding no structure data. The signs and sorted tuples of
-    the wedge arguments the terms read are looked up in a dict built per
-    call.
+    column plus its offset), come from the plans, whose layouts _block
+    keeps per process, holding no structure data. The signs and sorted
+    tuples of the wedge arguments the terms read are looked up in a dict
+    built per call.
 
     A term with a map must have a sign for c: any other c would make the
     entry quadratic in the constants, which scaling them by L would scale
     by L^2, so the rows of L d would be wrong and so every rank read off
     them. Every such term is checked, and a RuntimeError raised.
     """
-    index = []  # per input block: (its first column, _block offsets, target dim)
-    ncols = 0
-    for shape, target in in_specs:
-        keys, offsets, sdim = _block(dims, shape, target)
-        index.append((ncols, offsets, sdim))
-        ncols += len(keys) * sdim
+    index = source.blocks  # per input block: (its first column, keys, offsets, target dim)
     # (g_args, v_args) -> (sign, sorted g_args, sorted v_args); the same
     # argument tuples recur across output keys and terms
     normal = {}
-    columns = [{} for _ in range(ncols)]
+    columns = [{} for _ in range(source.dim)]
     i = 0  # the row of the output key's first target coordinate
-    for shape, target, terms in out_blocks:
-        keys, _, tdim = _block(dims, shape, target)
+    for (_, keys, _, tdim), gen in zip(target.blocks, terms):
         for key in keys:
-            for src, g_args, v_args, tail, c, cols in terms(key):
+            for src, g_args, v_args, tail, c, cols in gen(key):
                 if cols is not None and c != 1 and c != -1:
                     raise RuntimeError(f"a term with a column map has coefficient {c}, not a sign")
-                base, first, sdim = index[src]
-                if not first:  # zero space
+                base, _, offsets, sdim = index[src]
+                if not offsets:  # zero space
                     continue
                 args = (g_args, v_args)
                 norm = normal.get(args)
@@ -303,7 +340,7 @@ def _assemble(dims: SplitDims, in_specs, out_blocks):
                     continue
                 if sign < 0:
                     c = -c
-                j0 = base + first[(gt, vt, tail)]
+                j0 = base + offsets[(gt, vt, tail)]
                 if cols is None:
                     for a in range(sdim):
                         _scatter(columns[j0 + a], i + a, c)
@@ -780,10 +817,16 @@ def p_project(c: DerPairCochain) -> TwoSlotCochain:
 
 class _ComplexKind(NamedTuple):
     dims: Callable  # structure data -> SplitDims
+    # SplitDims -> top, the highest degree n with C^n nonzero (0 if none):
+    # C^n is nonzero exactly for 1 <= n <= top
+    top: Callable
     specs: Callable  # n -> (shape, target) coordinate blocks of C^n
     # structure data -> (L, one term generator per block of C^(n+1)), the
     # generators reading the constants times L as ints
     terms: Callable
+    # structure data -> (the structure the terms are kept on, the base
+    # pair they are kept for, or None)
+    holder: Callable
 
 
 def _coeffs_specs(n: int):
@@ -800,6 +843,27 @@ def _prelie_specs(n: int):
 
 def _two_slot_specs(target: str, n: int):
     return [(MixedShape(n - 1, 0, "g"), target), (MixedShape(n - 2, 0, "g"), target)]
+
+
+# The tops: a block wedge^(n-a) g tensor wedge^b V tensor tail -> target
+# has coordinates exactly for a <= n <= dim g + a when b <= dim V and the
+# tail and target spaces are nonzero. Every complex has a block with
+# a = 1; the prelie, pair and two-slot ones have one with a = 2, which
+# needs both g and V.
+
+
+def _coeffs_top(d: SplitDims) -> int:
+    return d.dim_g + 1 if d.dim_g and d.dim_v else 0
+
+
+def _prelie_top(d: SplitDims) -> int:
+    if d.dim_g and d.dim_v:
+        return d.dim_g + 2
+    return d.dim_g + 1 if d.dim_g or d.dim_v else 0
+
+
+def _two_slot_top(d: SplitDims) -> int:
+    return d.dim_g + 2 if d.dim_g and d.dim_v else 0
 
 
 def _coeffs_terms(p: DerPair):
@@ -856,23 +920,36 @@ def _rep_terms(data):
 
 _pair_dims = attrgetter("dims")
 
+
+def _itself(data):
+    return data, None
+
+
 COMPLEXES = {
-    "coeffs": _ComplexKind(_pair_dims, _coeffs_specs, _coeffs_terms),
-    "prelie": _ComplexKind(_pair_dims, _prelie_specs, lambda p: _prelie_terms(p.algebra, p.rep)),
+    "coeffs": _ComplexKind(_pair_dims, _coeffs_top, _coeffs_specs, _coeffs_terms, _itself),
+    "prelie": _ComplexKind(
+        _pair_dims, _prelie_top, _prelie_specs, lambda p: _prelie_terms(p.algebra, p.rep), _itself
+    ),
     "pair": _ComplexKind(
         _pair_dims,
+        _prelie_top,
         lambda n: _prelie_specs(n) + _coeffs_specs(n - 1),
         lambda p: _prelie_terms(p.algebra, p.rep, p.D),
+        _itself,
     ),
     "regular": _ComplexKind(
         lambda rp: SplitDims(rp.algebra.dim, rp.algebra.dim),
+        _two_slot_top,
         lambda n: _two_slot_specs("g", n),
         _regular_terms,
+        _itself,
     ),
     "rep": _ComplexKind(
         _rep_dims,
+        _two_slot_top,
         lambda n: _two_slot_specs("v", n),
         _rep_terms,
+        lambda data: (data[1], data[0]),
     ),
 }
 
@@ -884,19 +961,56 @@ def _kind(complex_id: str) -> _ComplexKind:
         raise ValueError(f"unknown complex {complex_id!r}") from None
 
 
-def _space_dim(dims: SplitDims, specs) -> int:
-    return sum(mixed_space_dim(dims, shape, target) for shape, target in specs)
+def _kept_terms(complex_id: str, data):
+    """(L, term generators) of the complex complex_id over data, built on
+    the first call and kept on the structure (_ComplexKind.holder): on
+    the pair for coeffs, prelie and pair, on the regular pair for
+    regular, and on the module for rep, tagged with its base pair and
+    built again over any other base pair. The structure's _terms slot
+    is None until then; it holds a dict of (base, (L, generators)) per
+    complex id."""
+    kind = COMPLEXES[complex_id]
+    holder, base = kind.holder(data)
+    kept = holder._terms
+    if kept is None:
+        kept = {}
+        object.__setattr__(holder, "_terms", kept)
+    entry = kept.get(complex_id)
+    if entry is None or entry[0] is not base:
+        entry = kept[complex_id] = base, kind.terms(data)
+    return entry[1]
+
+
+@cache
+def _degree_plan(complex_id: str, dim_g: int, dim_v: int, n: int) -> _Plan:
+    """The _Plan of C^n of complex_id over SplitDims(dim_g, dim_v): its
+    specs, the layouts of its blocks and dim C^n. Keyed by ints and
+    strings alone, it holds no structure data, and it is reached only for
+    the degrees where C^n is nonzero (_plan), so the cache holds at most
+    top plans per complex and dims."""
+    return _lay_out(SplitDims(dim_g, dim_v), COMPLEXES[complex_id].specs(n))
+
+
+def _plan(complex_id: str, dims: SplitDims, n: int) -> _Plan:
+    """The _Plan of C^n of complex_id over dims. A zero space, every
+    degree outside 1..top, returns before _degree_plan or _block is
+    reached: its blocks are laid out empty here."""
+    kind = COMPLEXES[complex_id]
+    if 1 <= n <= kind.top(dims):
+        return _degree_plan(complex_id, dims.dim_g, dims.dim_v, n)
+    specs = tuple(kind.specs(n))
+    return _Plan(specs, ((0, (), {}, 0),) * len(specs), 0)
 
 
 def space_dimension(complex_id: str, n: int, data) -> int:
     kind = _kind(complex_id)
-    return _space_dim(kind.dims(data), kind.specs(n))
+    return _plan(complex_id, kind.dims(data), n).dim
 
 
 def _flatten(maps) -> list:
     coords = []
     for m in maps:
-        keys, _, tdim = _block(m.dims, m.shape, m.target)
+        keys, _, tdim = _layout(m.dims, m.shape, m.target)
         get, zero = m.coeffs.get, zero_vec(tdim)
         for key in keys:
             coords.extend(get(key, zero))
@@ -904,7 +1018,7 @@ def _flatten(maps) -> list:
 
 
 def _unflatten(dims: SplitDims, specs, vec):
-    layout = [_block(dims, shape, target) for shape, target in specs]
+    layout = [_layout(dims, shape, target) for shape, target in specs]
     total = sum(len(keys) * tdim for keys, _, tdim in layout)
     if len(vec) != total:
         raise RuntimeError(f"{len(vec)} coordinates for a layout of {total}")
@@ -924,15 +1038,18 @@ def _unflatten(dims: SplitDims, specs, vec):
 class Complex:
     """One cochain complex (complex id, structure data), memoized by degree.
 
-    It holds the block layout of each C^n and assembles each d_n at most
-    once, as the sparse integer columns of L d_n, and transposes them to
-    rows at most once, for the readers that need rows; L (_scale) is the
-    lcm of the denominators of the structure constants the complex
-    reads, taken from the views kept on the algebra and matrices of its
-    structure data, as are the int tables its term generators read: a
-    second Complex over the same structure rebuilds neither, and builds
-    only the maps x -> act(x) u that cross the matrices of an action
-    (_Action). Each rank d_n is read off the forward phase of the kernel
+    It reads the layout of each C^n from the process-wide degree plan
+    (_plan) and assembles each d_n at most once, as the sparse integer
+    columns of L d_n, and transposes them to rows at most once, for the
+    readers that need rows. L (_scale) is the lcm of the denominators of
+    the structure constants the complex reads, taken from the views kept
+    on the algebra and matrices of its structure data, as are the int
+    tables its term generators read. L and the generators, with the maps
+    x -> act(x) u that cross the matrices of an action (_Action), are
+    kept on the structure by the first Complex over it (_kept_terms), so
+    a second Complex over the same structure builds none of them; it
+    still checks the dims of its data, and keeps its differentials and
+    ranks to itself. Each rank d_n is read off the forward phase of the kernel
     on the columns, which gives an echelon basis of B^(n+1), kept per
     degree (_image); once the basis of B^n is kept, only the columns of
     d_n outside its leading coordinates are eliminated. That cut is exact
@@ -946,24 +1063,25 @@ class Complex:
 
     def __init__(self, complex_id: str, data):
         self._id = complex_id
-        self._kind = kind = _kind(complex_id)
-        self.dims = kind.dims(data)
-        self._scale, self._terms = kind.terms(data)
+        self.dims = _kind(complex_id).dims(data)
+        self._scale, self._terms = _kept_terms(complex_id, data)
         self._sparse = {}
         self._transposed = {}
         self._images = {}
 
-    def specs(self, n: int):
-        return self._kind.specs(n)
+    def _plan(self, n: int) -> _Plan:
+        return _plan(self._id, self.dims, n)
+
+    def specs(self, n: int) -> list:
+        return list(self._plan(n).specs)
 
     def dim(self, n: int) -> int:
-        return _space_dim(self.dims, self.specs(n))
+        return self._plan(n).dim
 
     def _cols(self, n: int):
         """(columns, nrows) of L d: C^n -> C^(n+1), columns as {row: int}."""
         if n not in self._sparse:
-            out = [spec + (terms,) for spec, terms in zip(self.specs(n + 1), self._terms)]
-            self._sparse[n] = _assemble(self.dims, self.specs(n), out)
+            self._sparse[n] = _assemble(self._plan(n), self._plan(n + 1), self._terms)
         return self._sparse[n]
 
     def _rows(self, n: int):
@@ -1053,6 +1171,17 @@ def cohomology_dim(complex_id: str, n: int, data):
     if n < 1:
         raise ValueError(f"cohomology degree must be at least 1, got {n}")
     return Complex(complex_id, data).cohomology_dim(n)
+
+
+def cohomology_dims(complex_id: str, data, n_max: int) -> list:
+    """[(z, b, h) at n for n = 1 .. n_max], read off one Complex walked
+    upward: each d_k is assembled and eliminated once, and rank d_k is
+    cut by the basis of B^k kept from the degree below. Exact only where
+    d² = 0, as cohomology_dim."""
+    if n_max < 1:
+        raise ValueError(f"cohomology degree must be at least 1, got {n_max}")
+    cx = Complex(complex_id, data)
+    return [cx.cohomology_dim(n) for n in range(1, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -45,15 +45,20 @@ from .prelie import (
 
 
 class DerPairRepresentation(Frozen):
-    """(V, K, rho_t, mu_t): a module over a regular pair."""
+    """(V, K, rho_t, mu_t): a module over a regular pair.
 
-    __slots__ = ("dim_v", "K", "rho_t", "mu_t")
+    The term generators of its rep complex are kept in a slot that is
+    None until the first Complex over the module is built, together with
+    the base pair they were built over."""
+
+    __slots__ = ("dim_v", "K", "rho_t", "mu_t", "_terms")
 
     def __init__(self, dim_v: int, K: Matrix, rho_t, mu_t):
         object.__setattr__(self, "dim_v", dim_v)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "rho_t", tuple(rho_t))
         object.__setattr__(self, "mu_t", tuple(mu_t))
+        object.__setattr__(self, "_terms", None)
         if not K.rows == K.cols == dim_v:
             raise ValueError(f"K must be {dim_v} x {dim_v}")
         if not all(m.rows == m.cols == dim_v for m in self.rho_t + self.mu_t):

@@ -16,7 +16,9 @@ so each validator computes the brackets and reads its tags off them.
 
 The structure classes are immutable. A PreLieAlgebra, like each Matrix
 it is paired with, builds the IntView of its product table on first use
-and keeps it, so every complex over one structure shares it.
+and keeps it, so every complex over one structure shares it. A DerPair
+and a RegularPair keep the term generators of their complexes the same
+way, built by the first Complex over them (cohomology._kept_terms).
 """
 
 from __future__ import annotations
@@ -134,9 +136,12 @@ class Representation(Frozen):
 
 
 class DerPair(Frozen):
-    """Pre-Lie algebra + representation + derivation candidate D: g -> V."""
+    """Pre-Lie algebra + representation + derivation candidate D: g -> V.
 
-    __slots__ = ("algebra", "rep", "D")
+    The term generators of its complexes are kept in a slot that is None
+    until the first Complex over the pair is built."""
+
+    __slots__ = ("algebra", "rep", "D", "_terms")
 
     def __init__(self, algebra: PreLieAlgebra, rep: Representation, D: Matrix):
         if rep.dim_g != algebra.dim:
@@ -146,6 +151,7 @@ class DerPair(Frozen):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "D", D)
+        object.__setattr__(self, "_terms", None)
 
     @property
     def dims(self) -> SplitDims:
@@ -153,15 +159,19 @@ class DerPair(Frozen):
 
 
 class RegularPair(Frozen):
-    """Pre-Lie algebra with a derivation into itself (V = g, rep = (L,R))."""
+    """Pre-Lie algebra with a derivation into itself (V = g, rep = (L,R)).
 
-    __slots__ = ("algebra", "D")
+    The term generators of its regular complex are kept in a slot that is
+    None until the first Complex over the pair is built."""
+
+    __slots__ = ("algebra", "D", "_terms")
 
     def __init__(self, algebra: PreLieAlgebra, D: Matrix):
         if D.rows != algebra.dim or D.cols != algebra.dim:
             raise ValueError(f"D must be {algebra.dim} x {algebra.dim}")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "D", D)
+        object.__setattr__(self, "_terms", None)
 
     def to_derpair(self) -> DerPair:
         return DerPair(self.algebra, regular_representation(self.algebra), self.D)

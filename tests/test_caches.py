@@ -17,6 +17,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "prelieder"
 ALLOWED = {
     "io_cli:_build_parser": "the one argument parser; it takes no arguments",
     "cohomology:_block": "the basis keys and offsets of one block, keyed by SplitDims, MixedShape and target",
+    "cohomology:_degree_plan": "the specs, block layouts and dim of one nonzero C^n, keyed by complex id, dim g, dim V and n",
 }
 
 CACHES = ("cache", "lru_cache")

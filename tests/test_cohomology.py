@@ -28,6 +28,7 @@ from prelieder import (
     coboundary_cocycle,
     coboundary_datum,
     cohomology_dim,
+    cohomology_dims,
     differential_matrix,
     huaD,
     huaD_reg,
@@ -40,7 +41,7 @@ from prelieder import (
     same_cohomology_class,
     space_dimension,
 )
-from prelieder.cochain import MixedShape, SplitDims
+from prelieder.cochain import MixedShape, SplitDims, mixed_space_dim
 from prelieder.cohomology import (
     COMPLEXES,
     Complex,
@@ -50,7 +51,10 @@ from prelieder.cohomology import (
     _block,
     _columns,
     _flat_map,
+    _degree_plan,
     _flatten,
+    _lay_out,
+    _plan,
     _scale,
     _unflatten,
     d_coeff,
@@ -339,13 +343,15 @@ def test_assemble_refuses_a_column_map_with_a_coefficient_other_than_a_sign():
     dims, shape = SplitDims(1, 1), MixedShape(0, 0, "g")
     identity = ((0, 0, 1),)
 
-    def terms(c):
-        return [(shape, "g", lambda key: [(0, (), (), key[2], c, identity)])]
+    plan = _lay_out(dims, [(shape, "g")])
 
-    assert _assemble(dims, [(shape, "g")], terms(-1)) == ([{0: -1}], 1)
+    def terms(c):
+        return [lambda key: [(0, (), (), key[2], c, identity)]]
+
+    assert _assemble(plan, plan, terms(-1)) == ([{0: -1}], 1)
     for c in (2, Fraction(1, 2), 0):
         with pytest.raises(RuntimeError, match="not a sign"):
-            _assemble(dims, [(shape, "g")], terms(c))
+            _assemble(plan, plan, terms(c))
 
 
 def _column_maps(cx: Complex, n: int) -> list:
@@ -690,8 +696,11 @@ def test_cocycle_checks_build_the_structure_tables_once(monkeypatch):
     # through d_2 once. The views of the structure (IntView, one per
     # algebra and per matrix), the algebra's tables (_Algebra) and the
     # flat entries of the matrices a term applies whole (_flat_map) are
-    # built on the first call over a structure and kept: a second call
-    # over the same structure, or a second Complex, builds none
+    # built on the first call over a structure and kept, and so are the
+    # term generators of each complex and the maps x -> act(x) u they
+    # read (_Action), kept on the pair, the regular pair or the module: a
+    # second call over the same structure, or a second Complex, builds
+    # none
     p = golden_pair()
     rp = RegularPair(p.algebra, p.D)
     mod = regular_module(rp)
@@ -701,9 +710,9 @@ def test_cocycle_checks_build_the_structure_tables_once(monkeypatch):
     shift = coboundary_cocycle(rp, mod, Matrix(2, 2, [[1, 0], [3, -1]]))
     c2 = ExtensionCocycle(p.dims, c1.theta + shift.theta, c1.xi + shift.xi)
 
-    views, tables, flats, checks = [0], [0], [0], [0]
+    views, tables, flats, checks, actions, gens = ([0] for _ in range(6))
     real_view_init, real_table, real_coboundary = IntView.__init__, IntView.table, Complex.coboundary
-    real_algebra = prelieder.cohomology._Algebra
+    real_algebra, real_action = prelieder.cohomology._Algebra, prelieder.cohomology._Action
 
     def view_init(self, parts):
         views[0] += 1
@@ -720,43 +729,88 @@ def test_cocycle_checks_build_the_structure_tables_once(monkeypatch):
             tables[0] += 1
             super().__init__(products)
 
+    class CountedAction(real_action):
+        def __init__(self, mats, dim_v, scale):
+            actions[0] += 1
+            super().__init__(mats, dim_v, scale)
+
     def coboundary(cx, n, blocks):
         checks[0] += n == 2
         return real_coboundary(cx, n, blocks)
 
+    def counted(make):
+        def generator(*args):
+            gens[0] += 1
+            return make(*args)
+
+        return generator
+
     monkeypatch.setattr(IntView, "__init__", view_init)
     monkeypatch.setattr(IntView, "table", table)
     monkeypatch.setattr(prelieder.cohomology, "_Algebra", CountedAlgebra)
+    monkeypatch.setattr(prelieder.cohomology, "_Action", CountedAction)
     monkeypatch.setattr(Complex, "coboundary", coboundary)
+    for name in ("_d_coeff_terms", "_partial_rho_terms", "_partial_mu_terms", "_delta_terms", "_omega_terms"):
+        monkeypatch.setattr(prelieder.cohomology, name, counted(getattr(prelieder.cohomology, name)))
 
     def counts(run):
-        views[0] = tables[0] = flats[0] = checks[0] = 0
+        for c in (views, tables, flats, checks, actions, gens):
+            c[0] = 0
         run()
-        return views[0], tables[0], flats[0], checks[0]
+        return views[0], tables[0], flats[0], checks[0], actions[0], gens[0]
 
     # fresh structures, equal to the ones the inputs were made over: six
     # leaves each, the algebra, rho and mu (two matrices each) and D for
     # the pair; the algebra, D (which is also K), rho_t and mu_t for the
     # module complex. Five matrices each are applied whole, so five flat
     # tables: rho, mu and D in the pair complex, rho_t, mu_t and K in the
-    # module complex. classify runs over the structures build_extension
-    # has viewed
+    # module complex. The pair complex has five generators (two four-sum
+    # coboundaries, the two partial blocks and delta) over the _Actions
+    # of rho and mu; the module complex three (two four-sum coboundaries
+    # and omega). classify runs over the structures build_extension has
+    # viewed, and reads the generators it kept on the module
     q = golden_pair()
     rq = RegularPair(shift_algebra(), Matrix(2, 2, [[0, 0], [0, 1]]))
     mq = regular_module(rq)
     cases = [
-        (lambda: same_cohomology_class(q, d, zero), (6, 1, 5, 2)),
-        (lambda: build_extension(rq, mq, c1), (6, 1, 5, 1)),
-        (lambda: classify(rq, mq, c1, c2), (0, 0, 0, 2)),
+        (lambda: same_cohomology_class(q, d, zero), (6, 1, 5, 2, 2, 5)),
+        (lambda: build_extension(rq, mq, c1), (6, 1, 5, 1, 0, 3)),
+        (lambda: classify(rq, mq, c1, c2), (0, 0, 0, 2, 0, 0)),
     ]
     for run, first in cases:
         assert counts(run) == first
-        assert counts(run) == (0, 0, 0, first[3])
-    for cid, data in (("pair", q), ("prelie", q), ("coeffs", q), ("rep", (rq, mq))):
-        assert counts(lambda: Complex(cid, data).cohomology_dim(2)) == (0, 0, 0, 0), cid
+        assert counts(run) == (0, 0, 0, first[3], 0, 0)
     # the regular complex over the module's base pair reads the same
-    # leaves: the flat table of D at this scale is the one K = D built
-    assert counts(lambda: Complex("regular", rq).cohomology_dim(2)) == (0, 0, 0, 0)
+    # leaves: the flat table of D at this scale is the one K = D built;
+    # its generators are its own, built by its first Complex
+    assert counts(lambda: Complex("regular", rq).cohomology_dim(2)) == (0, 0, 0, 0, 0, 3)
+    five = [(cid, q) for cid in ("coeffs", "prelie", "pair")] + [("regular", rq), ("rep", (rq, mq))]
+    for cid, data in five:
+        Complex(cid, data)
+        assert counts(lambda: Complex(cid, data).cohomology_dim(2)) == (0,) * 6, cid
+
+    # the module keeps the generators of the base pair they were built
+    # over: over a second base pair of the same dims (another algebra and
+    # D, a module over both) the rep complex builds its own and gives the
+    # ranks of a module never used before; then it builds them again
+    # over the first pair
+    def ranks(data):
+        return [Complex("rep", data).cohomology_dim(n) for n in range(1, 5)]
+
+    m = zero_action_module(rq)
+    rq2 = RegularPair(abelian_algebra(2), Matrix(2, 2, [[1, 0], [0, 0]]))
+    first = ranks((rq, m))
+    assert counts(lambda: ranks((rq, m)))[5] == 0
+    assert counts(lambda: ranks((rq2, m)))[5] == 3
+    assert ranks((rq2, m)) == ranks((rq2, zero_action_module(rq2))) != first
+    assert ranks((rq, m)) == first
+    # and the dims check runs on every call, a kept entry or not: a
+    # module over dim g = 2 refuses a base pair over dim g = 3
+    rp3 = RegularPair(triangular_algebra(), Matrix.zeros(3, 3))
+    with pytest.raises(ValueError, match="base pair has dim g = 3"):
+        Complex("rep", (rp3, m))
+    with pytest.raises(ValueError, match="base pair has dim g = 3"):
+        cohomology_dim("rep", 2, (rp3, mq))
 
 
 def zero_structure(cid, dims):
@@ -776,31 +830,94 @@ def zero_structure(cid, dims):
 def test_block_layouts_match_their_definition():
     # _block is the cached layout of one block: its keys in basis_keys
     # order, contiguous offsets, and block sizes that add up to dim C^n;
-    # _unflatten inverts _flatten on every layout
+    # _unflatten inverts _flatten on every layout. The plan of C^n holds
+    # the specs, each block's first coordinate and layout, and dim C^n,
+    # the sum of mixed_space_dim over its blocks; C^n is nonzero exactly
+    # for 1 <= n <= top
     rng = Random(71)
     for cid, kind in COMPLEXES.items():
         for dg in range(5):
             for dv in range(4):
                 data = zero_structure(cid, SplitDims(dg, dv))
                 dims = kind.dims(data)
-                for n in range(dg + 4):
+                cx = Complex(cid, data)
+                for n in range(-1, dg + 4):
                     specs = kind.specs(n)
+                    plan = cx._plan(n)
+                    assert plan == _plan(cid, dims, n) and plan.specs == tuple(specs), (cid, dims, n)
                     total = 0
-                    for shape, target in specs:
-                        keys, offsets, tdim = _block(dims, shape, target)
+                    for (shape, target), (first, keys, offsets, tdim) in zip(specs, plan.blocks, strict=True):
+                        assert first == total, (cid, dims, n)
+                        if not mixed_space_dim(dims, shape, target):  # laid out empty, not by _block
+                            assert keys == () and offsets == {}, (cid, dims, n)
+                            continue
                         m = MixedMap(dims, shape, target)
+                        assert (keys, offsets, tdim) == _block(dims, shape, target)
                         assert list(keys) == m.basis_keys() and tdim == m.target_dim
                         assert list(offsets.items()) == [(k, i * tdim) for i, k in enumerate(keys)]
                         total += len(keys) * tdim
-                    assert total == space_dimension(cid, n, data), (cid, dims, n)
+                    size = sum(mixed_space_dim(dims, shape, target) for shape, target in specs)
+                    assert plan.dim == total == size == space_dimension(cid, n, data), (cid, dims, n)
+                    assert (size > 0) == (1 <= n <= kind.top(dims)), (cid, dims, n)
                     blocks = [random_mixed(rng, dims, s, t) for s, t in specs]
                     assert _unflatten(dims, specs, _flatten(blocks)) == blocks, (cid, dims, n)
 
 
+def test_degrees_past_the_top_leave_the_caches_as_they_are():
+    # C^n is the zero space past the top degree, and such a degree is laid
+    # out without _block or the plan cache: asking for 2000 of them, on
+    # every complex, adds no entry to either
+    p = golden_pair()
+    rp = RegularPair(p.algebra, p.D)
+    cases = [(cid, p) for cid in ("coeffs", "prelie", "pair")] + [("regular", rp), ("rep", (rp, regular_module(rp)))]
+    tops = {}
+    for cid, data in cases:
+        tops[cid] = top = COMPLEXES[cid].top(Complex(cid, data).dims)
+        assert space_dimension(cid, top, data) > 0 and cohomology_dim(cid, top + 1, data) == (0, 0, 0)
+    sizes = _block.cache_info().currsize, _degree_plan.cache_info().currsize
+    for cid, data in cases:
+        top = tops[cid]
+        cx = Complex(cid, data)
+        for n in range(top + 1, top + 2001):
+            assert cohomology_dim(cid, n, data) == (0, 0, 0)
+            assert space_dimension(cid, n, data) == cx.dim(n) == 0
+        assert cx.cocycle_basis(top + 5) == []
+        zero = [MixedMap(cx.dims, s, t) for s, t in cx.specs(top + 5)]
+        assert cx.coboundary(top + 5, zero) == [MixedMap(cx.dims, s, t) for s, t in cx.specs(top + 6)]
+    assert (_block.cache_info().currsize, _degree_plan.cache_info().currsize) == sizes
+
+
+def test_cohomology_dims_walks_one_complex(pair_corpus, regular_corpus, monkeypatch):
+    # cohomology_dims gives cohomology_dim at every degree, and assembles
+    # each differential d_1 .. d_n_max once
+    cases = [(cid, p) for p in pair_corpus[:4] for cid in ("coeffs", "prelie", "pair")]
+    for rp in regular_corpus[:3]:
+        cases += [("regular", rp), ("rep", (rp, regular_module(rp))), ("rep", (rp, zero_action_module(rp)))]
+    calls = [0]
+    real_assemble = prelieder.cohomology._assemble
+
+    def assemble(*args):
+        calls[0] += 1
+        return real_assemble(*args)
+
+    for cid, data in cases:
+        n_max = Complex(cid, data).dims.dim_g + 3
+        want = [cohomology_dim(cid, n, data) for n in range(1, n_max + 1)]
+        monkeypatch.setattr(prelieder.cohomology, "_assemble", assemble)
+        calls[0] = 0
+        assert cohomology_dims(cid, data, n_max) == want, cid
+        assert calls[0] == n_max, cid
+        monkeypatch.undo()
+    with pytest.raises(ValueError, match="at least 1"):
+        cohomology_dims("pair", pair_corpus[0], 0)
+
+
 def test_block_layouts_hold_no_structure_and_are_shared(monkeypatch):
-    # the layout cache is keyed by (dims, shape, target) alone: it keeps no
-    # structure alive, and a second structure of the same dims reads every
-    # layout from it, so no basis is enumerated again
+    # the layout cache is keyed by (dims, shape, target) alone and the plan
+    # cache by (complex id, dim g, dim V, n): neither keeps a structure
+    # alive, and neither do the generators kept on the structures. A second
+    # structure of the same dims reads every layout and plan from them, so
+    # no basis is enumerated and no plan built again
 
     def weak(cls):
         return type(cls.__name__, (cls,), {"__slots__": ("__weakref__",)})
@@ -826,6 +943,7 @@ def test_block_layouts_hold_no_structure_and_are_shared(monkeypatch):
         return out
 
     rng = Random(73)
+    _degree_plan.cache_clear()
     held, cases = structures()
     dims = {cid: Complex(cid, data).dims for cid, data in cases}
     blocks = {
@@ -834,6 +952,9 @@ def test_block_layouts_hold_no_structure_and_are_shared(monkeypatch):
         for n in range(1, 4)
     }
     first = run(cases, blocks)
+    plans = _degree_plan.cache_info()
+    # degrees 0 .. 5 were asked for; one plan per nonzero C^n, at 1 <= n <= top <= 4
+    assert plans.currsize == sum(COMPLEXES[cid].top(dims[cid]) for cid in dims) > 0
     refs = [weakref.ref(x) for x in held]
     del held, cases
     gc.collect()
@@ -850,6 +971,7 @@ def test_block_layouts_hold_no_structure_and_are_shared(monkeypatch):
     monkeypatch.setattr(MixedMap, "basis_keys", basis_keys)
     assert run(cases, blocks) == first
     assert calls[0] == 0
+    assert _degree_plan.cache_info().misses == plans.misses
 
 
 def test_structures_refuse_writes_and_build_no_view_until_used():

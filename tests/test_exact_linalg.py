@@ -373,11 +373,11 @@ def test_shape_and_float_checks_survive_optimize():
         "# a nonzero column map of structure constants, as its flat entries,\n"
         "# with a coefficient other than a sign\n"
         "from prelieder.cochain import MixedShape\n"
-        "from prelieder.cohomology import _assemble\n"
-        "shape = MixedShape(0, 0, 'g')\n"
+        "from prelieder.cohomology import _assemble, _lay_out\n"
+        "plan = _lay_out(SplitDims(1, 1), [(MixedShape(0, 0, 'g'), 'g')])\n"
         "term = lambda key: [(0, (), (), key[2], 2, ((0, 0, 1),))]\n"
         "try:\n"
-        "    _assemble(SplitDims(1, 1), [(shape, 'g')], [(shape, 'g', term)])\n"
+        "    _assemble(plan, plan, [term])\n"
         "except RuntimeError as e:\n"
         "    print(type(e).__name__)\n"
         "else:\n"
