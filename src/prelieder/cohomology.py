@@ -82,9 +82,10 @@ too, as a degree plan keyed by (complex id, dim g, dim V, n)
 and dim C^n, read by Complex.specs, dim and _cols, by _assemble's
 index and by space_dimension. Neither cache holds structure data, so
 the blocks and degrees that complexes of one dims share are laid out
-once. A zero space (a block with no coordinates, or C^n outside the
-degrees 1..top where it is nonzero) is laid out empty without reaching
-either cache, so they do not grow with the degrees asked for. No
+once. A block with no coordinates is laid out empty without reaching
+_block, and a degree outside 1..dim g + 2, where every C^n is zero,
+without reaching either cache, so they do not grow with the degrees
+asked for. No
 differential, rank or result is kept between Complex objects.
 """
 
@@ -200,7 +201,9 @@ class _Action:
     a term reads one column. flat[x] is act[x] and at[u] is the map
     x -> act[x] e_u (its column x is act[x] e_u), each as its flat
     entries (_flat). cols and flat are kept on the views of the matrices;
-    at crosses them, so it is built here, once per Complex.
+    at crosses them, so it is built here, once per structure: by the
+    first Complex over it, and kept with its term generators
+    (_kept_terms).
     """
 
     def __init__(self, mats, dim_v: int, scale: int):
@@ -817,9 +820,6 @@ def p_project(c: DerPairCochain) -> TwoSlotCochain:
 
 class _ComplexKind(NamedTuple):
     dims: Callable  # structure data -> SplitDims
-    # SplitDims -> top, the highest degree n with C^n nonzero (0 if none):
-    # C^n is nonzero exactly for 1 <= n <= top
-    top: Callable
     specs: Callable  # n -> (shape, target) coordinate blocks of C^n
     # structure data -> (L, one term generator per block of C^(n+1)), the
     # generators reading the constants times L as ints
@@ -843,27 +843,6 @@ def _prelie_specs(n: int):
 
 def _two_slot_specs(target: str, n: int):
     return [(MixedShape(n - 1, 0, "g"), target), (MixedShape(n - 2, 0, "g"), target)]
-
-
-# The tops: a block wedge^(n-a) g tensor wedge^b V tensor tail -> target
-# has coordinates exactly for a <= n <= dim g + a when b <= dim V and the
-# tail and target spaces are nonzero. Every complex has a block with
-# a = 1; the prelie, pair and two-slot ones have one with a = 2, which
-# needs both g and V.
-
-
-def _coeffs_top(d: SplitDims) -> int:
-    return d.dim_g + 1 if d.dim_g and d.dim_v else 0
-
-
-def _prelie_top(d: SplitDims) -> int:
-    if d.dim_g and d.dim_v:
-        return d.dim_g + 2
-    return d.dim_g + 1 if d.dim_g or d.dim_v else 0
-
-
-def _two_slot_top(d: SplitDims) -> int:
-    return d.dim_g + 2 if d.dim_g and d.dim_v else 0
 
 
 def _coeffs_terms(p: DerPair):
@@ -926,27 +905,24 @@ def _itself(data):
 
 
 COMPLEXES = {
-    "coeffs": _ComplexKind(_pair_dims, _coeffs_top, _coeffs_specs, _coeffs_terms, _itself),
+    "coeffs": _ComplexKind(_pair_dims, _coeffs_specs, _coeffs_terms, _itself),
     "prelie": _ComplexKind(
-        _pair_dims, _prelie_top, _prelie_specs, lambda p: _prelie_terms(p.algebra, p.rep), _itself
+        _pair_dims, _prelie_specs, lambda p: _prelie_terms(p.algebra, p.rep), _itself
     ),
     "pair": _ComplexKind(
         _pair_dims,
-        _prelie_top,
         lambda n: _prelie_specs(n) + _coeffs_specs(n - 1),
         lambda p: _prelie_terms(p.algebra, p.rep, p.D),
         _itself,
     ),
     "regular": _ComplexKind(
         lambda rp: SplitDims(rp.algebra.dim, rp.algebra.dim),
-        _two_slot_top,
         lambda n: _two_slot_specs("g", n),
         _regular_terms,
         _itself,
     ),
     "rep": _ComplexKind(
         _rep_dims,
-        _two_slot_top,
         lambda n: _two_slot_specs("v", n),
         _rep_terms,
         lambda data: (data[1], data[0]),
@@ -986,19 +962,19 @@ def _degree_plan(complex_id: str, dim_g: int, dim_v: int, n: int) -> _Plan:
     """The _Plan of C^n of complex_id over SplitDims(dim_g, dim_v): its
     specs, the layouts of its blocks and dim C^n. Keyed by ints and
     strings alone, it holds no structure data, and it is reached only for
-    the degrees where C^n is nonzero (_plan), so the cache holds at most
-    top plans per complex and dims."""
+    1 <= n <= dim g + 2 (_plan), so the cache holds at most dim g + 2
+    plans per complex and dims."""
     return _lay_out(SplitDims(dim_g, dim_v), COMPLEXES[complex_id].specs(n))
 
 
 def _plan(complex_id: str, dims: SplitDims, n: int) -> _Plan:
-    """The _Plan of C^n of complex_id over dims. A zero space, every
-    degree outside 1..top, returns before _degree_plan or _block is
-    reached: its blocks are laid out empty here."""
-    kind = COMPLEXES[complex_id]
-    if 1 <= n <= kind.top(dims):
+    """The _Plan of C^n of complex_id over dims. The g arguments of every
+    block of every complex are wedge^(n-a) g with a = 1 or 2, so C^n is
+    zero outside 1 <= n <= dim g + 2; such a degree is laid out empty
+    here and reaches neither _degree_plan nor _block."""
+    if 1 <= n <= dims.dim_g + 2:
         return _degree_plan(complex_id, dims.dim_g, dims.dim_v, n)
-    specs = tuple(kind.specs(n))
+    specs = tuple(COMPLEXES[complex_id].specs(n))
     return _Plan(specs, ((0, (), {}, 0),) * len(specs), 0)
 
 

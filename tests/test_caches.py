@@ -17,7 +17,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "prelieder"
 ALLOWED = {
     "io_cli:_build_parser": "the one argument parser; it takes no arguments",
     "cohomology:_block": "the basis keys and offsets of one block, keyed by SplitDims, MixedShape and target",
-    "cohomology:_degree_plan": "the specs, block layouts and dim of one nonzero C^n, keyed by complex id, dim g, dim V and n",
+    "cohomology:_degree_plan": (
+        "the specs, block layouts and dim of one C^n with 1 <= n <= dim g + 2, "
+        "keyed by complex id, dim g, dim V and n"
+    ),
 }
 
 CACHES = ("cache", "lru_cache")

@@ -780,13 +780,22 @@ def test_cocycle_checks_build_the_structure_tables_once(monkeypatch):
     for run, first in cases:
         assert counts(run) == first
         assert counts(run) == (0, 0, 0, first[3], 0, 0)
-    # the regular complex over the module's base pair reads the same
-    # leaves: the flat table of D at this scale is the one K = D built;
-    # its generators are its own, built by its first Complex
-    assert counts(lambda: Complex("regular", rq).cohomology_dim(2)) == (0, 0, 0, 0, 0, 3)
-    five = [(cid, q) for cid in ("coeffs", "prelie", "pair")] + [("regular", rq), ("rep", (rq, mq))]
-    for cid, data in five:
-        Complex(cid, data)
+    # the first Complex of every other complex over a viewed structure
+    # builds no view, _Algebra or flat table, only its own generators
+    # and _Actions: prelie the three blocks of partial over the _Actions
+    # of rho and mu, coeffs its one coboundary. The regular complex over
+    # the module's base pair reads the same leaves: the flat table of D
+    # at this scale is the one K = D built. A second Complex of each of
+    # the five builds nothing
+    firsts = [
+        ("pair", q, 0, 0),
+        ("prelie", q, 2, 3),
+        ("coeffs", q, 0, 1),
+        ("rep", (rq, mq), 0, 0),
+        ("regular", rq, 0, 3),
+    ]
+    for cid, data, acts, made in firsts:
+        assert counts(lambda: Complex(cid, data).cohomology_dim(2)) == (0, 0, 0, 0, acts, made), cid
         assert counts(lambda: Complex(cid, data).cohomology_dim(2)) == (0,) * 6, cid
 
     # the module keeps the generators of the base pair they were built
@@ -832,8 +841,8 @@ def test_block_layouts_match_their_definition():
     # order, contiguous offsets, and block sizes that add up to dim C^n;
     # _unflatten inverts _flatten on every layout. The plan of C^n holds
     # the specs, each block's first coordinate and layout, and dim C^n,
-    # the sum of mixed_space_dim over its blocks; C^n is nonzero exactly
-    # for 1 <= n <= top
+    # the sum of mixed_space_dim over its blocks; C^n is zero outside
+    # 1 <= n <= dim g + 2, the degrees whose plans are kept
     rng = Random(71)
     for cid, kind in COMPLEXES.items():
         for dg in range(5):
@@ -858,22 +867,23 @@ def test_block_layouts_match_their_definition():
                         total += len(keys) * tdim
                     size = sum(mixed_space_dim(dims, shape, target) for shape, target in specs)
                     assert plan.dim == total == size == space_dimension(cid, n, data), (cid, dims, n)
-                    assert (size > 0) == (1 <= n <= kind.top(dims)), (cid, dims, n)
+                    assert size == 0 or 1 <= n <= dims.dim_g + 2, (cid, dims, n)
                     blocks = [random_mixed(rng, dims, s, t) for s, t in specs]
                     assert _unflatten(dims, specs, _flatten(blocks)) == blocks, (cid, dims, n)
 
 
 def test_degrees_past_the_top_leave_the_caches_as_they_are():
-    # C^n is the zero space past the top degree, and such a degree is laid
-    # out without _block or the plan cache: asking for 2000 of them, on
-    # every complex, adds no entry to either
+    # C^n is the zero space past dim g + 2, and such a degree is laid out
+    # without _block or the plan cache: asking for 2000 of them, on every
+    # complex, adds no entry to either
     p = golden_pair()
     rp = RegularPair(p.algebra, p.D)
     cases = [(cid, p) for cid in ("coeffs", "prelie", "pair")] + [("regular", rp), ("rep", (rp, regular_module(rp)))]
     tops = {}
     for cid, data in cases:
-        tops[cid] = top = COMPLEXES[cid].top(Complex(cid, data).dims)
-        assert space_dimension(cid, top, data) > 0 and cohomology_dim(cid, top + 1, data) == (0, 0, 0)
+        tops[cid] = top = Complex(cid, data).dims.dim_g + 2
+        cohomology_dim(cid, top, data)
+        assert space_dimension(cid, top - 1, data) > 0
     sizes = _block.cache_info().currsize, _degree_plan.cache_info().currsize
     for cid, data in cases:
         top = tops[cid]
@@ -953,8 +963,8 @@ def test_block_layouts_hold_no_structure_and_are_shared(monkeypatch):
     }
     first = run(cases, blocks)
     plans = _degree_plan.cache_info()
-    # degrees 0 .. 5 were asked for; one plan per nonzero C^n, at 1 <= n <= top <= 4
-    assert plans.currsize == sum(COMPLEXES[cid].top(dims[cid]) for cid in dims) > 0
+    # degrees 0 .. 5 were asked for; one plan per degree 1 <= n <= dim g + 2 = 4
+    assert plans.currsize == sum(d.dim_g + 2 for d in dims.values()) == 20
     refs = [weakref.ref(x) for x in held]
     del held, cases
     gc.collect()
