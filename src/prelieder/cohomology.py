@@ -172,7 +172,7 @@ class _Algebra:
 
     Built from the nonzero products alone, as (index, int) pairs, given
     row-major (e_i.e_j is products[i * dim + j]). Single products are read
-    as such pairs: prod[i][j] is e_i.e_j and bracket[i][j] is [e_i, e_j].
+    as such pairs: dot[i][j] is e_i.e_j and bracket[i][j] is [e_i, e_j].
     Whole maps are read as their flat entries (_flat): left[i] is L_(e_i),
     whose column u is e_i.e_u, and right[i] is R_(e_i), whose column u is
     e_u.e_i.
@@ -181,7 +181,7 @@ class _Algebra:
     def __init__(self, products: tuple):
         dim = isqrt(len(products))
         r = range(dim)
-        self.prod = p = [products[i * dim : (i + 1) * dim] for i in r]
+        self.dot = p = [products[i * dim : (i + 1) * dim] for i in r]
         self.left = [_flat(p[i]) for i in r]
         self.right = [_flat([p[u][i] for u in r]) for i in r]
         self.bracket = [[_difference(p[i][j], p[j][i]) for j in r] for i in r]
@@ -393,7 +393,7 @@ def _sum_terms(*gens):
 def _d_coeff_terms(alg: _Algebra, lmaps, rmaps, src: int):
     """Four-sum coboundary of block src; lmaps[x], rmaps[x] are act_l[x],
     act_r[x] as flat entries."""
-    prod, brk = alg.prod, alg.bracket
+    prod, brk = alg.dot, alg.bracket
 
     def terms(key):
         xs, _, t = key
@@ -489,7 +489,7 @@ def _partial_rho_terms(alg: _Algebra, rho: _Action):
 
 
 def _partial_mu_terms(alg: _Algebra, rho: _Action, mu: _Action):
-    prod, brk = alg.prod, alg.bracket
+    prod, brk = alg.dot, alg.bracket
 
     def terms(key):
         xs, (u,), t = key  # x_1 .. x_{n-1}; t is x_n

@@ -138,10 +138,13 @@ class Matrix(Frozen):
         """The IntView of the columns, built on the first call and kept."""
         view = self._view
         if view is None:
-            cols = nonzero_parts(zip(*self.entries)) if self.rows else ((),) * self.cols
-            view = IntView(cols)
+            view = IntView(self.column_parts())
             object.__setattr__(self, "_view", view)
         return view
+
+    def column_parts(self) -> tuple:
+        """Each column as its nonzero (row, entry) pairs."""
+        return nonzero_parts(zip(*self.entries)) if self.rows else ((),) * self.cols
 
     @staticmethod
     def from_sparse(rows: int, cols: int, sparse_rows) -> "Matrix":

@@ -20,8 +20,10 @@ classified by its degree-2 cohomology. _total writes the layout in the
 standard coordinates; _blocks inverts [s | iota] once to read it in any
 basis, and refuses an s that is not a section, an iota that is not
 injective or does not map into the kernel of the projection, and a
-nonzero block outside the layout: a g-component of g.V, V.g or Dhat(V),
-or V.V != 0.
+nonzero block outside the layout: V.V != 0, or a g-component of g.V,
+V.g or Dhat(V). _layout_failures reads those three conditions, in
+standard coordinates off the nonzero products, for validate_extension
+(extension-abelian, -ideal, -derivation) and _blocks alike.
 """
 
 from __future__ import annotations
@@ -175,50 +177,40 @@ class AbelianExtension:
         return self.iota.cols
 
 
-EXTENSION_TAGS = (
-    "extension-total",
-    "extension-exact",
-    "extension-abelian",
-    "extension-ideal",
-    "extension-derivation",
-)
+# what _blocks refuses for each failed layout tag
+_LAYOUT_REFUSALS = {
+    "extension-abelian": "V is not abelian: a product of two vectors of V is nonzero",
+    "extension-ideal": "V is not an ideal: a product of g and V has a component in g",
+    "extension-derivation": "the derivation does not map V into V",
+}
+
+
+def _layout_failures(ext: AbelianExtension) -> list:
+    """The failed tags among extension-abelian, -ideal and -derivation, in
+    standard coordinates: iota(u) iota(w) = 0, proj(e_k iota(u)) =
+    proj(iota(u) e_k) = 0 for every basis vector e_k, and proj Dhat iota = 0."""
+    a, iota, proj = ext.total.algebra, ext.iota, ext.proj
+    eye = Matrix.identity(a.dim)
+    failed = []
+    if any(any(v) for row in a.products(iota, iota) for v in row):
+        failed.append("extension-abelian")
+    sides = a.products(eye, iota) + a.products(iota, eye)
+    if any(any(proj.matvec(v)) for row in sides for v in row):
+        failed.append("extension-ideal")
+    if not (proj * ext.total.D * iota).is_zero():
+        failed.append("extension-derivation")
+    return failed
 
 
 def validate_extension(ext: AbelianExtension) -> dict:
     """Structural validity: exactness, abelian ideal, derivation squares."""
-    total, iota, proj = ext.total, ext.iota, ext.proj
-    a = total.algebra
-    n, dg, dv = a.dim, ext.dim_g, ext.dim_v
+    iota, proj = ext.iota, ext.proj
     failed = []
-    if not is_regular_pair(total):
+    if not is_regular_pair(ext.total):
         failed.append("extension-total")
-    exact = (
-        (proj * iota).is_zero() and rank(iota) == dv and rank(proj) == dg
-    )
-    if not exact:
+    if not ((proj * iota).is_zero() and rank(iota) == ext.dim_v and rank(proj) == ext.dim_g):
         failed.append("extension-exact")
-    cols = [iota.col(u) for u in range(dv)]
-    abelian = True
-    ideal = True
-    for u in range(dv):
-        for v in range(dv):
-            if any(x != 0 for x in a.prod(cols[u], cols[v])):
-                abelian = False
-    for w in range(n):
-        ew = basis_vec(n, w)
-        for u in range(dv):
-            left = a.prod(ew, cols[u])
-            right = a.prod(cols[u], ew)
-            if any(x != 0 for x in proj.matvec(left)) or any(
-                x != 0 for x in proj.matvec(right)
-            ):
-                ideal = False
-    if not abelian:
-        failed.append("extension-abelian")
-    if not ideal:
-        failed.append("extension-ideal")
-    if not (proj * total.D * iota).is_zero():
-        failed.append("extension-derivation")
+    failed += _layout_failures(ext)
     return {"ok": not failed, "failed": failed}
 
 
@@ -273,23 +265,18 @@ def _blocks(ext: AbelianExtension, s: Matrix) -> tuple:
         raise ValueError("not a section of the projection")
     if not (ext.proj * ext.iota).is_zero():
         raise ValueError("iota does not map into the kernel of the projection")
-    dg, n = ext.dim_g, ext.total.algebra.dim
+    n = ext.total.algebra.dim
     B = Matrix(n, n, [s.row(k) + ext.iota.row(k) for k in range(n)])
     R, _, pivots = rref(Matrix(n, 2 * n, [B.row(k) + basis_vec(n, k) for k in range(n)]))
     if pivots != tuple(range(n)):
         # proj s = 1 and proj iota = 0, so only iota can lose rank
         raise ValueError("iota is not injective")
+    failed = _layout_failures(ext)
+    if failed:
+        raise ValueError(_LAYOUT_REFUSALS[failed[0]])
     inv = Matrix(n, n, [row[n:] for row in R.entries])
-    basis = [B.col(k) for k in range(n)]
-    T = [[inv.matvec(ext.total.algebra.prod(x, y)) for y in basis] for x in basis]
+    T = [[inv.matvec(v) for v in row] for row in ext.total.algebra.products(B, B)]
     D = (inv * ext.total.D * B).entries
-    V = range(dg, n)
-    if any(any(T[u][w]) for u in V for w in V):
-        raise ValueError("V is not abelian: a product of two vectors of V is nonzero")
-    if any(any(T[i][u][:dg]) or any(T[u][i][:dg]) for i in range(dg) for u in V):
-        raise ValueError("V is not an ideal: a product of g and V has a component in g")
-    if any(any(row[dg:]) for row in D[:dg]):
-        raise ValueError("the derivation does not map V into V")
     return T, D
 
 

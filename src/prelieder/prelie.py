@@ -34,10 +34,7 @@ from .exact_linalg import (
     combination,
     frac,
     nonzero_parts,
-    vec_add,
-    vec_scale,
     vec_sub,
-    zero_vec,
 )
 from .mn_bracket import mn_bracket
 
@@ -77,33 +74,34 @@ class PreLieAlgebra(Frozen):
     def prod_basis(self, i: int, j: int):
         return self.table[i][j]
 
-    def prod(self, x, y):
-        """Bilinear extension of the product to coefficient vectors."""
-        out = zero_vec(self.dim)
-        for i, a in enumerate(x):
-            if a == 0:
-                continue
-            for j, b in enumerate(y):
-                if b == 0:
-                    continue
-                out = vec_add(out, vec_scale(frac(a) * frac(b), self.table[i][j]))
+    def products(self, X: Matrix, Y: Matrix) -> list:
+        """out[p][q] is column p of X times column q of Y, summed over the
+        nonzero entries of both and the nonzero structure constants."""
+        n = self.dim
+        if X.rows != n or Y.rows != n:
+            raise ValueError(f"products take matrices with {n} rows")
+        parts, ys = nonzero_parts(v for row in self.table for v in row), Y.column_parts()
+        out = []
+        for x in X.column_parts():
+            row = []
+            for y in ys:
+                acc = [Fraction(0)] * n
+                for i, a in x:
+                    for j, b in y:
+                        c = a * b
+                        for k, t in parts[i * n + j]:
+                            acc[k] += c * t
+                row.append(tuple(acc))
+            out.append(row)
         return out
 
     def left_mult(self, i: int) -> Matrix:
-        """Matrix of L_{e_i}: y -> e_i . y."""
-        return Matrix(
-            self.dim,
-            self.dim,
-            [[self.table[i][j][k] for j in range(self.dim)] for k in range(self.dim)],
-        )
+        """Matrix of L_{e_i}: y -> e_i . y, whose column j is e_i . e_j."""
+        return columns_matrix(self.table[i], self.dim)
 
     def right_mult(self, i: int) -> Matrix:
-        """Matrix of R_{e_i}: y -> y . e_i."""
-        return Matrix(
-            self.dim,
-            self.dim,
-            [[self.table[j][i][k] for j in range(self.dim)] for k in range(self.dim)],
-        )
+        """Matrix of R_{e_i}: y -> y . e_i, whose column j is e_j . e_i."""
+        return columns_matrix([row[i] for row in self.table], self.dim)
 
     def __eq__(self, other):
         return (
@@ -223,9 +221,8 @@ def morphism_sides(f_g: Matrix, f_v: Matrix, src: DerPair, dst: DerPair) -> tupl
         raise ValueError(f"f_V must be {dst.rep.dim_v} x {src.rep.dim_v}")
     dv = dst.rep.dim_v
     cols = [f_g.col(i) for i in range(a1.dim)]
-    pairs = [(i, j) for i in range(a1.dim) for j in range(a1.dim)]
-    prods = columns_matrix([a1.prod_basis(i, j) for i, j in pairs], a1.dim)
-    images = columns_matrix([a2.prod(cols[i], cols[j]) for i, j in pairs], a2.dim)
+    prods = columns_matrix([v for row in a1.table for v in row], a1.dim)
+    images = columns_matrix([v for row in a2.products(f_g, f_g) for v in row], a2.dim)
     return (
         (_entries([f_g * prods]), _entries([images])),
         (

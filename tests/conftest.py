@@ -28,6 +28,8 @@ from prelieder import (
 from prelieder.cochain import Cochain, MixedMap, SplitDims, mixed_space_dim
 from prelieder.spaces import wedge_tail_basis
 
+from oracles import prod_reference
+
 REPO = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO / "corpus"
 
@@ -204,7 +206,7 @@ def rebased_pair(p: DerPair, t: Matrix, t_inv: Matrix, s: Matrix, s_inv: Matrix)
     """
     a, n = p.algebra, p.algebra.dim
     cols = [t.col(i) for i in range(n)]
-    table = [[t_inv.matvec(a.prod(cols[i], cols[j])) for j in range(n)] for i in range(n)]
+    table = [[t_inv.matvec(prod_reference(a, cols[i], cols[j])) for j in range(n)] for i in range(n)]
 
     def move(mats):
         out = []

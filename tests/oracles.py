@@ -8,9 +8,11 @@ associator identity characterizes the bracket through its defining
 property. The general composition (over unshuffles enumerated here and
 signed by their inversions) and left symmetry are walked densely over
 the whole basis, the representation, derivation and module axioms
-are Matrix products over every basis element, a differential's term
-generators are evaluated one output key at a time, and the eleven
-equivalence identities are written out one by one.
+are Matrix products over every basis element, an extension's abelian,
+ideal and derivation conditions are dense products over every basis
+vector, a differential's term generators are evaluated one output key
+at a time, and the eleven equivalence identities are written out one
+by one.
 """
 
 from fractions import Fraction
@@ -251,6 +253,17 @@ def left_symmetric_reference(dim: int, table) -> bool:
     )
 
 
+def prod_reference(a, x, y):
+    """The product of two coefficient vectors, expanded densely over every
+    basis pair: the sum of x_i y_j e_i.e_j."""
+    out = zero_vec(a.dim)
+    for i, s in enumerate(x):
+        for j, t in enumerate(y):
+            if s * t:
+                out = vec_add(out, vec_scale(s * t, a.prod_basis(i, j)))
+    return out
+
+
 def bracket_vec(a, i: int, j: int):
     """[e_i, e_j] = e_i.e_j - e_j.e_i without the validity gate."""
     return vec_sub(a.prod_basis(i, j), a.prod_basis(j, i))
@@ -312,6 +325,37 @@ def module_reference(base, r) -> list:
             ok2 = False
     failed = representation_reference(base.algebra, r.plain())
     return failed + [tag for tag, ok in (("extension-rep-1", ok1), ("extension-rep-2", ok2)) if not ok]
+
+
+def extension_reference(ext) -> list:
+    """The failed tags of an abelian extension, in tag order: the total's
+    pair axioms (pair_reference), exactness from sympy ranks, and the
+    abelian, ideal and derivation conditions as dense loops of
+    prod_reference over every basis vector."""
+    total, iota, proj = ext.total, ext.iota, ext.proj
+    a = total.algebra
+    n, dg, dv = a.dim, proj.rows, iota.cols
+    cols = [iota.col(u) for u in range(dv)]
+    abelian = ideal = True
+    for u in range(dv):
+        for v in range(dv):
+            if any(prod_reference(a, cols[u], cols[v])):
+                abelian = False
+    for w in range(n):
+        ew = unit(n, w)
+        for u in range(dv):
+            for side in (prod_reference(a, ew, cols[u]), prod_reference(a, cols[u], ew)):
+                if any(proj.matvec(side)):
+                    ideal = False
+    exact = (proj * iota).is_zero() and sympy_rank(iota) == dv and sympy_rank(proj) == dg
+    checks = (
+        ("extension-total", not pair_reference(total)),
+        ("extension-exact", exact),
+        ("extension-abelian", abelian),
+        ("extension-ideal", ideal),
+        ("extension-derivation", (proj * total.D * iota).is_zero()),
+    )
+    return [tag for tag, ok in checks if not ok]
 
 
 def apply_terms(dims, shape, target, terms, maps) -> MixedMap:

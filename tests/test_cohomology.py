@@ -568,7 +568,7 @@ def _check_structure_tables(a: PreLieAlgebra, mats, rows: int, cols: int) -> Non
         return tuple((k, c) for k, c in enumerate(vec) if c)
 
     alg = _algebra(a, L)
-    assert unscaled(alg.prod) == [[nonzero(a.prod_basis(i, j)) for j in r] for i in r]
+    assert unscaled(alg.dot) == [[nonzero(a.prod_basis(i, j)) for j in r] for i in r]
     assert unscaled(alg.bracket) == [[nonzero(bracket_vec(a, i, j)) for j in r] for i in r]
     assert unscaled_flat(alg.left) == [_dense_flat(a.left_mult(i)) for i in r]
     assert unscaled_flat(alg.right) == [_dense_flat(a.right_mult(i)) for i in r]

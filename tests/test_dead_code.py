@@ -5,13 +5,19 @@ An import that a module never reads, or a private module-level name
 the package reads, fails the test. So does a public module-level
 function or class that no module of the package reads and __init__.py
 does not export, unless ALLOWED names it with its reason. The imports
-of __init__.py are its re-exports and are not checked.
+of __init__.py are its re-exports and are not checked. A public method
+of a package class fails too when no file under src/, tests/ or bench/
+reads an attribute of its name off anything but an imported module.
+The match is by name alone, so a data attribute of the same name, read
+anywhere, keeps a method alive.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "prelieder"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "prelieder"
+READERS = ("src", "tests", "bench")  # the files whose attribute reads keep a method alive
 
 # public names the package itself does not read, each kept on purpose
 ALLOWED = {
@@ -85,8 +91,82 @@ def dead_code(trees: dict, allowed=()) -> list:
     return found
 
 
+def _public_methods(tree):
+    """(class, name, line) of the public methods of the module-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield node.name, item.name, item.lineno
+
+
+def _attributes_read(tree) -> set:
+    """The names the module reads as attributes, except those it reads
+    off a module it imports (import m; m.name)."""
+    modules = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id in modules)
+    }
+
+
+def unread_methods(trees: dict, readers) -> list:
+    """'module:line Class.name' for each public method of a class in trees
+    whose name no tree of readers reads as an attribute (_attributes_read)."""
+    read = set().union(*map(_attributes_read, readers))
+    return [
+        f"{module}:{line} {cls}.{name}"
+        for module, tree in trees.items()
+        for cls, name, line in _public_methods(tree)
+        if name not in read
+    ]
+
+
 def test_package_has_no_unused_imports_or_private_names():
     assert dead_code(_trees(), ALLOWED) == []
+
+
+def test_every_public_method_is_read():
+    readers = [ast.parse(p.read_text(), str(p)) for d in READERS for p in sorted((REPO / d).rglob("*.py"))]
+    assert unread_methods(_trees(), readers) == []
+
+
+def test_unread_method_check_sees_each_kind():
+    # the check itself: a method read as an attribute anywhere in the
+    # readers is kept; one only assigned to, named in a string or read
+    # off an imported module is not; private methods, dunders and nested
+    # classes are not checked
+    package = ast.parse(
+        "class A:\n"
+        "    def read(self):\n"
+        "        return self.elsewhere()\n"
+        "    def elsewhere(self):\n"
+        "        pass\n"
+        "    def unread(self):\n"
+        "        pass\n"
+        "    def stored(self):\n"
+        "        pass\n"
+        "    def prod(self):\n"
+        "        pass\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "    def __eq__(self, other):\n"
+        "        pass\n"
+        "def outer():\n"
+        "    class Inner:\n"
+        "        def inner(self):\n"
+        "            pass\n"
+    )
+    test = ast.parse("import exact as X\nA().read()\nA.stored = None\ngetattr(A, 'unread')\nX.prod()\n")
+    assert unread_methods({"m": package}, [package, test]) == ["m:6 A.unread", "m:8 A.stored", "m:10 A.prod"]
 
 
 def test_every_allowed_name_is_still_unread():

@@ -9,14 +9,18 @@ by a coboundary.
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import prelieder.exact_linalg
+import prelieder.extension
 from prelieder import (
     AbelianExtension,
     DerPairRepresentation,
@@ -44,9 +48,11 @@ from prelieder import (
 )
 from prelieder.cochain import SplitDims
 from prelieder.cohomology import COMPLEXES, _unflatten
+from prelieder.extension import _LAYOUT_REFUSALS
+from prelieder.io_cli import cli_run
 
-from conftest import random_matrix, regular_pairs, shift_algebra
-from oracles import in_span, sympy_matrix
+from conftest import REPO, random_matrix, regular_pairs, shift_algebra
+from oracles import extension_reference, in_span, prod_reference, sympy_matrix
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +116,7 @@ def conjugated(ext: AbelianExtension, P: Matrix) -> AbelianExtension:
     and the product and Dhat rebased."""
     n, a, Q = P.rows, ext.total.algebra, inverse(P)
     cols = [Q.col(k) for k in range(n)]
-    table = [[P.matvec(a.prod(x, y)) for y in cols] for x in cols]
+    table = [[P.matvec(prod_reference(a, x, y)) for y in cols] for x in cols]
     total = RegularPair(PreLieAlgebra(n, table), P * ext.total.D * Q)
     return AbelianExtension(total, P * ext.iota, ext.proj * Q)
 
@@ -419,8 +425,138 @@ def test_classify_certificate_survives_a_failed_morphism_check(monkeypatch):
         classify(b, r, cb, ExtensionCocycle.zero(SplitDims(2, 2)))
 
 
+@pytest.mark.parametrize("part, tag", [("V.V", "extension-abelian"), ("Dhat(V)", "extension-derivation")])
+def test_build_certificate_refuses_a_faulty_total(part, tag, monkeypatch, capsys):
+    # every built extension is validated, not trusted: a total with V.V
+    # nonzero or a g-component of Dhat(V) is an internal fault, a
+    # RuntimeError naming the failed tag, and ext build exits 3 with one
+    # stderr line
+    real = prelieder.extension._total
+
+    def total(base, r, c):
+        good = real(base, r, c)
+        n = good.algebra.dim
+        table = [[list(v) for v in row] for row in good.algebra.table]
+        D = [list(row) for row in good.D.entries]
+        if part == "V.V":
+            table[n - 1][n - 1][n - 1] += 1
+        else:
+            D[0][n - 1] += 1
+        return RegularPair(PreLieAlgebra(n, table), Matrix(n, n, D))
+
+    monkeypatch.setattr(prelieder.extension, "_total", total)
+    b = golden_base()
+    with pytest.raises(RuntimeError, match=tag):
+        build_extension(b, regular_module(b), ExtensionCocycle.zero(SplitDims(2, 2)))
+    names = ("pair_shift.json", "module_regular.json", "cocycle_zero.json")
+    assert cli_run(["ext", "build"] + [str(REPO / "corpus" / name) for name in names]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: RuntimeError: ") and tag in lines[0]
+
+
+def test_build_certificate_survives_optimize():
+    # the certificate is an if statement, not an assert: under python -O a
+    # total whose Dhat is no derivation (extension-total) or does not keep
+    # V (extension-derivation) still makes build_extension raise
+    script = (
+        "import prelieder.extension as E\n"
+        "from prelieder import ExtensionCocycle, Matrix, PreLieAlgebra, RegularPair, regular_module\n"
+        "from prelieder.cochain import SplitDims\n"
+        "base = RegularPair(PreLieAlgebra(2, [[[0, 0], [0, 1]], [[0, 0], [0, 0]]]), Matrix(2, 2, [[0, 0], [0, 1]]))\n"
+        "real = E._total\n"
+        "def faulty(*args):\n"
+        "    t = real(*args)\n"
+        "    return RegularPair(t.algebra, t.D + bump)\n"
+        "E._total = faulty\n"
+        "for cell in ((0, 0), (0, 3)):\n"
+        "    bump = Matrix(4, 4, [[int((i, j) == cell) for j in range(4)] for i in range(4)])\n"
+        "    try:\n"
+        "        E.build_extension(base, regular_module(base), ExtensionCocycle.zero(SplitDims(2, 2)))\n"
+        "    except RuntimeError as e:\n"
+        "        print(str(e).replace(' ', ''))\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    first, second = out.stdout.split()
+    assert "'extension-total'" in first and "'extension-derivation'" in second
+
+
 # ----------------------------------------------------------------------
 # structural validation tags
+
+
+EXTENSION_PARTS = (None, "table", "V.V", "g.V", "V.g", "Dhat", "Dhat(V)", "iota", "proj", "rank", "leak")
+
+
+def moved_entry(rng: random.Random, ext: AbelianExtension, part) -> AbelianExtension:
+    """ext with one entry of the named part moved by a nonzero rational:
+    any product coefficient ("table"), a coefficient of V.V, the
+    g-component of g.V or of V.g, any entry of Dhat, a g-component of
+    Dhat(V), or any entry of iota or proj. "rank" zeroes a row of proj,
+    and "leak" adds a row of proj to a column of iota, so that proj iota
+    is nonzero."""
+    n, dg, dv = ext.total.algebra.dim, ext.dim_g, ext.dim_v
+    table = [[list(v) for v in row] for row in ext.total.algebra.table]
+    D, iota, proj = ([list(row) for row in m.entries] for m in (ext.total.D, ext.iota, ext.proj))
+    g, V, every = range(dg), range(dg, n), range(n)
+    step = rng.choice((1, -1, Fraction(1, 2), -2))
+    cells = {"table": (every, every, every), "V.V": (V, V, every), "g.V": (g, V, g), "V.g": (V, g, g)}
+    if part in cells:
+        i, j, k = (rng.choice(r) for r in cells[part])
+        table[i][j][k] += step
+    elif part in ("Dhat", "Dhat(V)"):
+        rows, cols = (every, every) if part == "Dhat" else (g, V)
+        D[rng.choice(rows)][rng.choice(cols)] += step
+    elif part == "iota":
+        iota[rng.randrange(n)][rng.randrange(dv)] += step
+    elif part == "proj":
+        proj[rng.randrange(dg)][rng.randrange(n)] += step
+    elif part == "rank":
+        proj[rng.randrange(dg)] = [0] * n
+    elif part == "leak":
+        u, r = rng.randrange(dv), rng.randrange(dg)
+        for k in every:
+            iota[k][u] += proj[r][k]
+    total = RegularPair(PreLieAlgebra(n, table), Matrix(n, n, D))
+    return AbelianExtension(total, Matrix(n, dv, iota), Matrix(dg, n, proj))
+
+
+@pytest.fixture(scope="module")
+def built(bases):
+    return [build_extension(b, r, c) for b in bases for r in modules_over(b) for c in cocycles_over(b, r, count=2)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(EXTENSION_PARTS), st.booleans())
+@example(0, None, True)
+@example(0, "V.g", False)
+@example(0, "leak", True)
+def test_extension_tags_match_the_reference(built, seed, part, conjugate):
+    # a built extension, one entry moved in standard coordinates, then
+    # read there or in the coordinates y = P x; where the input is exact
+    # the block reader refuses it for the first failed layout tag
+    rng = random.Random(seed)
+    ext = moved_entry(rng, rng.choice(built), part)
+    if conjugate:
+        ext = conjugated(ext, invertible_integer_matrix(rng, ext.total.algebra.dim))
+    want = extension_reference(ext)
+    assert validate_extension(ext)["failed"] == want
+    if "extension-exact" in want:
+        return
+    layout = [tag for tag in want if tag in _LAYOUT_REFUSALS]
+    s = canonical_section(ext)
+    if layout:
+        with pytest.raises(ValueError, match=re.escape(_LAYOUT_REFUSALS[layout[0]])):
+            extract_cocycle(ext, s)
+    else:
+        extract_cocycle(ext, s)
 
 
 def test_validate_extension_tag_granularity():

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prelieder import (
     DerPair,
@@ -39,7 +41,7 @@ from conftest import (
     unipotent,
     zero_representation,
 )
-from oracles import bracket_vec, left_symmetric_reference
+from oracles import bracket_vec, left_symmetric_reference, prod_reference
 
 
 def test_corpus_algebras_are_prelie():
@@ -271,6 +273,35 @@ def test_prod_and_mult_matrices_agree():
                 ej = tuple(Fraction(1) if t == j else Fraction(0) for t in range(a.dim))
                 assert L.matvec(ej) == a.prod_basis(i, j)
                 assert R.matvec(ej) == a.prod_basis(j, i)
+
+
+def _sparse_matrix(rng: Random, rows: int, cols: int) -> Matrix:
+    """A random rational matrix with about half its entries zero and,
+    when it has two columns or more, one zero column."""
+    entries = [[rational(rng) if rng.random() < 0.5 else 0 for _ in range(cols)] for _ in range(rows)]
+    if cols > 1:
+        zero = rng.randrange(cols)
+        for row in entries:
+            row[zero] = 0
+    return Matrix(rows, cols, entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+@example(0, 0, 2, 1)
+@example(0, 3, 0, 2)
+def test_products_match_the_dense_product(seed, n, p, q):
+    # every product of a column of X with a column of Y, rectangular and
+    # empty shapes included, against the dense expansion over all basis pairs
+    rng = Random(seed)
+    table = [[[rational(rng) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    a = PreLieAlgebra(n, table)
+    X, Y = _sparse_matrix(rng, n, p), _sparse_matrix(rng, n, q)
+    out = a.products(X, Y)
+    assert out == [[prod_reference(a, X.col(i), Y.col(j)) for j in range(q)] for i in range(p)]
+    assert all(type(x) is Fraction for row in out for v in row for x in v)
+    with pytest.raises(ValueError):
+        a.products(Matrix.zeros(n + 1, p), Y)
 
 
 def test_representation_rejects_shape_mismatch():
